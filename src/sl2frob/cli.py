@@ -61,6 +61,10 @@ def parse_seed(ctx: FieldCtx, text: str) -> FieldElement:
 
 def run_command(cmd: str, p: int, ext: int, r: int, d_seed: str,
                 window: int, seed: int) -> dict:
+    if r < 1:
+        raise ValueError(f"--r must be at least 1, got {r}")
+    if window < 1:
+        raise ValueError(f"--window must be at least 1, got {window}")
     prime_ctx = FieldCtx(p, 1)
     quad_ctx = FieldCtx(p, 2) if ext >= 2 else None
 

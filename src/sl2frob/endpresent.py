@@ -823,20 +823,3 @@ def verify_center(ctx: FieldCtx, r: int, seed: int = 0,
         else:
             checks.append(check(f"{name}_span_equality", False, computed=0))
     return report("center", {"p": p, "r": r, "seed": seed}, checks, tables=tables)
-
-
-# ---------------------------------------------------------------------------
-# generator graph export
-# ---------------------------------------------------------------------------
-
-def generator_graph_dot(K: KernelTwoAlgebra) -> str:
-    lines = ["digraph generators {"]
-    for lab in K.labels:
-        lines.append(f'  "{lab}" [shape=box];')
-    for g in K.generators:
-        if g.source != g.target:
-            lines.append(f'  "{g.source}" -> "{g.target}" [label="{g.kind}"];')
-        else:
-            lines.append(f'  "{g.source}" -> "{g.target}" [label="{g.kind}", style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

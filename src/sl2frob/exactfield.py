@@ -329,9 +329,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, self.arr[i, j])
 
-    def set_entry(self, i: int, j: int, v: FieldElement):
-        self.arr[i, j] = v._arr()
-
     def is_zero(self) -> bool:
         return not self.arr.any()
 
@@ -483,9 +480,6 @@ class Matrix:
             X[pc] = R.arr[i, n:]
         return Matrix(ctx, X)
 
-    def column_space_contains(self, v: "Matrix") -> bool:
-        return self.solve(v) is not None
-
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse needs a square matrix")
@@ -514,66 +508,3 @@ def vec(m: Matrix) -> Matrix:
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     a = v.arr.reshape(cols, rows, v.ctx.k).transpose(1, 0, 2)
     return Matrix(v.ctx, a)
-
-
-def span_basis(vectors: list[Matrix]) -> list[Matrix]:
-    """RREF-canonical basis of the span of the given column vectors."""
-    if not vectors:
-        return []
-    ctx = vectors[0].ctx
-    rows = Matrix.vstack([v.transpose() for v in vectors])
-    R, pivots = rows.rref()
-    out = []
-    for i in range(len(pivots)):
-        out.append(R.take_rows([i]).transpose())
-    return out
-
-
-def in_span(basis_rows: Matrix, v_row: Matrix) -> bool:
-    """Whether the row vector lies in the row space of basis_rows."""
-    combined = Matrix.vstack([basis_rows, v_row])
-    return combined.rank() == basis_rows.rank()
-
-
-def joint_eigenspaces(ops: list[Matrix]) -> list[tuple[tuple[FieldElement, ...], Matrix]]:
-    """Split the ambient space into simultaneous eigenspaces of commuting operators.
-
-    Each operator must be diagonalizable with all eigenvalues in the field
-    ("split"); otherwise an "enlarge field" error is raised.  Returns a list
-    of (eigenvalue tuple, column basis) pairs covering the whole space.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    ctx = ops[0].ctx
-    n = ops[0].rows
-    for a in ops:
-        if a.shape != (n, n):
-            raise ValueError("operators must be square of equal size")
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            if not ops[i].commutator(ops[j]).is_zero():
-                raise ValueError("operators do not commute")
-
-    spaces: list[tuple[tuple[FieldElement, ...], Matrix]] = [((), Matrix.identity(ctx, n))]
-    for a in ops:
-        new_spaces = []
-        for tag, basis in spaces:
-            # restriction of a to the invariant subspace spanned by basis columns
-            sub = basis.solve(a @ basis)
-            if sub is None:
-                raise ValueError("subspace not invariant (non-commuting input?)")
-            m = basis.cols
-            found = 0
-            for lam in ctx.elements():
-                shifted = sub - Matrix.scalar(ctx, m, lam)
-                ker = shifted.kernel()
-                if ker.cols:
-                    if not (shifted @ ker).is_zero():
-                        raise ValueError("kernel inconsistency")
-                    new_spaces.append((tag + (lam,), basis @ ker))
-                    found += ker.cols
-            if found != m:
-                raise ValueError(
-                    "operator not diagonalizable over the field: enlarge field")
-        spaces = new_spaces
-    return spaces

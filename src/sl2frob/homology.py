@@ -298,19 +298,6 @@ def radical_and_head(M: ModuleRep, simples: list[tuple[object, ModuleRep]]):
     return rad, mults
 
 
-def radical_layers(M: ModuleRep, simples) -> list[dict]:
-    """Head multiplicities of M, rad M, rad^2 M, ... until zero."""
-    layers = []
-    cur = M
-    while cur.dim:
-        rad, mults = radical_and_head(cur, simples)
-        layers.append(mults)
-        if rad.cols == 0:
-            break
-        cur = repcore.submodule(cur, rad, provenance="rad")
-    return layers
-
-
 def head_is_simple(M: ModuleRep, simples) -> bool:
     _, mults = radical_and_head(M, simples)
     return sum(mults.values()) == 1
@@ -534,19 +521,31 @@ def all_extended_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRe
 def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> dict[int, ModuleRep]:
     """For generic chi the baby Vermas Z_{d+c} are the projective covers.
 
-    Certifies genericity per instance: all p Vermas simple and pairwise
-    non-isomorphic; aborts otherwise.
+    Certifies genericity per instance and aborts otherwise: all p Vermas are
+    simple, each has a one-line highest-weight space ker E_0 spanned by an
+    h-eigenvector, and the p highest h-eigenvalues are distinct.
     """
     out = {}
+    tops = set()
     for c in range(ctx.p):
         Z = repcore.baby_verma(ctx, d + ctx.el(c))
         if is_simple(Z) is not True:
             raise ValueError(f"non-generic seed: Z(d+{c}) is not simple")
+        J = _graded_joint_kernel(Z.E, Z.grading)
+        if sum(b.cols for b in J.values()) != 1:
+            raise ValueError(f"non-generic seed: ker E_0 of Z(d+{c}) is not one line")
+        (v,) = J.values()
+        hv = Z.h_matrix() @ v
+        i = int(np.flatnonzero(v.arr.any(axis=-1))[0])
+        lam = hv.entry(i, 0) / v.entry(i, 0)
+        if hv != v.scale(lam):
+            raise ValueError(f"non-generic seed: Z(d+{c}) highest weight is not an h-eigenvector")
+        # an isomorphism intertwines E_0 and F_0, so it preserves ker E_0 and
+        # the h-eigenvalue on it: distinct eigenvalues mean non-isomorphic simples
+        tops.add(lam)
         out[c] = Z
-    for a in range(ctx.p):
-        for b in range(a + 1, ctx.p):
-            if hom_space(out[a], out[b]).dim:
-                raise ValueError("non-generic seed: Vermas are not pairwise distinct")
+    if len(tops) != ctx.p:
+        raise ValueError("non-generic seed: Vermas are not pairwise distinct")
     return out
 
 
@@ -569,10 +568,7 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     cap = cap if cap is not None else r + 1
     ext = all_extended_projectives(ctx, seed=seed)
     out: dict[tuple, ModuleRep] = {}
-    labels = [()]
-    for _ in range(r):
-        labels = [lab + (k,) for lab in labels for k in range(p)]
-    for lab in labels:
+    for lab in repcore.all_labels(p, r):
         factors = []
         for j, k in enumerate(lab):
             top = j == r - 1
@@ -584,28 +580,6 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
         P = repcore.tensor_many(factors)
         P.provenance = f"P{lab}"
         out[lab] = P
-    return out
-
-
-def steinberg_simples(ctx: FieldCtx, r: int, d: FieldElement | None = None,
-                      cap: int | None = None) -> dict[tuple, ModuleRep]:
-    """The labeled tensor-product simples L_{k_0} (x) L_{k_1}^(1) (x) ..."""
-    p = ctx.p
-    cap = cap if cap is not None else r
-    out = {}
-    labels = [()]
-    for _ in range(r):
-        labels = [lab + (k,) for lab in labels for k in range(p)]
-    for lab in labels:
-        factors = []
-        for j, k in enumerate(lab):
-            top = j == r - 1
-            if top and d is not None:
-                base = repcore.baby_verma(ctx, d + ctx.el(k), cap=cap - j)
-            else:
-                base = repcore.simple_restricted(ctx, k, cap=cap - j)
-            factors.append(repcore.frobenius_twist(base, j))
-        out[lab] = repcore.tensor_many(factors)
     return out
 
 
@@ -636,10 +610,9 @@ def blocks(projectives: dict) -> list[list]:
 
 
 class EndAlgebra:
-    """End of a finite family of modules, with exact structure constants.
+    """End of a finite family of modules, with its exact center.
 
-    The basis is the union of the pairwise Hom bases; composition is stored
-    per composable pair as coordinates in the target Hom basis.
+    The basis is the union of the pairwise Hom bases.
     """
 
     def __init__(self, labeled_modules: list[tuple[object, ModuleRep]]):
@@ -654,14 +627,6 @@ class EndAlgebra:
     @property
     def dim(self) -> int:
         return sum(h.dim for h in self.homs.values())
-
-    def compose_coords(self, a, b, c, i: int, j: int) -> Matrix:
-        """Coordinates of (basis j of Hom(b,c)) o (basis i of Hom(a,b)) in Hom(a,c)."""
-        prod = self.homs[(b, c)].basis[j] @ self.homs[(a, b)].basis[i]
-        coords = self.homs[(a, c)].coordinates(prod)
-        if coords is None:
-            raise ValueError("composition left the solved hom space")
-        return coords
 
     def center(self) -> list[dict]:
         """Basis of central elements, each a dict label -> matrix in End(P_label).

@@ -52,6 +52,14 @@ class WeightLabel:
         return f"WeightLabel{self.digits}{tag}<{self.shift}>"
 
 
+def all_labels(p: int, r: int) -> list[tuple]:
+    """Every digit tuple (k_0, ..., k_{r-1}) with 0 <= k_j <= p-1, k_0 slowest."""
+    labels = [()]
+    for _ in range(r):
+        labels = [lab + (k,) for lab in labels for k in range(p)]
+    return labels
+
+
 class ModuleRep:
     """A finite-dimensional module with divided-power level actions."""
 
@@ -284,32 +292,6 @@ def dual(M: ModuleRep) -> ModuleRep:
     F = [(-m.transpose()) for m in M.F]
     pch = [-s for s in M.pchar_scalars]
     return ModuleRep(ctx, E, F, -M.grading, pch, provenance=f"dual({M.provenance})")
-
-
-def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
-    ctx = mods[0].ctx
-    cap = mods[0].cap
-    for m in mods:
-        if m.cap != cap or m.ctx != ctx:
-            raise ValueError("direct sum needs equal caps and contexts")
-    dim = sum(m.dim for m in mods)
-    E = [Matrix.zeros(ctx, dim, dim) for _ in range(cap)]
-    F = [Matrix.zeros(ctx, dim, dim) for _ in range(cap)]
-    off = 0
-    grading = np.zeros(dim, dtype=np.int64)
-    for m in mods:
-        for j in range(cap):
-            E[j].arr[off:off + m.dim, off:off + m.dim] = m.E[j].arr
-            F[j].arr[off:off + m.dim, off:off + m.dim] = m.F[j].arr
-        grading[off:off + m.dim] = m.grading
-        off += m.dim
-    pch = []
-    for j in range(cap):
-        vals = {tuple(m.pchar_scalars[j].coeffs) for m in mods}
-        if len(vals) != 1:
-            raise ValueError("direct sum with inconsistent p-characters")
-        pch.append(mods[0].pchar_scalars[j])
-    return ModuleRep(ctx, E, F, grading, pch, provenance="sum")
 
 
 def submodule(M: ModuleRep, basis: Matrix, provenance: str = "sub") -> ModuleRep:

@@ -306,17 +306,6 @@ class UChiAlgebra:
                 M.arr[self.index[m], j] = c._arr()
         return M
 
-    def random_weight_zero_element(self, rng: np.random.Generator) -> PBWElement:
-        """Random element of the weight-0 component (monomials with a = c)."""
-        terms = {}
-        for a in range(self.p):
-            for b in range(self.p):
-                idx = int(rng.integers(0, self.ctx.q))
-                c = self.ctx.from_index(idx)
-                if not c.is_zero():
-                    terms[(a, b, a)] = c
-        return self.element(terms)
-
     def weight_zero_right_mult_basis(self) -> list[Matrix]:
         """Right multiplications by the p^2 weight-zero monomials e^a h^b f^a.
 
@@ -345,18 +334,6 @@ class UChiAlgebra:
             if not c.is_zero():
                 out = out + m.scale(c)
         return out
-
-    def structure_constants(self) -> dict:
-        """Full multiplication table as {(i, j): {k: coeff}} (small p only)."""
-        ctx = self.ctx
-        table = {}
-        for i, m1 in enumerate(self.monomials):
-            x1 = self.element({m1: ctx.one()})
-            for j, m2 in enumerate(self.monomials):
-                prod = self._mul_by_monomial(x1, m2)
-                table[(i, j)] = {self.index[m]: c for m, c in prod.terms.items()}
-        return table
-
 
 def build_u_chi(ctx: FieldCtx, chi: PChar) -> UChiAlgebra:
     return UChiAlgebra(ctx, chi)

@@ -2,31 +2,18 @@
 
 Covers: the labeled tensor-product simples and their pairwise distinctness,
 simplicity of restriction to a smaller kernel, irreducibility over the
-enlarged Borel (generated by the lower kernel and the top Borel level), the
-induced modules built from a twisted Verma times a lower simple, and the
-equivalence onto the Steinberg block given by M -> M^(1) (x) St.
+enlarged Borel (generated by the lower kernel and the top Borel level), and
+the equivalence onto the Steinberg block given by M -> M^(1) (x) St.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exactfield import FieldCtx, FieldElement, Matrix
+from .exactfield import FieldCtx, FieldElement
 from . import repcore, homology
 from .homology import hom_space, is_simple
 from .reporting import check, report
-
-
-def all_labels(p: int, r: int) -> list[tuple]:
-    labels = [()]
-    for _ in range(r):
-        labels = [lab + (k,) for lab in labels for k in range(p)]
-    return labels
-
-
-def certify_generic_seed(ctx: FieldCtx, d: FieldElement) -> None:
-    """Abort unless all p Vermas at the seed are simple and pairwise distinct."""
-    homology.generic_verma_projectives(ctx, d)
 
 
 def build_simple(ctx: FieldCtx, label, d: FieldElement | None = None,
@@ -65,8 +52,8 @@ def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     """All p^r labeled products are simple and pairwise non-isomorphic."""
     p = ctx.p
     if d is not None:
-        certify_generic_seed(ctx, d)
-    labels = all_labels(p, r)
+        homology.generic_verma_projectives(ctx, d)
+    labels = repcore.all_labels(p, r)
     mods = {lab: build_simple(ctx, lab, d=d) for lab in labels}
     checks = []
     dims = {}
@@ -93,7 +80,7 @@ def verify_restriction_simplicity(ctx: FieldCtx, R: int, r: int) -> dict:
         raise ValueError("need r < R")
     p = ctx.p
     checks = []
-    for lab in all_labels(p, r):
+    for lab in repcore.all_labels(p, r):
         full = lab + (0,) * (R - r)
         M = build_simple(ctx, full, cap=R)
         res = repcore.restrict_levels(M, r)
@@ -106,55 +93,6 @@ def verify_restriction_simplicity(ctx: FieldCtx, R: int, r: int) -> dict:
 # irreducibles over the enlarged Borel
 # ---------------------------------------------------------------------------
 
-def _spin_irreducible(dim: int, grading, ops: list[Matrix],
-                      seed_ops: list[Matrix]) -> bool | str:
-    """Irreducibility under an explicit operator set, by graded spin seeds.
-
-    seed_ops must be commuting nilpotent (raising) operators from the set:
-    every nonzero invariant subspace meets their joint kernel, so spinning
-    each graded kernel component is a sound test.
-    """
-    seed_ops = [g for g in seed_ops if not g.is_zero()]
-    if not seed_ops:
-        # every vector is a valid seed; enumerate graded lines
-        seed_ops = [Matrix.zeros(ops[0].ctx, dim, dim)]
-    per_w = homology._graded_joint_kernel(seed_ops, np.asarray(grading))
-    if not per_w:
-        return "inconclusive"
-    for _, basis in per_w.items():
-        if basis.cols > 2:
-            return "inconclusive"
-        seeds = [basis.take_cols([t]) for t in range(basis.cols)]
-        if basis.cols == 2:
-            b0, b1 = basis.take_cols([0]), basis.take_cols([1])
-            ctx = b0.ctx
-            seeds = [b1] + [b0 + b1.scale(t) for t in ctx.elements()]
-        for s in seeds:
-            closure = _spin_ops(s, ops)
-            if closure.cols < dim:
-                return False
-    return True
-
-
-def _spin_ops(v: Matrix, ops: list[Matrix]) -> Matrix:
-    rows = v.transpose()
-    frontier = [v]
-    while frontier:
-        new = []
-        for u in frontier:
-            for G in ops:
-                w = G @ u
-                if w.is_zero():
-                    continue
-                cand = Matrix.vstack([rows, w.transpose()])
-                R, piv = cand.rref()
-                if len(piv) > rows.rank():
-                    rows = Matrix(rows.ctx, R.arr[: len(piv)])
-                    new.append(w)
-        frontier = new
-    return rows.transpose()
-
-
 def hat_borel_irreducibles(ctx: FieldCtx, r: int, d: FieldElement) -> dict:
     """Each top-character extension makes the lower-kernel simple irreducible
     over the subalgebra generated by the lower kernel and the top Borel level.
@@ -164,75 +102,23 @@ def hat_borel_irreducibles(ctx: FieldCtx, r: int, d: FieldElement) -> dict:
     by the scalar d + c, so the operator set is {E_j, F_j (j <= r-2),
     E_{r-1} = 0, H_{r-1} = (d+c) id}.
     """
-    certify_generic_seed(ctx, d)
+    homology.generic_verma_projectives(ctx, d)
     p = ctx.p
     checks = []
-    scalars: dict[tuple, FieldElement] = {}
-    for lab in all_labels(p, r - 1):
+    for lab in repcore.all_labels(p, r - 1):
         N = build_simple(ctx, lab, cap=r - 1) if r > 1 else repcore.trivial_module(ctx)
-        ops_lower = list(N.E) + list(N.F)
-        seed_ops = list(N.E)
+        # E_{r-1} = 0 and H_{r-1} = (d+c) id leave every subspace invariant,
+        # so irreducibility over the full set is irreducibility over the lower kernel
+        verdict = is_simple(N)
         for c in range(p):
-            scalar = d + ctx.el(c)
-            ops = ops_lower + [Matrix.zeros(ctx, N.dim, N.dim),
-                               Matrix.scalar(ctx, N.dim, scalar)]
-            full = _spin_irreducible(N.dim, N.grading, ops, seed_ops)
-            lower = _spin_irreducible(N.dim, N.grading, ops_lower, seed_ops)
-            checks.append(check(f"hat_irreducible{lab}+{c}", full is True,
-                                verdict=str(full)))
-            checks.append(check(f"hat_restriction{lab}+{c}", lower is True,
-                                verdict=str(lower)))
-            scalars[lab + (c,)] = scalar
-        vals = [scalars[lab + (c,)] for c in range(p)]
+            for name in ("hat_irreducible", "hat_restriction"):
+                checks.append(check(f"{name}{lab}+{c}", verdict is True,
+                                    verdict=str(verdict)))
+        vals = [d + ctx.el(c) for c in range(p)]
         distinct = len({v.coeffs for v in vals}) == p
         checks.append(check(f"hat_extensions_distinct{lab}", distinct,
                             scalars=[str(v) for v in vals]))
     return report("hat-borel", {"p": p, "r": r, "d": str(d)}, checks)
-
-
-# ---------------------------------------------------------------------------
-# induced modules from a twisted Verma
-# ---------------------------------------------------------------------------
-
-def partial_verma(ctx: FieldCtx, r: int, lower_label: tuple, c: int,
-                  d: FieldElement, twist_exp: int | None = None) -> dict:
-    """Builds Z_{d+c}^(twist_exp) (x) L_{lower} and certifies its head.
-
-    The consistent twist exponent inside an r-level kernel is r-1 (the top
-    factor of the labeled simple); the exponent r is also built (one level
-    higher) and reported for comparison.
-    """
-    certify_generic_seed(ctx, d)
-    p = ctx.p
-    checks = []
-    results = {}
-    expected = build_simple(ctx, lower_label + (c,), d=d)
-    exps = [twist_exp] if twist_exp is not None else [r - 1, r]
-    for exp in exps:
-        cap = exp + 1
-        factors = [repcore.extend_levels(repcore.simple_restricted(ctx, k, cap=1), cap - j)
-                   for j, k in enumerate(lower_label)]
-        factors = [repcore.frobenius_twist(f, j) for j, f in enumerate(factors)]
-        Z = repcore.frobenius_twist(repcore.baby_verma(ctx, d + ctx.el(c)), exp)
-        M = repcore.tensor_many(factors + [Z]) if factors else Z
-        consistent = False
-        if exp == r - 1:
-            iso = homology.is_isomorphic(M, expected)
-            simple = is_simple(M)
-            consistent = iso is not None and simple is True
-            checks.append(check(f"twist_exp_{exp}_head", consistent,
-                                simple=str(simple), matches_labeled_simple=iso is not None))
-        else:
-            same_dim = M.dim == expected.dim
-            checks.append(check(f"twist_exp_{exp}_overflows_kernel", True,
-                                dim=M.dim, lives_in_levels=cap,
-                                matches_expected_dim=same_dim))
-        results[exp] = M.dim
-    return report("partial-verma",
-                  {"p": p, "r": r, "lower": list(lower_label), "c": c,
-                   "consistent_twist_exp": r - 1},
-                  checks, tables=[{"name": "dims_by_exp",
-                                   "data": {str(k): v for k, v in results.items()}}])
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +185,10 @@ def verify_projective_construction(ctx: FieldCtx, r: int,
     """
     p = ctx.p
     if d is not None:
-        certify_generic_seed(ctx, d)
+        homology.generic_verma_projectives(ctx, d)
     projs = homology.projective_covers(ctx, r, d=d, seed=seed)
     simples = [(lab, build_simple(ctx, lab, d=d, cap=r))
-               for lab in all_labels(p, r)]
+               for lab in repcore.all_labels(p, r)]
     checks = []
     dims = {}
     for lab, P in projs.items():
@@ -320,7 +206,7 @@ def verify_projective_construction(ctx: FieldCtx, r: int,
     # graded agreement under reordering the tensor factors (r = 2 case)
     if r == 2:
         ext = homology.all_extended_projectives(ctx, seed=seed)
-        for lab in all_labels(p, 2):
+        for lab in repcore.all_labels(p, 2):
             k0, k1 = lab
             if d is not None:
                 low = repcore.extend_levels(ext[k0], 2)

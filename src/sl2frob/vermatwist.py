@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-from .exactfield import FieldCtx, FieldElement, Matrix
+from .exactfield import FieldCtx, FieldElement, Matrix, vec
 from . import repcore, homology
 from .smallalg import binom_mod
 from .reporting import check, report
@@ -131,12 +131,12 @@ def verma_map(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                 t = j - i + k
                 if t >= p:
                     continue
-                vec = Fv.pow_int(i) @ wk if i else wk
-                if vec.is_zero():
+                u = Fv.pow_int(i) @ wk if i else wk
+                if u.is_zero():
                     continue
                 coeff = A[k] * ctx.el(b)
                 # basis of Z' (x) V is z-major: index t*dimV + s
-                block = vec.scale(coeff)
+                block = u.scale(coeff)
                 out.arr[t * dimV:(t + 1) * dimV, j] = (
                     out.arr[t * dimV:(t + 1) * dimV, j] + block.arr[:, 0]) % p
     return out
@@ -188,15 +188,10 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                                     in_graded_hom=in_space))
                 images.append(phi)
             if len(images) == vdim:
-                rank = Matrix.hstack([_vec(m) for m in images]).rank()
+                rank = Matrix.hstack([vec(m) for m in images]).rank()
                 checks.append(check(f"bijection_{tag}_{mu}_{mu_p}", rank == vdim,
                                     rank=rank))
     return report("hom-iso", {"window": window, "tag": tag}, checks)
-
-
-def _vec(m: Matrix) -> Matrix:
-    from .exactfield import vec
-    return vec(m)
 
 
 def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sl2frob.cli import main, run_command, parse_seed
 from sl2frob.exactfield import FieldCtx
 
@@ -24,6 +26,22 @@ def test_center_command_csv(capsys):
 
 def test_usage_error():
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["center", "--r", "0"],
+    ["relations", "--r", "0"],
+    ["generation", "--r", "0"],
+    ["steinberg", "--r", "0"],
+    ["equivalence", "--window", "-1"],
+    ["equivalence", "--window", "0"],
+    ["hom-iso", "--window", "0"],
+], ids=" ".join)
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    code = main(argv + ["--p", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be at least 1" in err
 
 
 def test_non_generic_seed_exit_code(capsys):

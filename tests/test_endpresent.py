@@ -169,8 +169,3 @@ def test_predicted_elements_commute_with_generators(k2):
         for g in k2.generators:
             if g.source in z and g.target in z:
                 assert (g.matrix @ z[g.source] - z[g.target] @ g.matrix).is_zero()
-
-
-def test_dot_export(k2):
-    text = EP.generator_graph_dot(k2)
-    assert text.startswith("digraph") and "level0" in text

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2frob.exactfield import FieldCtx, FieldElement, Matrix, joint_eigenspaces, vec, unvec
+from sl2frob.exactfield import FieldCtx, FieldElement, Matrix, vec, unvec
 
 
 F3 = FieldCtx(3)
@@ -142,50 +142,6 @@ def test_vec_unvec():
     rng = np.random.default_rng(5)
     m = rand_matrix(F9, 3, 4, rng)
     assert unvec(vec(m), 3, 4) == m
-
-
-def test_joint_eigenspaces_identity():
-    sp = joint_eigenspaces([Matrix.identity(F3, 4)])
-    assert len(sp) == 1
-    (vals, basis), = sp
-    assert vals[0] == F3.one() and basis.cols == 4
-
-
-def test_joint_eigenspaces_weights_of_l2():
-    # h acting on L_2 at p=3: eigenvalues 2, 0, -2 = 1
-    H = Matrix.from_int_rows(F3, [[2, 0, 0], [0, 0, 0], [0, 0, 1]])
-    sp = joint_eigenspaces([H])
-    vals = sorted(v[0].coeffs[0] for v, _ in sp)
-    assert vals == [0, 1, 2]
-    assert all(b.cols == 1 for _, b in sp)
-
-
-def test_joint_eigenspaces_tensor_weight_zero():
-    # h on L_1 (x) L_1: the 0-eigenspace is 2-dimensional (weights 1-1 and -1+1)
-    h1 = Matrix.from_int_rows(F3, [[1, 0], [0, 2]])
-    H = h1.kron(Matrix.identity(F3, 2)) + Matrix.identity(F3, 2).kron(h1)
-    sp = joint_eigenspaces([H])
-    dims = {v[0].coeffs[0]: b.cols for v, b in sp}
-    assert dims[0] == 2
-
-
-def test_joint_eigenspaces_projectors_sum_to_identity():
-    H = Matrix.from_int_rows(F3, [[2, 0, 0], [0, 0, 0], [0, 0, 1]])
-    sp = joint_eigenspaces([H])
-    assert sum(b.cols for _, b in sp) == 3
-    C = Matrix.hstack([b for _, b in sp])
-    assert C.rank() == 3
-
-
-def test_joint_eigenspaces_errors():
-    A = Matrix.from_int_rows(F3, [[0, 1], [0, 0]])
-    B = Matrix.from_int_rows(F3, [[1, 0], [0, 2]])
-    with pytest.raises(ValueError):
-        joint_eigenspaces([A @ B, B @ A + Matrix.identity(F3, 2)])
-    # companion matrix of an irreducible quadratic has no eigenvalues over F_3
-    C = Matrix.from_int_rows(F3, [[0, 2], [1, 0]])
-    with pytest.raises(ValueError, match="enlarge field"):
-        joint_eigenspaces([C])
 
 
 def test_rref_deterministic_golden():

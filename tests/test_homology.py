@@ -7,7 +7,7 @@ from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
-    radical_layers, split_indecomposables, identify_summands,
+    split_indecomposables, identify_summands,
     regular_split_projectives, all_extended_projectives, blocks,
     EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive,
 )
@@ -16,6 +16,19 @@ from sl2frob.repcore import simple_restricted, baby_verma, tensor, frobenius_twi
 
 F3 = FieldCtx(3)
 F9 = FieldCtx(3, 2)
+
+
+def radical_layers(M, simples) -> list[dict]:
+    """Head multiplicities of M, rad M, rad^2 M, ... until zero."""
+    layers = []
+    cur = M
+    while cur.dim:
+        rad, mults = radical_and_head(cur, simples)
+        layers.append(mults)
+        if rad.cols == 0:
+            break
+        cur = repcore.submodule(cur, rad, provenance="rad")
+    return layers
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +175,30 @@ def test_generic_regular_module_splits_into_vermas():
     assert None not in counts
 
 
+def _pairwise_hom_certificate(ctx, d) -> bool:
+    """Genericity as first certified: every Z_{d+c} simple, pairwise zero Hom."""
+    vermas = [baby_verma(ctx, d + ctx.el(c)) for c in range(ctx.p)]
+    if any(is_simple(Z) is not True for Z in vermas):
+        return False
+    return all(hom_space(vermas[a], vermas[b]).dim == 0
+               for a in range(ctx.p) for b in range(a + 1, ctx.p))
+
+
+@pytest.mark.parametrize("ctx", [F9, FieldCtx(5, 2)], ids=["F9", "F25"])
+def test_generic_seed_certificate_matches_pairwise_hom(ctx):
+    # the eigenvalue certificate raises exactly when the pairwise Hom one fails
+    for idx in range(ctx.q):
+        d = ctx.from_index(idx)
+        try:
+            generic_verma_projectives(ctx, d)
+            passed = True
+        except ValueError as e:
+            assert "non-generic seed" in str(e)
+            passed = False
+        assert passed == _pairwise_hom_certificate(ctx, d), d
+        assert passed == (not d.in_prime_field()), d
+
+
 def test_extended_projectives(proj3, ext3):
     assert {i: ext3[i].dim for i in ext3} == {0: 6, 1: 6, 2: 3}
     for i in range(3):
@@ -222,7 +259,14 @@ def test_canonical_bases_classification(ext3):
 
 def test_inconclusive_is_loud():
     # a decomposable module offered with no candidates must raise, not guess
-    M = repcore.direct_sum([simple_restricted(F3, 1), simple_restricted(F3, 1)])
+    L = simple_restricted(F3, 1)
+    Z = Matrix.zeros(F3, L.dim, L.dim)
+
+    def diag(G):
+        return Matrix.vstack([Matrix.hstack([G, Z]), Matrix.hstack([Z, G])])
+
+    M = repcore.ModuleRep(F3, [diag(L.E[0])], [diag(L.F[0])],
+                          np.concatenate([L.grading, L.grading]), L.pchar_scalars)
     simples = [(i, simple_restricted(F3, i)) for i in range(3)]
     dec = split_indecomposables(M, seed=0, simples=simples)
     assert len(dec.summands) == 2  # isotypic pairs do split via eigen-scan
