@@ -174,7 +174,6 @@ class FixedMaps:
         tgt = repcore.tensor(repcore.extend_levels(self.ext[0], 2), self.V)
         Hin = homology.hom_space(src, tgt)
         Hout = homology.hom_space(tgt, src)
-        ident = Matrix.identity(self.ctx, src.dim)
         for bi in Hin.basis:
             for bo in Hout.basis:
                 comp = bo @ bi

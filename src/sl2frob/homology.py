@@ -1,9 +1,10 @@
 """Hom/End engine: intertwiners, simplicity tests, splitting, projectives, centers.
 
-Hom spaces are always solved weight-block-wise: a hom between graded modules
-decomposes into graded components (the level actions are graded), so the
-solver never sees the full dim(M)*dim(N) system.  A full unblocked solve is
-kept as an oracle for tests.
+Hom spaces are solved one graded degree at a time: the level actions are
+graded, so the unknowns of a degree-delta intertwiner are the entries X[i, j]
+with deg N_i = deg M_j + delta, and its equations are the degree-matched
+entries of G_N X - X G_M.  The solver never sees the full dim(M)*dim(N)
+system; a full unblocked Kronecker-product solve is kept as an oracle for tests.
 
 Splitting into indecomposables uses degree-0 endomorphisms only.  Every
 natural decomposition here exists in the graded category, all endomorphism
@@ -70,63 +71,41 @@ class HomSpace:
 
 
 def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int) -> list[Matrix]:
-    """Intertwiners M -> N of graded degree delta, solved block-by-block."""
-    ctx = M.ctx
-    wM = M.weight_indices()
-    wN = N.weight_indices()
-    blocks = [(w, wM[w], wN[w + delta]) for w in sorted(wM) if (w + delta) in wN]
-    if not blocks:
+    """Intertwiners M -> N of graded degree delta, the kernel of X -> G_N X - X G_M.
+
+    The unknowns are the entries X[i, j] with deg N_i = deg M_j + delta,
+    ordered by (deg M_j, j, i).  For a level action G of shift s the
+    equations are the entries (a, b) with deg N_a = deg M_b + delta + s;
+    unknown (i, j) enters row (a, j) with G_N[a, i] and row (i, b) with
+    -G_M[j, b].  The two writes never meet a cell twice because s != 0.
+    """
+    ctx, p = M.ctx, M.ctx.p
+    gM, gN = M.grading, N.grading
+    I, J = np.nonzero(gN[:, None] == gM[None, :] + delta)
+    if not I.size:
         return []
-    offsets, total = {}, 0
-    for w, im, jn in blocks:
-        offsets[w] = total
-        total += len(im) * len(jn)
-
-    rows: list[Matrix] = []
-    p = ctx.p
+    order = np.lexsort((I, J, gM[J]))
+    I, J = I[order], J[order]
+    systems = []
     for j in range(M.cap):
-        for mats_M, mats_N, shift in ((M.E, N.E, 2 * p**j), (M.F, N.F, -2 * p**j)):
-            GM, GN = mats_M[j], mats_N[j]
-            for w in sorted(wM):
-                im = wM[w]
-                tgt = w + shift + delta
-                if tgt not in wN:
-                    continue
-                jn_out = wN[tgt]
-                n_rows = len(jn_out) * len(im)
-                row = Matrix.zeros(ctx, n_rows, total)
-                nontrivial = False
-                if (w + shift) in offsets:
-                    A = GM.block(wM[w + shift], im)  # M_w -> M_{w+shift}
-                    term = A.transpose().kron(Matrix.identity(ctx, len(jn_out)))
-                    o = offsets[w + shift]
-                    row.arr[:, o:o + term.cols] = (row.arr[:, o:o + term.cols] + term.arr) % p
-                    nontrivial = nontrivial or not A.is_zero()
-                if w in offsets:
-                    B = GN.block(jn_out, wN[w + delta])  # N_{w+delta} -> N_{tgt}
-                    term = Matrix.identity(ctx, len(im)).kron(B)
-                    o = offsets[w]
-                    row.arr[:, o:o + term.cols] = (row.arr[:, o:o + term.cols] - term.arr) % p
-                    nontrivial = nontrivial or not B.is_zero()
-                if nontrivial:
-                    rows.append(row)
-
-    if rows:
-        system = Matrix.vstack(rows)
-        ker = system.kernel()
-    else:
-        ker = Matrix.identity(ctx, total)
-
-    out = []
-    for t in range(ker.cols):
-        phi = Matrix.zeros(ctx, N.dim, M.dim)
-        for w, im, jn in blocks:
-            o = offsets[w]
-            blk = unvec(Matrix(ctx, ker.arr[o:o + len(im) * len(jn), t:t + 1]),
-                        len(jn), len(im))
-            phi.arr[np.ix_(jn, im)] = blk.arr
-        out.append(phi)
-    return out
+        for GM, GN, shift in ((M.E[j], N.E[j], 2 * p**j), (M.F[j], N.F[j], -2 * p**j)):
+            matched = gN[:, None] == gM[None, :] + delta + shift
+            row_of = np.full(matched.shape, -1)
+            row_of[matched] = np.arange(np.count_nonzero(matched))
+            a, u = np.nonzero(GN.arr[:, I].any(axis=-1))    # G_N[a, I_u] != 0
+            v, b = np.nonzero(GM.arr[J].any(axis=-1))       # G_M[J_v, b] != 0
+            rows_N, rows_M = row_of[a, J[u]], row_of[I[v], b]
+            if (rows_N < 0).any() or (rows_M < 0).any():
+                raise ValueError(f"level-{j} action of {M.provenance!r} or {N.provenance!r} "
+                                 "does not respect the grading")
+            eqs = np.zeros((np.count_nonzero(matched), I.size, ctx.k), dtype=np.int64)
+            eqs[rows_N, u] += GN.arr[a, I[u]]
+            eqs[rows_M, v] -= GM.arr[J[v], b]
+            systems.append(eqs[eqs.any(axis=(1, 2))])
+    ker = Matrix(ctx, np.concatenate(systems)).kernel()
+    out = np.zeros((ker.cols, N.dim, M.dim, ctx.k), dtype=np.int64)
+    out[:, I, J] = ker.arr.transpose(1, 0, 2)
+    return [Matrix(ctx, phi) for phi in out]
 
 
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
@@ -208,7 +187,7 @@ def spin(M: ModuleRep, v: Matrix, ops: list[Matrix] | None = None) -> Matrix:
                     continue
                 cand = Matrix.vstack([rows, w.transpose()])
                 R, piv = cand.rref()
-                if len(piv) > rows.rank():
+                if len(piv) > rows.rows:  # rows is always a full-rank echelon block
                     rows = Matrix(ctx, R.arr[: len(piv)])
                     new_vecs.append(w)
         frontier = new_vecs
@@ -444,6 +423,9 @@ def split_indecomposables(M: ModuleRep, seed: int = 0, sampler=None,
         dec.add(incl, node)
 
     recurse(M, Matrix.identity(ctx, M.dim), sampler)
+    # recurse refers to itself through its closure; emptying that cell lets
+    # refcounting free the nodes it reached instead of the cyclic collector
+    del recurse
     dec.finalize()
     return dec
 

@@ -37,8 +37,6 @@ class WeightLabel:
                 raise ValueError(f"digit {k} out of range for p={ctx.p}")
         if self.seed is not None and self.seed.in_prime_field():
             raise ValueError("generic label with a prime-field seed")
-        if self.seed is None and self.digits:
-            pass  # zero character: the top value is the last digit itself
 
     @property
     def generic(self) -> bool:

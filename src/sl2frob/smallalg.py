@@ -76,15 +76,6 @@ class DividedPowerPlan:
         return cls(n, tuple(ds), corr)
 
 
-def divided_power_plan(n: int, p: int, cap: int) -> DividedPowerPlan:
-    return DividedPowerPlan.build(n, p, cap)
-
-
-def coproduct_terms(n: int) -> list[tuple[int, int]]:
-    """The exponent pairs in Delta(e^(n)) = sum_{a+b=n} e^(a) x e^(b)."""
-    return [(a, n - a) for a in range(n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # p-characters
 # ---------------------------------------------------------------------------

@@ -304,7 +304,6 @@ class WindowedEnd:
             basis.extend(mats)
         if not basis:
             return None if not mat.is_zero() else []
-        from .exactfield import vec
         B = Matrix.hstack([vec(m) for m in basis])
         sol = B.solve(vec(mat))
         if sol is None:
@@ -498,7 +497,6 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
                                     in_space=in_space, top_recovers=top == x))
                 phis.append(ph)
             if phis and len(phis) == BH.dim:
-                from .exactfield import vec
                 rank = Matrix.hstack([vec(m) for m in phis]).rank()
                 checks.append(check(f"bijective_{mu}_{lam}__{mu2}_{lam2}",
                                     rank == BH.dim, rank=rank))

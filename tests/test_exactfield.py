@@ -127,6 +127,23 @@ def test_solve_inconsistent_returns_none():
     assert A.solve(B) is None
 
 
+def test_inverse_round_trip_and_singular():
+    rng = np.random.default_rng(13)
+    for ctx in (F3, F9):
+        n = 5
+        A = rand_matrix(ctx, n, n, rng)
+        while A.rank() < n:
+            A = rand_matrix(ctx, n, n, rng)
+        inv = A.inverse()
+        assert A @ inv == Matrix.identity(ctx, n)
+        assert inv @ A == Matrix.identity(ctx, n)
+        S = A.copy()
+        S.arr[n - 1] = (S.arr[0] + S.arr[1]) % ctx.p
+        assert independent_rank(S) < n
+        with pytest.raises(ValueError, match="matrix is singular"):
+            S.inverse()
+
+
 def test_kron_identities():
     assert Matrix.identity(F9, 2).kron(Matrix.identity(F9, 3)) == Matrix.identity(F9, 6)
     rng = np.random.default_rng(3)

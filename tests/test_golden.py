@@ -1,4 +1,8 @@
-"""Reports of the p = 5 generic-character commands match the benchmark's golden digests."""
+"""Reports match the benchmark's golden digests.
+
+Covers every p = 5 generic-character report and a few Hom-heavy p = 3 reports
+(relations, hom-iso, equivalence, projectives) that exercise the Hom solver.
+"""
 
 import hashlib
 import json
@@ -12,13 +16,17 @@ GOLDEN = json.loads((Path(__file__).resolve().parent.parent
                      / "perfbench" / "golden.json").read_text())
 KEYS = sorted(k for k in GOLDEN
               if k.split()[0] in ("twist", "steinberg", "hat-borel") and k.split()[1] == "5")
+HOM_KEYS = ([f"relations 3 2 2 auto 2 {s}" for s in (0, 1, 2)]
+            + [f"hom-iso 3 2 1 0,1 2 {s}" for s in (0, 1, 2)]
+            + ["equivalence 3 2 1 0,1 3 0", "projectives 3 2 2 auto 2 0"])
 
 
 def test_keys_present():
     assert len(KEYS) == 60
+    assert all(k in GOLDEN for k in HOM_KEYS)
 
 
-@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("key", KEYS + HOM_KEYS)
 def test_report_digest(key):
     cmd, p, ext, r, d_seed, window, seed = key.split()
     rep = run_command(cmd, int(p), int(ext), int(r), d_seed, int(window), int(seed))

@@ -1,9 +1,11 @@
+import gc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sl2frob.exactfield import FieldCtx, Matrix
+from sl2frob.exactfield import FieldCtx, Matrix, vec
 from sl2frob import repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
@@ -11,11 +13,14 @@ from sl2frob.homology import (
     regular_split_projectives, all_extended_projectives, blocks,
     EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive,
 )
-from sl2frob.repcore import simple_restricted, baby_verma, tensor, frobenius_twist, restrict_levels
+from sl2frob.repcore import (
+    simple_restricted, baby_verma, tensor, dual, frobenius_twist, restrict_levels,
+)
 
 
 F3 = FieldCtx(3)
 F9 = FieldCtx(3, 2)
+F25 = FieldCtx(5, 2)
 
 
 def radical_layers(M, simples) -> list[dict]:
@@ -60,6 +65,87 @@ def test_blocked_solver_matches_unblocked_oracle():
         for phi in blocked.basis:
             assert (phi @ A.E[0] - B.E[0] @ phi).is_zero()
             assert (phi @ A.F[0] - B.F[0] @ phi).is_zero()
+
+
+@st.composite
+def _atom(draw, ctx, cap):
+    """A simple, a shifted baby Verma, or (at cap 2) the level-1 twist of one."""
+    twisted = cap == 2 and draw(st.booleans())
+    base_cap = 1 if twisted else cap
+    if draw(st.booleans()):
+        M = simple_restricted(ctx, draw(st.integers(0, ctx.p - 1)), cap=base_cap)
+    else:
+        d = ctx.from_index(draw(st.integers(0, ctx.q - 1)))
+        M = baby_verma(ctx, d, shift=draw(st.integers(-3, 3)), cap=base_cap)
+    return frobenius_twist(M, 1) if twisted else M
+
+
+@st.composite
+def _graded_module(draw, ctx, cap):
+    """An atom, possibly tensored with a second atom (dim <= 12), possibly dualised."""
+    M = draw(_atom(ctx, cap))
+    if draw(st.booleans()):
+        other = draw(_atom(ctx, cap))
+        if M.dim * other.dim <= 12:
+            try:
+                M = tensor(M, other)
+            except ValueError:
+                pass  # two non-cancelling p-characters: keep the single atom
+    return dual(M) if draw(st.booleans()) else M
+
+
+@st.composite
+def _module_pair(draw):
+    ctx = draw(st.sampled_from([F3, F9, F25]))
+    cap = draw(st.integers(1, 2))
+    return draw(_graded_module(ctx, cap)), draw(_graded_module(ctx, cap))
+
+
+def _span_rank(mats):
+    return Matrix.hstack([vec(m) for m in mats]).rank() if mats else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_module_pair(), st.integers(-6, 6))
+def test_graded_solver_matches_unblocked_oracle_property(pair, degree):
+    M, N = pair
+    H = hom_space(M, N)
+    oracle = hom_space_unblocked(M, N)
+    assert H.dim == len(oracle)
+    for phi, deg in zip(H.basis, H.degrees):
+        for j in range(M.cap):
+            assert (N.E[j] @ phi - phi @ M.E[j]).is_zero()
+            assert (N.F[j] @ phi - phi @ M.F[j]).is_zero()
+        rows, cols = np.nonzero(phi.arr.any(axis=-1))
+        assert rows.size and set(N.grading[rows] - M.grading[cols]) == {deg}
+    assert _span_rank(H.basis) == H.dim == _span_rank(H.basis + oracle)
+    # degree= solves one graded piece: exactly the full basis restricted to it
+    Hd = hom_space(M, N, degree=degree)
+    assert Hd.degrees == [degree] * Hd.dim
+    assert Hd.basis == [b for b, d in zip(H.basis, H.degrees) if d == degree]
+
+
+def test_ungraded_action_is_rejected():
+    L2 = simple_restricted(F3, 2)
+    E0 = L2.E[0].copy()
+    E0.arr[0, 2, 0] = 1  # weight -2 -> weight 2: a shift of 4, not 2
+    bad = repcore.ModuleRep(F3, [E0], L2.F, L2.grading, provenance="bad")
+    with pytest.raises(ValueError, match="'bad' or 'L_2' does not respect the grading"):
+        hom_space(bad, L2)
+
+
+def test_split_leaves_no_reference_cycles():
+    # a cycle would keep every split node alive until the cyclic collector runs
+    T = tensor(simple_restricted(F3, 2, cap=2), simple_restricted(F3, 1, cap=2))
+    gc.collect()
+    gc.disable()
+    try:
+        dec = split_indecomposables(T)
+        assert len(dec.summands) >= 1
+        del dec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verma_hom_weight_dims():
