@@ -5,7 +5,10 @@ fixed monic irreducible modulus; matrices are dense numpy int64 arrays of
 shape (rows, cols, k).  All arithmetic is exact (reduced mod p and mod the
 modulus); there is no floating point anywhere.
 
-Gaussian elimination uses the first nonzero pivot, which makes every
+Gaussian elimination runs on element indices (a0 + a1*x is a0 + p*a1):
+the matrix is converted once, each pivot step is a few lookups in the
+context's q x q multiplication and subtraction tables, and the result is
+converted back once.  It uses the first nonzero pivot, which makes every
 reduced basis deterministic and therefore serializable for golden tests.
 """
 
@@ -44,11 +47,13 @@ def _find_modulus(p: int) -> tuple[int, int]:
 
 
 class FieldCtx:
-    """The field F_{p^k} with a fixed modulus, plus scalar lookup tables.
+    """The field F_{p^k} with a fixed modulus, plus element lookup tables.
 
     Elements are encoded as int64 coefficient vectors of length k (entries
-    in [0, p)); an element a0 + a1*x is also indexed by a0 + p*a1 for the
-    scalar inverse/frobenius tables.
+    in [0, p)); an element a0 + a1*x is also indexed by a0 + p*a1 (0 is the
+    zero element).  Built on first use, the q x q multiplication and
+    subtraction tables and the inverse and Frobenius tables act on these
+    indices; `Matrix.rref` eliminates through them.
     """
 
     def __init__(self, p: int, k: int = 1, modulus: tuple[int, int] | None = None):
@@ -67,8 +72,7 @@ class FieldCtx:
             squares = {(x * x) % p for x in range(p)}
             if (c1 * c1 - 4 * c0) % p in squares:
                 raise ValueError(f"modulus x^2+{c1}x+{c0} is reducible over F_{p}")
-        self._inv_table = None
-        self._frob_table = None
+        self._tabs = None
 
     # -- scalar encoding -------------------------------------------------
 
@@ -94,9 +98,17 @@ class FieldCtx:
         """All q field elements, in index order."""
         return [self.from_index(i) for i in range(self.q)]
 
-    def index(self, coeffs) -> int:
-        c = np.asarray(coeffs)
-        return int(c[0]) + (self.p * int(c[1]) if self.k == 2 else 0)
+    def arr_index(self, a: np.ndarray) -> np.ndarray:
+        """Element indices a0 + p*a1 of a coefficient array (drops the last axis)."""
+        return a[..., 0] + self.p * a[..., 1] if self.k == 2 else a[..., 0].copy()
+
+    def arr_from_index(self, idx: np.ndarray) -> np.ndarray:
+        """Coefficient array of an array of element indices."""
+        if self.k == 1:
+            return idx[..., None]
+        out = np.empty(idx.shape + (2,), dtype=np.int64)
+        out[..., 1], out[..., 0] = np.divmod(idx, self.p)
+        return out
 
     # -- vectorized coefficient-array arithmetic --------------------------
 
@@ -109,9 +121,11 @@ class FieldCtx:
         a0, a1 = a[..., 0], a[..., 1]
         b0, b1 = b[..., 0], b[..., 1]
         cross = a1 * b1
-        r0 = (a0 * b0 - c0 * cross) % p
-        r1 = (a0 * b1 + a1 * b0 - c1 * cross) % p
-        return np.stack([r0, r1], axis=-1)
+        out = np.empty(cross.shape + (2,), dtype=np.int64)
+        out[..., 0] = a0 * b0 - c0 * cross
+        out[..., 1] = a0 * b1 + a1 * b0 - c1 * cross
+        out %= p
+        return out
 
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of coefficient arrays, shapes (n,m,k) x (m,l,k)."""
@@ -122,50 +136,37 @@ class FieldCtx:
         a0, a1 = a[..., 0], a[..., 1]
         b0, b1 = b[..., 0], b[..., 1]
         cross = a1 @ b1
-        r0 = (a0 @ b0 - c0 * cross) % p
-        r1 = (a0 @ b1 + a1 @ b0 - c1 * cross) % p
-        return np.stack([r0, r1], axis=-1)
+        out = np.empty(cross.shape + (2,), dtype=np.int64)
+        out[..., 0] = a0 @ b0 - c0 * cross
+        out[..., 1] = a0 @ b1 + a1 @ b0 - c1 * cross
+        out %= p
+        return out
 
     def _tables(self):
-        if self._inv_table is None:
-            q, p = self.q, self.p
-            mul = np.zeros((q, q), dtype=np.int64)
-            idx = np.arange(q)
-            coeffs = np.stack([idx % p, idx // p], axis=-1) if self.k == 2 else idx[:, None]
-            for i in range(q):
-                row = self.arr_mul(np.broadcast_to(coeffs[i], coeffs.shape), coeffs)
-                mul[i] = row[:, 0] + (p * row[:, 1] if self.k == 2 else 0)
-            inv = np.zeros(q, dtype=np.int64)
-            for i in range(1, q):
-                js = np.where(mul[i] == 1)[0]
-                inv[i] = js[0]
-            frob = np.zeros(q, dtype=np.int64)
-            for i in range(q):
-                acc = i
-                for _ in range(p - 1):
-                    acc = mul[acc][i]
-                frob[i] = acc
-            self._inv_table = inv
-            self._frob_table = frob
-        return self._inv_table, self._frob_table
+        """(mul, sub, inv, frob) on element indices: mul[i, j] and sub[i, j]
+        are the indices of i*j and i-j, inv[i] of 1/i (inv[0] is unused) and
+        frob[i] of i^p."""
+        if self._tabs is None:
+            idx = np.arange(self.q)
+            coeffs = self.arr_from_index(idx)
+            mul = self.arr_index(self.arr_mul(coeffs[:, None], coeffs[None, :]))
+            sub = self.arr_index((coeffs[:, None] - coeffs[None, :]) % self.p)
+            inv = np.zeros(self.q, dtype=np.int64)
+            inv[1:] = np.argmax(mul[1:] == 1, axis=1)
+            frob = idx
+            for _ in range(self.p - 1):
+                frob = mul[frob, idx]
+            self._tabs = (mul, sub, inv, frob)
+        return self._tabs
 
     def arr_inv(self, a: np.ndarray) -> np.ndarray:
-        inv, _ = self._tables()
-        idx = a[..., 0] + (self.p * a[..., 1] if self.k == 2 else 0)
+        idx = self.arr_index(a)
         if np.any(idx == 0):
             raise ZeroDivisionError("division by zero in F_q")
-        out = inv[idx]
-        if self.k == 1:
-            return out[..., None]
-        return np.stack([out % self.p, out // self.p], axis=-1)
+        return self.arr_from_index(self._tables()[2][idx])
 
     def arr_frob(self, a: np.ndarray) -> np.ndarray:
-        _, frob = self._tables()
-        idx = a[..., 0] + (self.p * a[..., 1] if self.k == 2 else 0)
-        out = frob[idx]
-        if self.k == 1:
-            return out[..., None]
-        return np.stack([out % self.p, out // self.p], axis=-1)
+        return self.arr_from_index(self._tables()[3][self.arr_index(a)])
 
     def __eq__(self, other):
         return (
@@ -424,29 +425,29 @@ class Matrix:
         the current column (exact arithmetic needs no pivoting heuristics).
         """
         ctx = self.ctx
-        A = self.arr.copy()
-        r, c, _ = A.shape
+        mul, sub, inv, _ = ctx._tables()
+        A = ctx.arr_index(self.arr)
+        r, c = A.shape
         pivots: list[int] = []
         row = 0
         for col in range(c):
             if row >= r:
                 break
-            nz = np.nonzero(A[row:, col].any(axis=-1))[0]
+            nz = np.flatnonzero(A[row:, col])
             if nz.size == 0:
                 continue
             pr = row + int(nz[0])
             if pr != row:
                 A[[row, pr]] = A[[pr, row]]
-            inv = ctx.arr_inv(A[row, col])
-            A[row] = ctx.arr_mul(A[row], inv)
-            mask = A[:, col].any(axis=-1)
-            mask[row] = False
-            if mask.any():
-                factors = A[mask, col]
-                A[mask] = (A[mask] - ctx.arr_mul(factors[:, None, :], A[row][None, :, :])) % ctx.p
+            # the pivot row is zero left of col, so every update starts there
+            A[row, col:] = mul[inv[A[row, col]], A[row, col:]]
+            others = np.flatnonzero(A[:, col])
+            others = others[others != row]
+            if others.size:
+                A[others, col:] = sub[A[others, col:], mul[A[others, col][:, None], A[row, col:]]]
             pivots.append(col)
             row += 1
-        return Matrix(ctx, A), pivots
+        return Matrix(ctx, ctx.arr_from_index(A)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -456,12 +457,12 @@ class Matrix:
         ctx = self.ctx
         R, pivots = self.rref()
         c = self.cols
-        free = [j for j in range(c) if j not in pivots]
-        K = np.zeros((c, len(free), ctx.k), dtype=np.int64)
-        for t, j in enumerate(free):
-            K[j, t, 0] = 1
-            for i, pc in enumerate(pivots):
-                K[pc, t] = (-R.arr[i, j]) % ctx.p
+        is_free = np.ones(c, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        K = np.zeros((c, free.size, ctx.k), dtype=np.int64)
+        K[free, np.arange(free.size), 0] = 1
+        K[pivots] = (-R.arr[:len(pivots), free]) % ctx.p
         return Matrix(ctx, K)
 
     def solve(self, B: "Matrix") -> "Matrix | None":
@@ -476,8 +477,7 @@ class Matrix:
         if any(pc >= n for pc in pivots):
             return None
         X = np.zeros((n, B.cols, ctx.k), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            X[pc] = R.arr[i, n:]
+        X[pivots] = R.arr[:len(pivots), n:]
         return Matrix(ctx, X)
 
     def inverse(self) -> "Matrix":

@@ -8,6 +8,8 @@ from sl2frob.exactfield import FieldCtx, FieldElement, Matrix, vec, unvec
 F3 = FieldCtx(3)
 F9 = FieldCtx(3, 2)
 F25 = FieldCtx(5, 2)
+F49 = FieldCtx(7, 2)
+ELIMINATION_FIELDS = [F3, FieldCtx(5), FieldCtx(7), F9, F25, F49]
 
 
 def rand_matrix(ctx, rows, cols, rng):
@@ -39,6 +41,96 @@ def independent_rank(m: Matrix) -> int:
         rank += 1
         row += 1
     return rank
+
+
+def gauss_jordan(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Scalar first-nonzero-pivot Gauss-Jordan on FieldElements: the RREF oracle."""
+    rows = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    pivots = []
+    for col in range(m.cols):
+        row = len(pivots)
+        pr = next((i for i in range(row, m.rows) if not rows[i][col].is_zero()), None)
+        if pr is None:
+            continue
+        rows[row], rows[pr] = rows[pr], rows[row]
+        inv = rows[row][col].inv()
+        rows[row] = [a * inv for a in rows[row]]
+        for i in range(m.rows):
+            f = rows[i][col]
+            if i != row and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[row])]
+        pivots.append(col)
+    arr = np.array([[e.coeffs for e in r] for r in rows], dtype=np.int64)
+    return Matrix(m.ctx, arr.reshape(m.rows, m.cols, m.ctx.k)), pivots
+
+
+@st.composite
+def structured_matrices(draw, ctx, rows, cols):
+    """A rows x cols matrix over ctx whose rows are random, zero, repeated or
+    proportional to an earlier row."""
+    idx = draw(st.lists(st.lists(st.integers(0, ctx.q - 1), min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    arr = ctx.arr_from_index(np.array(idx, dtype=np.int64).reshape(rows, cols))
+    for i in range(rows):
+        kind, j, s = draw(st.tuples(st.sampled_from(["random", "zero", "repeat", "scale"]),
+                                    st.integers(0, max(i - 1, 0)), st.integers(1, ctx.q - 1)))
+        if kind == "zero":
+            arr[i] = 0
+        elif kind == "repeat" and i:
+            arr[i] = arr[j]
+        elif kind == "scale" and i:
+            arr[i] = ctx.arr_mul(arr[j], ctx.arr_from_index(np.array(s)))
+    return Matrix(ctx, arr)
+
+
+@st.composite
+def elimination_inputs(draw):
+    ctx = draw(st.sampled_from(ELIMINATION_FIELDS))
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    return draw(structured_matrices(ctx, rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_inputs())
+def test_rref_matches_scalar_gauss_jordan(A):
+    R, pivots = A.rref()
+    R0, pivots0 = gauss_jordan(A)
+    assert pivots == pivots0
+    assert R.to_hex() == R0.to_hex()
+    K = A.kernel()
+    assert K.shape == (A.cols, A.cols - len(pivots))
+    assert (A @ K).is_zero()
+    assert A.rank() + K.cols == A.cols
+    assert K.rank() == K.cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_inputs(), st.integers(0, 3), st.booleans(), st.data())
+def test_solve_exactly_when_consistent(A, nrhs, in_image, data):
+    ctx = A.ctx
+    if in_image:
+        B = A @ data.draw(structured_matrices(ctx, A.cols, nrhs))
+    else:
+        B = data.draw(structured_matrices(ctx, A.rows, nrhs))
+    X = A.solve(B)
+    consistent = len(gauss_jordan(Matrix.hstack([A, B]))[1]) == len(gauss_jordan(A)[1])
+    if consistent:
+        assert X is not None and X.shape == (A.cols, nrhs)
+        assert A @ X == B
+    else:
+        assert X is None
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
+def test_index_tables_match_field_arithmetic(ctx):
+    mul, sub, inv, _ = ctx._tables()
+    els = ctx.elements()
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            assert ctx.from_index(mul[i, j]) == a * b
+            assert ctx.from_index(sub[i, j]) == a - b
+        if i:
+            assert a * ctx.from_index(inv[i]) == ctx.one()
 
 
 def test_modulus_choices():

@@ -1,7 +1,9 @@
 """Reports match the benchmark's golden digests.
 
-Covers every p = 5 generic-character report and a few Hom-heavy p = 3 reports
-(relations, hom-iso, equivalence, projectives) that exercise the Hom solver.
+Covers every p = 5 generic-character report, a few Hom-heavy p = 3 reports
+(relations, hom-iso, equivalence, projectives) that exercise the Hom solver,
+and `projectives --p 5 --r 1`, whose regular-module split runs the largest
+prime-field eliminations.
 """
 
 import hashlib
@@ -18,7 +20,8 @@ KEYS = sorted(k for k in GOLDEN
               if k.split()[0] in ("twist", "steinberg", "hat-borel") and k.split()[1] == "5")
 HOM_KEYS = ([f"relations 3 2 2 auto 2 {s}" for s in (0, 1, 2)]
             + [f"hom-iso 3 2 1 0,1 2 {s}" for s in (0, 1, 2)]
-            + ["equivalence 3 2 1 0,1 3 0", "projectives 3 2 2 auto 2 0"])
+            + ["equivalence 3 2 1 0,1 3 0", "projectives 3 2 2 auto 2 0",
+               "projectives 5 2 1 auto 2 0"])
 
 
 def test_keys_present():
