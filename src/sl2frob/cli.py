@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .exactfield import FieldCtx, FieldElement
-from . import repcore, homology, steinberg, vermatwist, endpresent
+from . import memo, repcore, homology, steinberg, vermatwist, endpresent
 from .reporting import check, report, merge_reports
 
 COMMANDS = ["steinberg", "restriction", "hat-borel", "projectives", "twist",
@@ -61,6 +61,18 @@ def parse_seed(ctx: FieldCtx, text: str) -> FieldElement:
 
 def run_command(cmd: str, p: int, ext: int, r: int, d_seed: str,
                 window: int, seed: int) -> dict:
+    """The report of one command.
+
+    The call opens the memo scope (see `memo`): Hom spaces, projective
+    covers, fixed maps and seed certificates are built once per call, and
+    the sub-commands of `all` share the scope.
+    """
+    with memo.scope():
+        return _command_report(cmd, p, ext, r, d_seed, window, seed)
+
+
+def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
+                    window: int, seed: int) -> dict:
     if r < 1:
         raise ValueError(f"--r must be at least 1, got {r}")
     if window < 1:
@@ -113,7 +125,7 @@ def run_command(cmd: str, p: int, ext: int, r: int, d_seed: str,
         return out
 
     if cmd == "projectives":
-        reps = [steinberg.dimension_accounting(prime_ctx, r)]
+        reps = [steinberg.dimension_accounting(prime_ctx, r, seed=seed)]
         if p == 3 or r == 1:
             reps.append(steinberg.verify_projective_construction(prime_ctx, r, seed=seed))
         if quad_ctx is not None and r >= 2 and p == 3:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactfield import FieldCtx, FieldElement, Matrix, vec
-from . import repcore, homology
+from . import memo, repcore, homology
 from .reporting import check, report
 
 
@@ -40,7 +40,6 @@ def perm_matrix(ctx: FieldCtx, dims: list[int], perm: list[int]) -> Matrix:
     for d in dims:
         n *= d
     out_dims = [dims[s] for s in perm]
-    M = Matrix.zeros(ctx, n, n)
     idx = np.arange(n)
     # unpack input multi-index
     coords = []
@@ -55,8 +54,9 @@ def perm_matrix(ctx: FieldCtx, dims: list[int], perm: list[int]) -> Matrix:
     out_idx = np.zeros(n, dtype=np.int64)
     for t, s in enumerate(perm):
         out_idx += coords[s] * strides[t]
-    M.arr[out_idx, idx, 0] = 1
-    return M
+    M = np.zeros((n, n, ctx.k), dtype=np.int64)
+    M[out_idx, idx, 0] = 1
+    return Matrix(ctx, M)
 
 
 def proportionality(a: Matrix, b: Matrix) -> FieldElement | None:
@@ -97,9 +97,7 @@ class FixedMaps:
         self.V = repcore.simple_restricted(ctx, 1, cap=2)
         self.V1 = repcore.frobenius_twist(repcore.simple_restricted(ctx, 1), 1)
         # the invariant pairing L_1 (x) L_1 -> k: x_+ (x) x_- - x_- (x) x_+
-        self.pair = Matrix.zeros(ctx, 1, 4)
-        self.pair.arr[0, 1, 0] = 1
-        self.pair.arr[0, 2, 0] = (-1) % ctx.p
+        self.pair = Matrix.from_int_rows(ctx, [[0, 1, -1, 0]])
 
         self.omega = {r: self.bases[(r, r)][0][1] for r in range(p - 1)}
         self.up = {r: self.bases[(r, p - 2 - r)][-p][0] for r in range(p - 1)}
@@ -232,6 +230,12 @@ class FixedMaps:
         return out
 
 
+@memo.memoised()
+def fixed_maps(ctx: FieldCtx, seed: int = 0) -> FixedMaps:
+    """The FixedMaps of (ctx, seed), built once per call scope."""
+    return FixedMaps(ctx, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # first-kernel relation diagrams
 # ---------------------------------------------------------------------------
@@ -353,7 +357,7 @@ class KernelTwoAlgebra:
     def __init__(self, ctx: FieldCtx, seed: int = 0):
         self.ctx = ctx
         self.p = ctx.p
-        self.fm = FixedMaps(ctx, seed=seed)
+        self.fm = fixed_maps(ctx, seed=seed)
         p = ctx.p
         self.labels = [(k0, k1) for k0 in range(p) for k1 in range(p)]
         self.modules: dict[tuple, repcore.ModuleRep] = {}
@@ -559,7 +563,7 @@ def _omega_theta_coordinates(K: KernelTwoAlgebra, lab, M: Matrix):
 def verify_relations(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     fm_checks: list[dict]
     if r == 1:
-        fm = FixedMaps(ctx, seed=seed)
+        fm = fixed_maps(ctx, seed=seed)
         fm_checks = verify_relations_level1(fm)
         fm_checks.append(check("hom_classification", fm.classify_ok,
                                unexpected=fm.unexpected))
@@ -656,7 +660,7 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     p = ctx.p
     checks = []
     if r == 1:
-        fm = FixedMaps(ctx, seed=seed)
+        fm = fixed_maps(ctx, seed=seed)
         objects = list(range(p))
         mods = {i: repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
         id_mats = {i: Matrix.identity(ctx, mods[i].dim) for i in range(p)}
@@ -771,8 +775,8 @@ def verify_center(ctx: FieldCtx, r: int, seed: int = 0,
     """
     p = ctx.p
     checks = []
-    fm = FixedMaps(ctx, seed=seed)
     if r == 1:
+        fm = fixed_maps(ctx, seed=seed)
         mods = {(i,): repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
         labels = [(i,) for i in range(p)]
     elif r == 2:

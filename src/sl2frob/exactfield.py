@@ -8,8 +8,11 @@ modulus); there is no floating point anywhere.
 Gaussian elimination runs on element indices (a0 + a1*x is a0 + p*a1):
 the matrix is converted once, each pivot step is a few lookups in the
 context's q x q multiplication and subtraction tables, and the result is
-converted back once.  It uses the first nonzero pivot, which makes every
-reduced basis deterministic and therefore serializable for golden tests.
+converted back once; `rank`, `kernel` and `solve` read the index form and
+convert only what they return.  It uses the first nonzero pivot, which makes
+every reduced basis deterministic and therefore serializable for golden
+tests.  A `Matrix` array is read-only once constructed: build a numpy array,
+then wrap it.
 """
 
 from __future__ import annotations
@@ -273,7 +276,7 @@ class FieldElement:
 
 
 class Matrix:
-    """Dense matrix over F_{p^k}, stored as an int64 array of shape (r, c, k)."""
+    """Dense matrix over F_{p^k}, stored as a read-only int64 array of shape (r, c, k)."""
 
     __slots__ = ("ctx", "arr")
 
@@ -283,6 +286,7 @@ class Matrix:
             raise ValueError(f"bad matrix array shape {arr.shape}")
         self.ctx = ctx
         self.arr = arr % ctx.p
+        self.arr.flags.writeable = False
 
     # -- constructors ------------------------------------------------------
 
@@ -323,9 +327,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.arr.shape[0], self.arr.shape[1])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ctx, self.arr.copy())
 
     def entry(self, i: int, j: int) -> FieldElement:
         return FieldElement(self.ctx, self.arr[i, j])
@@ -418,52 +419,36 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", list[int]]:
+    def rref(self, indices: bool = False) -> tuple["Matrix | np.ndarray", list[int]]:
         """Reduced row echelon form and pivot column list.
 
         Deterministic: always takes the first row with a nonzero entry in
         the current column (exact arithmetic needs no pivoting heuristics).
+        With indices=True the form is the (r, c) element-index array the
+        elimination ran on, not converted back to a Matrix.
         """
         ctx = self.ctx
-        mul, sub, inv, _ = ctx._tables()
         A = ctx.arr_index(self.arr)
-        r, c = A.shape
-        pivots: list[int] = []
-        row = 0
-        for col in range(c):
-            if row >= r:
-                break
-            nz = np.flatnonzero(A[row:, col])
-            if nz.size == 0:
-                continue
-            pr = row + int(nz[0])
-            if pr != row:
-                A[[row, pr]] = A[[pr, row]]
-            # the pivot row is zero left of col, so every update starts there
-            A[row, col:] = mul[inv[A[row, col]], A[row, col:]]
-            others = np.flatnonzero(A[:, col])
-            others = others[others != row]
-            if others.size:
-                A[others, col:] = sub[A[others, col:], mul[A[others, col][:, None], A[row, col:]]]
-            pivots.append(col)
-            row += 1
+        pivots = _eliminate(ctx, A)
+        if indices:
+            return A, pivots
         return Matrix(ctx, ctx.arr_from_index(A)), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self.rref(indices=True)[1])
 
     def kernel(self) -> "Matrix":
         """Matrix whose columns are a basis of the right kernel (RREF-canonical)."""
         ctx = self.ctx
-        R, pivots = self.rref()
+        R, pivots = self.rref(indices=True)
         c = self.cols
         is_free = np.ones(c, dtype=bool)
         is_free[pivots] = False
         free = np.flatnonzero(is_free)
-        K = np.zeros((c, free.size, ctx.k), dtype=np.int64)
-        K[free, np.arange(free.size), 0] = 1
-        K[pivots] = (-R.arr[:len(pivots), free]) % ctx.p
-        return Matrix(ctx, K)
+        K = np.zeros((c, free.size), dtype=np.int64)
+        K[free, np.arange(free.size)] = 1
+        K[pivots] = ctx._tables()[1][0, R[:len(pivots), free]]   # 0 - R
+        return Matrix(ctx, ctx.arr_from_index(K))
 
     def solve(self, B: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = B, or None if inconsistent."""
@@ -472,13 +457,13 @@ class Matrix:
         if B.rows != self.rows:
             raise ValueError("incompatible right-hand side")
         aug = Matrix.hstack([self, B])
-        R, pivots = aug.rref()
+        R, pivots = aug.rref(indices=True)
         n = self.cols
         if any(pc >= n for pc in pivots):
             return None
-        X = np.zeros((n, B.cols, ctx.k), dtype=np.int64)
-        X[pivots] = R.arr[:len(pivots), n:]
-        return Matrix(ctx, X)
+        X = np.zeros((n, B.cols), dtype=np.int64)
+        X[pivots] = R[:len(pivots), n:]
+        return Matrix(ctx, ctx.arr_from_index(X))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -498,6 +483,32 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ctx}, {self.rows}x{self.cols})"
+
+
+def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
+    """Reduce the element-index array A to RREF in place; return the pivot columns."""
+    mul, sub, inv, _ = ctx._tables()
+    r, c = A.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(c):
+        if row >= r:
+            break
+        nz = np.flatnonzero(A[row:, col])
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            A[[row, pr]] = A[[pr, row]]
+        # the pivot row is zero left of col, so every update starts there
+        A[row, col:] = mul[inv[A[row, col]], A[row, col:]]
+        others = np.flatnonzero(A[:, col])
+        others = others[others != row]
+        if others.size:
+            A[others, col:] = sub[A[others, col:], mul[A[others, col][:, None], A[row, col:]]]
+        pivots.append(col)
+        row += 1
+    return pivots
 
 
 def vec(m: Matrix) -> Matrix:

@@ -11,6 +11,13 @@ natural decomposition here exists in the graded category, all endomorphism
 rings split over the base field, so generalized eigenspaces of a degree-0
 endomorphism are graded and an eigenvalue scan over the (small) field splits
 any decomposable node; leaves are certified by a simple head.
+
+Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
+projective covers, the extended projectives and the generic-seed
+certificate are each computed once per distinct input.  A Hom space is keyed
+by the content digests of its two modules and its degree, and a stored space
+is returned only if its source and target equal the arguments entry for
+entry, so a digest collision cannot return a wrong space.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exactfield import FieldCtx, FieldElement, Matrix, vec, unvec
-from . import repcore
+from . import memo, repcore
 from .repcore import ModuleRep
 
 
@@ -35,15 +42,16 @@ class HomSpace:
 
     Basis elements are graded (each shifts the grading by a fixed degree),
     ordered by degree and normalized by the deterministic RREF of the
-    solver, so the basis is reproducible.
+    solver, so the basis is reproducible.  Basis and degrees are tuples: a
+    memoised space is shared by every caller of its call scope.
     """
 
     def __init__(self, source: ModuleRep, target: ModuleRep,
                  basis: list[Matrix], degrees: list[int]):
         self.source = source
         self.target = target
-        self.basis = basis
-        self.degrees = degrees
+        self.basis = tuple(basis)
+        self.degrees = tuple(degrees)
         self._coord_cache = None
 
     @property
@@ -108,6 +116,9 @@ def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int) -> list[Matrix]:
     return [Matrix(ctx, phi) for phi in out]
 
 
+@memo.memoised(
+    key=lambda M, N, degree: (M.content_digest(), N.content_digest(), degree),
+    matches=lambda H, M, N, degree: H.source.same_content(M) and H.target.same_content(N))
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
     """All intertwiners M -> N (or only those of one graded degree)."""
     if M.ctx != N.ctx:
@@ -203,9 +214,9 @@ def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, M
         stacked = Matrix.vstack([m.take_cols(idx) for m in mats])
         ker = stacked.kernel()
         if ker.cols:
-            emb = Matrix.zeros(ctx, grading.shape[0], ker.cols)
-            emb.arr[idx] = ker.arr
-            out[w] = emb
+            emb = np.zeros((grading.shape[0], ker.cols, ctx.k), dtype=np.int64)
+            emb[idx] = ker.arr
+            out[w] = Matrix(ctx, emb)
     return out
 
 
@@ -445,6 +456,7 @@ def identify_summands(dec: SummandDecomposition,
 # projective covers
 # ---------------------------------------------------------------------------
 
+@memo.memoised()
 def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRep]:
     """P_i for u_0(sl2) (level cap 1) by splitting the left regular module."""
     from . import smallalg
@@ -470,6 +482,7 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleR
     return out
 
 
+@memo.memoised()
 def extended_projective(ctx: FieldCtx, i: int, seed: int = 0) -> ModuleRep:
     """P_i with its canonical level-1 action (cap 2), head in degree i.
 
@@ -500,6 +513,7 @@ def all_extended_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRe
     return {i: extended_projective(ctx, i, seed=seed) for i in range(ctx.p)}
 
 
+@memo.memoised()
 def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> dict[int, ModuleRep]:
     """For generic chi the baby Vermas Z_{d+c} are the projective covers.
 
@@ -626,16 +640,12 @@ class EndAlgebra:
             for b in self.labels:
                 H = self.homs[(a, b)]
                 for f in H.basis:
-                    block = Matrix.zeros(ctx, H.dim, total)
+                    block = np.zeros((H.dim, total, ctx.k), dtype=np.int64)
                     for i, ea in enumerate(self.homs[(a, a)].basis):
-                        col = H.coordinates(f @ ea)
-                        block.arr[:, offsets[a] + i] = (block.arr[:, offsets[a] + i]
-                                                        + col.arr[:, 0]) % ctx.p
+                        block[:, offsets[a] + i] += H.coordinates(f @ ea).arr[:, 0]
                     for j, eb in enumerate(self.homs[(b, b)].basis):
-                        col = H.coordinates(eb @ f)
-                        block.arr[:, offsets[b] + j] = (block.arr[:, offsets[b] + j]
-                                                        - col.arr[:, 0]) % ctx.p
-                    constraint_rows.append(block)
+                        block[:, offsets[b] + j] -= H.coordinates(eb @ f).arr[:, 0]
+                    constraint_rows.append(Matrix(ctx, block))
         if not constraint_rows:
             return []
         ker = Matrix.vstack(constraint_rows).kernel()
@@ -753,14 +763,14 @@ def hom_as_gmodule(P: ModuleRep, Q: ModuleRep, level: int):
         grading.append(ddeg // scale)
     mats = {}
     for name, GP, GQ in (("e", P.E[level], Q.E[level]), ("f", P.F[level], Q.F[level])):
-        act = Matrix.zeros(ctx, H.dim, H.dim)
+        act = np.zeros((H.dim, H.dim, ctx.k), dtype=np.int64)
         for i, phi in enumerate(H.basis):
             img = GQ @ phi - phi @ GP
             coords = H.coordinates(img)
             if coords is None:
                 raise ValueError("adjoint action left the hom space")
-            act.arr[:, i] = coords.arr[:, 0]
-        mats[name] = act
+            act[:, i] = coords.arr[:, 0]
+        mats[name] = Matrix(ctx, act)
     V = ModuleRep(ctx, [mats["e"]], [mats["f"]], np.array(grading, dtype=np.int64),
                   [ctx.zero()], provenance=f"Hom({P.provenance},{Q.provenance})")
     # exact sl2 sanity on the action

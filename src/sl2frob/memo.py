@@ -1,0 +1,71 @@
+"""Call-scoped memo: each certification input is built once per command.
+
+`cli.run_command` opens a `scope()`.  While it is open, a function decorated
+with `memoised` returns the value it computed earlier in the scope for the
+same key instead of running again.  A nested scope (the sub-commands of
+`all`) reuses the open one, and the store is dropped when the outermost
+scope exits, normally or by an exception.  Outside a scope nothing is
+cached, and an exception is never cached.
+
+Every hit hands out the same object, so memoised values must be immutable:
+`Matrix` arrays and `ModuleRep` gradings are read-only, and `HomSpace`
+bases are tuples.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import contextvars
+import functools
+import inspect
+
+# the open scope's store, or None; a context variable, so a thread that did
+# not open a scope sees none
+_store: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+
+
+@contextlib.contextmanager
+def scope():
+    """Open the memo unless one is open already; drop it when this scope opened it."""
+    if _store.get() is not None:
+        yield
+        return
+    token = _store.set({})
+    try:
+        yield
+    finally:
+        _store.reset(token)
+
+
+def memoised(key=None, matches=None):
+    """Memoise the decorated function within the open scope.
+
+    key(**arguments) gives the lookup key; by default it is the tuple of the
+    bound arguments with defaults applied, which must be hashable.  If
+    matches(value, **arguments) is given, a stored value is returned only
+    when it confirms the value belongs to these arguments, so a key that is
+    only a digest can never return the value of other inputs.
+    """
+    def decorate(fn):
+        sig = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            store = _store.get()
+            if store is None:
+                return fn(*args, **kwargs)
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            arguments = bound.arguments
+            k = key(**arguments) if key is not None else tuple(arguments.values())
+            bucket = store.setdefault((fn, k), [])
+            for value in bucket:
+                if matches is None or matches(value, **arguments):
+                    return value
+            value = fn(*args, **kwargs)
+            bucket.append(value)
+            return value
+
+        return wrapper
+
+    return decorate

@@ -6,9 +6,15 @@ together with an integer weight grading and one p-character scalar per
 level.  The scalar at level j is the value of H_j^p - H_j where
 H_j = [E_j, F_j]; it is zero below the top level for every module built
 here and equals chi(h)^p (suitably Frobenius-twisted) at the top.
+
+A ModuleRep's level matrices are read-only `Matrix` values held in tuples
+and its grading is a read-only array, so a module can be shared by every
+caller of a call-scoped memo.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -67,15 +73,19 @@ class ModuleRep:
         if len(E) != len(F) or not E:
             raise ValueError("need matching nonempty E, F level lists")
         self.ctx = ctx
-        self.E = list(E)
-        self.F = list(F)
-        self.grading = np.asarray(grading, dtype=np.int64)
+        self.E = tuple(E)
+        self.F = tuple(F)
+        grading = np.asarray(grading, dtype=np.int64)
+        if grading.flags.writeable:
+            grading = grading.copy()
+            grading.flags.writeable = False
+        self.grading = grading
         dim = self.grading.shape[0]
         for m in self.E + self.F:
             if m.shape != (dim, dim):
                 raise ValueError("generator matrix shape does not match grading")
-        self.pchar_scalars = list(pchar_scalars) if pchar_scalars is not None \
-            else [ctx.zero()] * len(E)
+        self.pchar_scalars = tuple(pchar_scalars) if pchar_scalars is not None \
+            else (ctx.zero(),) * len(E)
         if len(self.pchar_scalars) != len(E):
             raise ValueError("one p-character scalar per level required")
         self.provenance = provenance
@@ -88,6 +98,24 @@ class ModuleRep:
     @property
     def cap(self) -> int:
         return len(self.E)
+
+    def content_digest(self) -> bytes:
+        """Digest of the field, grading, p-character and level actions (not provenance)."""
+        h = hashlib.blake2b(repr((self.ctx, self.dim, self.cap,
+                                  [s.coeffs for s in self.pchar_scalars])).encode(),
+                            digest_size=16)
+        h.update(self.grading.tobytes())
+        for m in self.E + self.F:
+            h.update(m.arr.tobytes())
+        return h.digest()
+
+    def same_content(self, other: "ModuleRep") -> bool:
+        """Equal field, grading, p-character and level actions (provenance aside)."""
+        return self is other or (
+            self.ctx == other.ctx and self.cap == other.cap
+            and np.array_equal(self.grading, other.grading)
+            and self.pchar_scalars == other.pchar_scalars
+            and all(a == b for a, b in zip(self.E + self.F, other.E + other.F)))
 
     def weights(self) -> list[int]:
         return sorted(set(int(w) for w in self.grading))
@@ -148,15 +176,15 @@ def simple_restricted(ctx: FieldCtx, i: int, cap: int = 1) -> ModuleRep:
     if not 0 <= i <= p - 1:
         raise ValueError(f"need 0 <= i <= p-1, got {i}")
     n = i + 1
-    E0 = Matrix.zeros(ctx, n, n)
-    F0 = Matrix.zeros(ctx, n, n)
-    for k in range(1, n):
-        E0.arr[k - 1, k, 0] = (k * (i - k + 1)) % p
-        F0.arr[k, k - 1, 0] = 1
+    k = np.arange(1, n)
+    E0 = np.zeros((n, n, ctx.k), dtype=np.int64)
+    F0 = np.zeros((n, n, ctx.k), dtype=np.int64)
+    E0[k - 1, k, 0] = k * (i - k + 1)
+    F0[k, k - 1, 0] = 1
     grading = np.array([i - 2 * k for k in range(n)], dtype=np.int64)
     zeros = Matrix.zeros(ctx, n, n)
-    E = [E0] + [zeros.copy() for _ in range(cap - 1)]
-    F = [F0] + [zeros.copy() for _ in range(cap - 1)]
+    E = [Matrix(ctx, E0)] + [zeros] * (cap - 1)
+    F = [Matrix(ctx, F0)] + [zeros] * (cap - 1)
     return ModuleRep(ctx, E, F, grading, [ctx.zero()] * cap, provenance=f"L_{i}")
 
 
@@ -167,24 +195,23 @@ def baby_verma(ctx: FieldCtx, d: FieldElement, shift: int = 0, cap: int = 1) -> 
     is not an integer and the grading is an independent datum.
     """
     p = ctx.p
-    E0 = Matrix.zeros(ctx, p, p)
-    F0 = Matrix.zeros(ctx, p, p)
+    E0 = np.zeros((p, p, ctx.k), dtype=np.int64)
+    F0 = np.zeros((p, p, ctx.k), dtype=np.int64)
     for k in range(1, p):
-        coeff = ctx.el(k) * (d - ctx.el(k - 1))
-        E0.arr[k - 1, k] = coeff._arr()
-        F0.arr[k, k - 1, 0] = 1
+        E0[k - 1, k] = (ctx.el(k) * (d - ctx.el(k - 1)))._arr()
+        F0[k, k - 1, 0] = 1
     grading = np.array([shift - 2 * k for k in range(p)], dtype=np.int64)
     s = d.frobenius() - d
     zeros = Matrix.zeros(ctx, p, p)
-    E = [E0] + [zeros.copy() for _ in range(cap - 1)]
-    F = [F0] + [zeros.copy() for _ in range(cap - 1)]
+    E = [Matrix(ctx, E0)] + [zeros] * (cap - 1)
+    F = [Matrix(ctx, F0)] + [zeros] * (cap - 1)
     pch = [s] + [ctx.zero()] * (cap - 1)
     return ModuleRep(ctx, E, F, grading, pch, provenance=f"Z({d})")
 
 
 def trivial_module(ctx: FieldCtx, cap: int = 1, shift: int = 0) -> ModuleRep:
     z = Matrix.zeros(ctx, 1, 1)
-    return ModuleRep(ctx, [z.copy() for _ in range(cap)], [z.copy() for _ in range(cap)],
+    return ModuleRep(ctx, [z] * cap, [z] * cap,
                      np.array([shift], dtype=np.int64), [ctx.zero()] * cap,
                      provenance=f"k<{shift}>")
 
@@ -199,8 +226,8 @@ def frobenius_twist(M: ModuleRep, j: int) -> ModuleRep:
         raise ValueError("twist exponent must be nonnegative")
     ctx = M.ctx
     zeros = Matrix.zeros(ctx, M.dim, M.dim)
-    E = [zeros.copy() for _ in range(j)] + [m.copy() for m in M.E]
-    F = [zeros.copy() for _ in range(j)] + [m.copy() for m in M.F]
+    E = [zeros] * j + list(M.E)
+    F = [zeros] * j + list(M.F)
     pch = [ctx.zero()] * j + list(M.pchar_scalars)
     out = ModuleRep(ctx, E, F, M.grading * (ctx.p**j), pch,
                     provenance=f"({M.provenance})^({j})")
@@ -225,8 +252,8 @@ def extend_levels(M: ModuleRep, cap: int) -> ModuleRep:
         if 2 * ctx.p**j <= span:
             raise ValueError("zero extension not forced by weights; build the action")
     zeros = Matrix.zeros(ctx, M.dim, M.dim)
-    E = list(M.E) + [zeros.copy() for _ in range(cap - M.cap)]
-    F = list(M.F) + [zeros.copy() for _ in range(cap - M.cap)]
+    E = list(M.E) + [zeros] * (cap - M.cap)
+    F = list(M.F) + [zeros] * (cap - M.cap)
     pch = list(M.pchar_scalars) + [ctx.zero()] * (cap - M.cap)
     out = ModuleRep(ctx, E, F, M.grading, pch, provenance=M.provenance)
     out.aux = M.aux

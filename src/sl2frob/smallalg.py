@@ -280,22 +280,22 @@ class UChiAlgebra:
     def left_mult_matrix(self, x: PBWElement) -> Matrix:
         """Matrix of y -> x*y in the monomial basis."""
         ctx = self.ctx
-        M = Matrix.zeros(ctx, self.dim, self.dim)
+        M = np.zeros((self.dim, self.dim, ctx.k), dtype=np.int64)
         for j, mon in enumerate(self.monomials):
             prod = x * self.element({mon: ctx.one()})
             for m, c in prod.terms.items():
-                M.arr[self.index[m], j] = c._arr()
-        return M
+                M[self.index[m], j] = c._arr()
+        return Matrix(ctx, M)
 
     def right_mult_matrix(self, x: PBWElement) -> Matrix:
         """Matrix of y -> y*x: a module endomorphism of the left regular module."""
         ctx = self.ctx
-        M = Matrix.zeros(ctx, self.dim, self.dim)
+        M = np.zeros((self.dim, self.dim, ctx.k), dtype=np.int64)
         for j, mon in enumerate(self.monomials):
             prod = self.element({mon: ctx.one()}) * x
             for m, c in prod.terms.items():
-                M.arr[self.index[m], j] = c._arr()
-        return M
+                M[self.index[m], j] = c._arr()
+        return Matrix(ctx, M)
 
     def weight_zero_right_mult_basis(self) -> list[Matrix]:
         """Right multiplications by the p^2 weight-zero monomials e^a h^b f^a.

@@ -229,10 +229,15 @@ def verify_projective_construction(ctx: FieldCtx, r: int,
 # accounting
 # ---------------------------------------------------------------------------
 
-def dimension_accounting(ctx: FieldCtx, r: int) -> dict:
-    """sum over labels of dim(P_label) * dim(L_label) = p^{3r}."""
+def dimension_accounting(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
+    """sum over labels of dim(P_label) * dim(L_label) = p^{3r}.
+
+    The covers are built at the caller's seed, so within one call they are
+    the ones the projective construction checks; the total does not depend
+    on the seed.
+    """
     p = ctx.p
-    projs = homology.projective_covers(ctx, r)
+    projs = homology.projective_covers(ctx, r, seed=seed)
     total = 0
     for lab, P in projs.items():
         ldim = 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
 from .exactfield import FieldCtx, FieldElement, Matrix, vec
 from . import repcore, homology
@@ -82,12 +83,11 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     # the vectors e^k 1^* (x) f^k 1 in the tensor basis
     D = repcore.dual(Z)
     cols = []
-    estar = Matrix.zeros(ctx, p, 1)
-    estar.arr[0, 0, 0] = 1  # 1^* = dual of the highest vector: lowest weight in Z*
+    unit = Matrix.identity(ctx, p)
+    estar = unit.take_cols([0])  # 1^* = dual of the highest vector: lowest weight in Z*
     for k in range(p):
         left = D.divided_power("e", 1).pow_int(k) @ estar if k else estar
-        right = Matrix.zeros(ctx, p, 1)
-        right.arr[k, 0, 0] = 1  # f^k 1 in the Verma basis
+        right = unit.take_cols([k])  # f^k 1 in the Verma basis
         cols.append(left.kron(right))
     B = Matrix.hstack(cols)
     sol = B.solve(inv_vec)
@@ -117,7 +117,7 @@ def verma_map(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     p = ctx.p
     A = twist_closed_form(ctx, d + ctx.el(mu_p % p)).coeffs
     dimV = V.dim
-    out = Matrix.zeros(ctx, p * dimV, p)
+    out = np.zeros((p * dimV, p, ctx.k), dtype=np.int64)
     Ev, Fv = V.E[0], V.F[0]
     for j in range(p):
         for k in range(p):
@@ -136,10 +136,8 @@ def verma_map(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                     continue
                 coeff = A[k] * ctx.el(b)
                 # basis of Z' (x) V is z-major: index t*dimV + s
-                block = u.scale(coeff)
-                out.arr[t * dimV:(t + 1) * dimV, j] = (
-                    out.arr[t * dimV:(t + 1) * dimV, j] + block.arr[:, 0]) % p
-    return out
+                out[t * dimV:(t + 1) * dimV, j] += u.scale(coeff).arr[:, 0]
+    return Matrix(ctx, out)
 
 
 def _graded_verma(ctx: FieldCtx, d: FieldElement, mu: int) -> repcore.ModuleRep:
@@ -156,6 +154,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     """
     checks = []
     wd = V.weight_indices()
+    unit = Matrix.identity(ctx, V.dim)
     rng_w = range(-window, window + 1)
     for mu in rng_w:
         Zs = _graded_verma(ctx, d, mu)
@@ -172,8 +171,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
             idx = wd[nu]
             images = []
             for t in idx:
-                v = Matrix.zeros(ctx, V.dim, 1)
-                v.arr[t, 0, 0] = 1
+                v = unit.take_cols([t])
                 phi = verma_map(ctx, d, V, mu, mu_p, v)
                 ok_int = all(
                     (phi @ g1 - g2 @ phi).is_zero()
@@ -208,12 +206,10 @@ def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     A = twist_closed_form(ctx, d + ctx.el(mu_p % ctx.p)).coeffs
     p = ctx.p
     for s in wV[nu1]:
-        v = Matrix.zeros(ctx, V.dim, 1)
-        v.arr[s, 0, 0] = 1
+        v = Matrix.identity(ctx, V.dim).take_cols([s])
         phi_v = verma_map(ctx, d, V, mu, mu_p, v)
         for t in wW[nu2]:
-            w = Matrix.zeros(ctx, W.dim, 1)
-            w.arr[t, 0, 0] = 1
+            w = Matrix.identity(ctx, W.dim).take_cols([t])
             phi_w = verma_map(ctx, d, W, mu_p, mu_pp, w)
             # (phi_w (x) id_V) . phi_v : Z_mu -> (Z'' (x) W) (x) V
             big = phi_w.kron(Matrix.identity(ctx, V.dim)) @ phi_v
@@ -423,7 +419,7 @@ def _phi_transfer(W: WindowedEnd, d: FieldElement, x: Matrix,
     p = ctx.p
     A = W.twists[mu2]
     da, db = W.ext[lam_a].dim, W.ext[lam_b].dim
-    out = Matrix.zeros(ctx, p * db, p * da)
+    out = np.zeros((p * db, p * da, ctx.k), dtype=np.int64)
     ek = x
     for k in range(p):
         if k:
@@ -442,11 +438,8 @@ def _phi_transfer(W: WindowedEnd, d: FieldElement, x: Matrix,
                 t = j - i + k
                 if b == 0 or t >= p:
                     continue
-                piece = blk.scale(ctx.el(b))
-                out.arr[t * db:(t + 1) * db, j * da:(j + 1) * da] = (
-                    out.arr[t * db:(t + 1) * db, j * da:(j + 1) * da]
-                    + piece.arr) % p
-    return out
+                out[t * db:(t + 1) * db, j * da:(j + 1) * da] += blk.scale(ctx.el(b)).arr
+    return Matrix(ctx, out)
 
 
 def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,

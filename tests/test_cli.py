@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sl2frob import homology, memo, repcore
 from sl2frob.cli import main, run_command, parse_seed
 from sl2frob.exactfield import FieldCtx
 
@@ -80,3 +81,36 @@ def test_run_command_steinberg():
     rep = run_command("steinberg", 3, 2, 2, "auto", 2, 0)
     assert rep["failures"] == 0
     assert any(c["name"].startswith("steinberg") for c in rep["checks"])
+
+
+def test_memo_scope_ends_with_run_command(monkeypatch):
+    opened = []
+    certify = homology.generic_verma_projectives
+
+    def spy(ctx, d):
+        opened.append(memo._store.get() is not None)
+        return certify(ctx, d)
+
+    monkeypatch.setattr(homology, "generic_verma_projectives", spy)
+    assert run_command("twist", 3, 2, 1, "auto", 2, 0)["failures"] == 0
+    assert opened and all(opened)
+    assert memo._store.get() is None
+    with pytest.raises(ValueError, match="needs --ext 2"):
+        run_command("twist", 3, 1, 1, "auto", 2, 0)
+    assert memo._store.get() is None
+
+
+def test_hat_borel_certifies_the_auto_seed_once(monkeypatch):
+    # the certificate builds the p baby Vermas Z(d+c); parse_seed and
+    # hat_borel_irreducibles both ask for it
+    built = []
+    verma = repcore.baby_verma
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return verma(*args, **kwargs)
+
+    monkeypatch.setattr(repcore, "baby_verma", counting)
+    rep = run_command("hat-borel", 5, 2, 1, "auto", 2, 0)
+    assert rep["failures"] == 0
+    assert len(built) == 5

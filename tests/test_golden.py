@@ -1,9 +1,10 @@
 """Reports match the benchmark's golden digests.
 
 Covers every p = 5 generic-character report, a few Hom-heavy p = 3 reports
-(relations, hom-iso, equivalence, projectives) that exercise the Hom solver,
-and `projectives --p 5 --r 1`, whose regular-module split runs the largest
-prime-field eliminations.
+(relations, hom-iso, equivalence, projectives, and `center --r 2`, which
+repeats the most Hom solves within one call) that exercise the Hom solver,
+and `projectives --p 5 --r 1` at every RNG seed, whose regular-module split
+runs the largest prime-field eliminations and feeds the dimension accounting.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ KEYS = sorted(k for k in GOLDEN
 HOM_KEYS = ([f"relations 3 2 2 auto 2 {s}" for s in (0, 1, 2)]
             + [f"hom-iso 3 2 1 0,1 2 {s}" for s in (0, 1, 2)]
             + ["equivalence 3 2 1 0,1 3 0", "projectives 3 2 2 auto 2 0",
-               "projectives 5 2 1 auto 2 0"])
+               "center 3 2 2 auto 2 0"]
+            + [f"projectives 5 2 1 auto 2 {s}" for s in (0, 1, 2)])
 
 
 def test_keys_present():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2frob.exactfield import FieldCtx, Matrix, vec
-from sl2frob import repcore, homology
+from sl2frob import memo, repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
     split_indecomposables, identify_summands,
@@ -118,18 +118,18 @@ def test_graded_solver_matches_unblocked_oracle_property(pair, degree):
             assert (N.F[j] @ phi - phi @ M.F[j]).is_zero()
         rows, cols = np.nonzero(phi.arr.any(axis=-1))
         assert rows.size and set(N.grading[rows] - M.grading[cols]) == {deg}
-    assert _span_rank(H.basis) == H.dim == _span_rank(H.basis + oracle)
+    assert _span_rank(H.basis) == H.dim == _span_rank(list(H.basis) + oracle)
     # degree= solves one graded piece: exactly the full basis restricted to it
     Hd = hom_space(M, N, degree=degree)
-    assert Hd.degrees == [degree] * Hd.dim
-    assert Hd.basis == [b for b, d in zip(H.basis, H.degrees) if d == degree]
+    assert Hd.degrees == (degree,) * Hd.dim
+    assert Hd.basis == tuple(b for b, d in zip(H.basis, H.degrees) if d == degree)
 
 
 def test_ungraded_action_is_rejected():
     L2 = simple_restricted(F3, 2)
-    E0 = L2.E[0].copy()
-    E0.arr[0, 2, 0] = 1  # weight -2 -> weight 2: a shift of 4, not 2
-    bad = repcore.ModuleRep(F3, [E0], L2.F, L2.grading, provenance="bad")
+    E0 = L2.E[0].arr.copy()
+    E0[0, 2, 0] = 1  # weight -2 -> weight 2: a shift of 4, not 2
+    bad = repcore.ModuleRep(F3, [Matrix(F3, E0)], L2.F, L2.grading, provenance="bad")
     with pytest.raises(ValueError, match="'bad' or 'L_2' does not respect the grading"):
         hom_space(bad, L2)
 
@@ -163,16 +163,14 @@ def test_verma_hom_weight_dims():
 def test_spin():
     L2 = simple_restricted(F3, 2)
     for k in range(3):
-        v = Matrix.zeros(F3, 3, 1)
-        v.arr[k, 0, 0] = 1
+        v = Matrix.identity(F3, 3).take_cols([k])
         assert spin(L2, v).cols == 3
     with pytest.raises(ValueError):
         spin(L2, Matrix.zeros(F3, 3, 1))
     # generic Verma: the bottom vector climbs back up
     d = F9.gen()
     Z = baby_verma(F9, d)
-    v = Matrix.zeros(F9, 3, 1)
-    v.arr[2, 0, 0] = 1
+    v = Matrix.identity(F9, 3).take_cols([2])
     assert spin(Z, v).cols == 3
 
 
@@ -356,3 +354,54 @@ def test_inconclusive_is_loud():
     simples = [(i, simple_restricted(F3, i)) for i in range(3)]
     dec = split_indecomposables(M, seed=0, simples=simples)
     assert len(dec.summands) == 2  # isotypic pairs do split via eigen-scan
+
+
+def _rebuilt(M, provenance):
+    """A content-equal copy of M built from fresh arrays."""
+    return repcore.ModuleRep(M.ctx, [Matrix(M.ctx, m.arr.copy()) for m in M.E],
+                             [Matrix(M.ctx, m.arr.copy()) for m in M.F],
+                             M.grading.copy(), M.pchar_scalars, provenance=provenance)
+
+
+def test_hom_space_memo_lives_in_its_scope():
+    T = tensor(simple_restricted(F3, 2, cap=2), simple_restricted(F3, 1, cap=2))
+    with memo.scope():
+        H = hom_space(T, T)
+        assert hom_space(T, T) is H
+        assert hom_space(_rebuilt(T, "other"), _rebuilt(T, "another")) is H
+        H0 = hom_space(T, T, degree=0)
+        assert H0 is not H and hom_space(T, T, degree=0) is H0
+        with memo.scope():      # a nested scope reuses the open one
+            assert hom_space(T, T) is H
+    again = hom_space(T, T)     # outside a scope nothing is cached
+    assert again is not H and again.basis == H.basis
+    assert hom_space(T, T) is not again
+
+
+def test_hom_space_memo_survives_digest_collisions(monkeypatch):
+    # every module gets the same digest: only the content check tells them apart
+    L2 = simple_restricted(F3, 2)
+    mods = [simple_restricted(F3, i) for i in range(3)] + [
+        L2.shift_grading(-2),
+        baby_verma(F3, F3.el(1)),   # the grading of L2<-2>, another E
+        dual(L2), _rebuilt(L2, "copy")]
+    pairs = [(M, N, deg) for M in mods for N in mods for deg in (None, 0, 2)]
+    expected = [hom_space(M, N, degree=deg) for M, N, deg in pairs]
+    monkeypatch.setattr(repcore.ModuleRep, "content_digest", lambda self: b"")
+    with memo.scope():
+        for _ in range(2):
+            for (M, N, deg), want in zip(pairs, expected):
+                got = hom_space(M, N, degree=deg)
+                assert got.basis == want.basis and got.degrees == want.degrees
+
+
+def test_matrices_and_gradings_are_read_only():
+    L2 = simple_restricted(F3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        L2.E[0].arr[0, 1, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        L2.grading[0] = 7
+    grading = np.array([2, 0, -2])
+    M = repcore.ModuleRep(F3, L2.E, L2.F, grading)
+    grading[0] = 7              # the module took a copy of the writable array
+    assert M.grading.tolist() == [2, 0, -2] and M.same_content(L2)

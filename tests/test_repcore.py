@@ -36,8 +36,7 @@ def test_end_of_simple_is_scalars():
 def test_baby_verma_action():
     d = F9.gen()
     Z = baby_verma(F9, d)
-    v0 = Matrix.zeros(F9, 3, 1)
-    v0.arr[0, 0, 0] = 1
+    v0 = Matrix.identity(F9, 3).take_cols([0])
     assert (Z.E[0] @ v0).is_zero()          # highest weight vector
     assert Z.E[0] @ (Z.F[0] @ v0) == v0.scale(d)   # e.(f v) = d v via ef = fe + h
     assert Z.F[0].pow_int(3).is_zero()
@@ -164,8 +163,9 @@ def test_validate_fault_injection():
     L2 = simple_restricted(F3, 2)
     rep = validate(L2)
     assert all(rep.values())
-    L2.E[0].arr[2, 0, 0] = 1  # weight -2 -> 2 entry: breaks the shift rule
-    rep = validate(L2)
+    E0 = L2.E[0].arr.copy()
+    E0[2, 0, 0] = 1  # weight -2 -> 2 entry: breaks the shift rule
+    rep = validate(repcore.ModuleRep(F3, [Matrix(F3, E0)], L2.F, L2.grading))
     assert not rep["grading_shifts"]
 
 

@@ -54,12 +54,10 @@ def test_oracle_invariance_equation():
     coeffs = VT.twist_oracle(F9, d).coeffs
     Dz = repcore.dual(Z)
     vec = Matrix.zeros(F9, 9, 1)
-    estar = Matrix.zeros(F9, 3, 1)
-    estar.arr[0, 0, 0] = 1
+    estar = Matrix.identity(F9, 3).take_cols([0])
     for k in range(3):
         left = Dz.E[0].pow_int(k) @ estar
-        right = Matrix.zeros(F9, 3, 1)
-        right.arr[k, 0, 0] = 1
+        right = Matrix.identity(F9, 3).take_cols([k])
         vec = vec + left.kron(right).scale(coeffs[k])
     assert (T.E[0] @ vec).is_zero() and (T.F[0] @ vec).is_zero()
 
@@ -79,8 +77,7 @@ def test_hom_transfer_window():
 def test_hom_transfer_identity_normalization():
     # V = L_0, mu' = mu: the transfer of 1 is the identity map
     V = repcore.simple_restricted(F9, 0)
-    v = Matrix.zeros(F9, 1, 1)
-    v.arr[0, 0, 0] = 1
+    v = Matrix.identity(F9, 1)
     phi = VT.verma_map(F9, D, V, 0, 0, v)
     assert phi == Matrix.identity(F9, 3)
 
