@@ -2,9 +2,10 @@
 
 Reports are deterministic for identical flags (seeds included, no
 timestamps) and embed the field modulus and all sign/ordering conventions,
-so they can be used as golden files.  Exit code 0 means every check passed;
-a positive exit code counts failing checks; 2 is a usage error and 3 a
-non-generic weight seed.
+so they can be used as golden files.  Exit code 0 means every check passed,
+1-120 counts failing checks, and the exception type picks the rest: 2 a usage
+error, 3 a non-generic weight seed (`homology.NonGenericSeed`), 4 an undecided
+certificate (`homology.Inconclusive`; stderr says `error: inconclusive: ...`).
 """
 
 from __future__ import annotations
@@ -47,15 +48,15 @@ def parse_seed(ctx: FieldCtx, text: str) -> FieldElement:
                 try:
                     homology.generic_verma_projectives(ctx, d)
                     return d
-                except ValueError:
+                except homology.NonGenericSeed:
                     continue
-        raise ValueError("no generic seed found")
+        raise homology.NonGenericSeed("no generic seed found")
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"bad seed {text!r}: expected 'c0,c1' or 'auto'")
     d = ctx.el(int(parts[0]), int(parts[1]))
     if d.in_prime_field():
-        raise ValueError(f"non-generic weight seed {d}: it lies in the prime field")
+        raise homology.NonGenericSeed(f"non-generic weight seed {d}: it lies in the prime field")
     return d
 
 
@@ -249,12 +250,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rep = run_command(args.command, args.p, args.ext, args.r,
                           args.d_seed, args.window, args.seed)
+    except homology.NonGenericSeed as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
-        if "generic" in str(e).lower():
-            print(f"error: {e}", file=sys.stderr)
-            return 3
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except homology.Inconclusive as e:
+        print(f"error: inconclusive: {e}", file=sys.stderr)
+        return 4
 
     text = json.dumps(rep, indent=1, sort_keys=True) + "\n" \
         if args.format == "json" else to_csv(rep)

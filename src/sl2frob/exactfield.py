@@ -13,9 +13,15 @@ convert only what they return.  It uses the first nonzero pivot, which makes
 every reduced basis deterministic and therefore serializable for golden
 tests.  A `Matrix` array is read-only once constructed: build a numpy array,
 then wrap it.
+
+`Basis` is the one path for coordinates in a basis and for growing a span
+(echelonised spinning; Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, ch. 7); `solve` stays as the reference tests compare it to.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -474,13 +480,6 @@ class Matrix:
             raise ValueError("matrix is singular")
         return X
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_hex(self) -> str:
-        """Row-major hex digits, coefficients innermost (canonical text form)."""
-        flat = self.arr.reshape(-1)
-        return "".join(format(int(v), "x") for v in flat)
-
     def __repr__(self):
         return f"Matrix({self.ctx}, {self.rows}x{self.cols})"
 
@@ -511,10 +510,64 @@ def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
     return pivots
 
 
+class Basis:
+    """Independent columns B, the RREF rows R of their span and its pivot columns.
+
+    B restricted to the pivot rows is invertible, so the coordinates of V are
+    read off V at those rows.  Construction rejects dependent columns
+    instead of picking one of several coordinate vectors.
+    """
+
+    def __init__(self, B: Matrix):
+        R, pivots = B.transpose().rref()
+        if len(pivots) < B.cols:
+            independent = B.rref(indices=True)[1]
+            dependent = sorted(set(range(B.cols)) - set(independent))
+            raise ValueError(f"basis columns {dependent} depend on earlier columns")
+        self.B = B
+        self.R = R
+        self.pivots = pivots
+        self._pivot_inv = None
+
+    def coordinates(self, V: Matrix) -> Matrix | None:
+        """The X with B X = V, or None if a column of V lies outside the span."""
+        if self._pivot_inv is None:
+            self._pivot_inv = self.B.take_rows(self.pivots).inverse()
+        X = self._pivot_inv @ V.take_rows(self.pivots)
+        return X if self.B @ X == V else None
+
+    def add(self, v: Matrix) -> bool:
+        """Append the column v unless it lies in the span; return whether it did.
+
+        v is reduced to v - R^T v[pivots] in one product.  Only a new v
+        re-echelonises R: the rest, scaled to 1 at its first nonzero entry c,
+        clears column c from R and joins it in pivot order.
+        """
+        ctx = v.ctx
+        rest = (v.arr[:, 0] - ctx.arr_matmul(v.arr[self.pivots, 0][None], self.R.arr)[0]) % ctx.p
+        nonzero = np.flatnonzero(rest.any(axis=-1))
+        if not nonzero.size:
+            return False
+        c = int(nonzero[0])
+        row = ctx.arr_mul(rest, ctx.arr_inv(rest[c]))[None]
+        R = self.R.arr - ctx.arr_mul(self.R.arr[:, c:c + 1], row)
+        at = bisect.bisect(self.pivots, c)
+        self.R = Matrix(ctx, np.concatenate([R[:at], row, R[at:]]))
+        self.pivots.insert(at, c)
+        self.B = Matrix(ctx, np.concatenate([self.B.arr, v.arr], axis=1))
+        self._pivot_inv = None
+        return True
+
+
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization as a (r*c) x 1 matrix."""
     a = np.transpose(m.arr, (1, 0, 2)).reshape(m.rows * m.cols, 1, m.ctx.k)
     return Matrix(m.ctx, a)
+
+
+def vecs(ctx: FieldCtx, shape: tuple[int, int], maps) -> Matrix:
+    """The columns vec(m) of maps m of one (rows, cols) shape, side by side."""
+    return Matrix.hstack([vec(m) for m in maps] or [Matrix.zeros(ctx, shape[0] * shape[1], 0)])
 
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:

@@ -12,6 +12,10 @@ rings split over the base field, so generalized eigenspaces of a degree-0
 endomorphism are graded and an eigenvalue scan over the (small) field splits
 any decomposable node; leaves are certified by a simple head.
 
+Coordinates in a basis and growing spans (a Hom space's `span`, the spin
+closure, the center, the adjoint action on Hom spaces) go through
+`exactfield.Basis`.
+
 Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
 projective covers, the extended projectives and the generic-seed
 certificate are each computed once per distinct input.  A Hom space is keyed
@@ -22,15 +26,22 @@ entry, so a digest collision cannot return a wrong space.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 import numpy as np
 
-from .exactfield import FieldCtx, FieldElement, Matrix, vec, unvec
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vecs, unvec
 from . import memo, repcore
 from .repcore import ModuleRep
 
 
 class Inconclusive(Exception):
     """Raised when a certification routine cannot certify (never guesses)."""
+
+
+class NonGenericSeed(ValueError):
+    """Raised when a weight seed fails the genericity certificate."""
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +54,9 @@ class HomSpace:
     Basis elements are graded (each shifts the grading by a fixed degree),
     ordered by degree and normalized by the deterministic RREF of the
     solver, so the basis is reproducible.  Basis and degrees are tuples: a
-    memoised space is shared by every caller of its call scope.
+    memoised space is shared by every caller of its call scope.  `span` is
+    the `Basis` of the vectorized basis maps, built on first use; callers
+    read coordinates from it and never grow it.
     """
 
     def __init__(self, source: ModuleRep, target: ModuleRep,
@@ -52,30 +65,26 @@ class HomSpace:
         self.target = target
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self._coord_cache = None
+        self._span = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, mat: Matrix) -> Matrix | None:
-        """Coefficient column of mat in this basis, or None if outside the span."""
-        ctx = self.source.ctx
-        if not self.basis:
-            return None if not mat.is_zero() else Matrix.zeros(ctx, 0, 1)
-        if self._coord_cache is None:
-            self._coord_cache = Matrix.hstack([vec(b) for b in self.basis])
-        sol = self._coord_cache.solve(vec(mat))
-        if sol is None:
-            return None
-        # solve() guarantees consistency was checked via pivots
-        return sol
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape (dim N, dim M) of every map M -> N."""
+        return (self.target.dim, self.source.dim)
+
+    @property
+    def span(self) -> Basis:
+        if self._span is None:
+            self._span = Basis(vecs(self.source.ctx, self.shape, self.basis))
+        return self._span
 
     def element(self, coeffs: Matrix) -> Matrix:
-        out = Matrix.zeros(self.source.ctx, self.target.dim, self.source.dim)
-        for i, b in enumerate(self.basis):
-            out = out + b.scale(coeffs.entry(i, 0))
-        return out
+        """The map sum_i coeffs[i] * basis[i]."""
+        return unvec(self.span.B @ coeffs, *self.shape)
 
 
 def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int) -> list[Matrix]:
@@ -178,31 +187,25 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 def spin(M: ModuleRep, v: Matrix, ops: list[Matrix] | None = None) -> Matrix:
-    """Column basis of the smallest subspace containing v closed under ops.
+    """RREF column basis of the smallest subspace containing v closed under ops.
 
     Default operator set: all level actions E_j, F_j.
     """
     if v.is_zero():
         raise ValueError("cannot spin the zero vector")
-    ctx = M.ctx
     if ops is None:
         ops = list(M.E) + list(M.F)
-    rows = v.transpose()
+    span = Basis(v)
     frontier = [v]
     while frontier:
         new_vecs = []
         for u in frontier:
             for G in ops:
                 w = G @ u
-                if w.is_zero():
-                    continue
-                cand = Matrix.vstack([rows, w.transpose()])
-                R, piv = cand.rref()
-                if len(piv) > rows.rows:  # rows is always a full-rank echelon block
-                    rows = Matrix(ctx, R.arr[: len(piv)])
+                if span.add(w):
                     new_vecs.append(w)
         frontier = new_vecs
-    return rows.transpose()
+    return span.R.transpose()
 
 
 def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, Matrix]:
@@ -457,8 +460,11 @@ def identify_summands(dec: SummandDecomposition,
 # ---------------------------------------------------------------------------
 
 @memo.memoised()
-def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRep]:
-    """P_i for u_0(sl2) (level cap 1) by splitting the left regular module."""
+def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, ModuleRep]:
+    """P_i for u_0(sl2) (level cap 1) by splitting the left regular module.
+
+    The mapping is read-only: it is shared by every caller of a memo scope.
+    """
     from . import smallalg
 
     chi = smallalg.PChar.zero(ctx)
@@ -479,7 +485,7 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleR
             out[label] = leaf
     if set(out) != set(range(ctx.p)):
         raise Inconclusive("regular module did not produce all projective covers")
-    return out
+    return MappingProxyType(out)
 
 
 @memo.memoised()
@@ -514,35 +520,37 @@ def all_extended_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRe
 
 
 @memo.memoised()
-def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> dict[int, ModuleRep]:
+def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, ModuleRep]:
     """For generic chi the baby Vermas Z_{d+c} are the projective covers.
 
-    Certifies genericity per instance and aborts otherwise: all p Vermas are
-    simple, each has a one-line highest-weight space ker E_0 spanned by an
-    h-eigenvector, and the p highest h-eigenvalues are distinct.
+    Certifies genericity per instance and raises NonGenericSeed otherwise:
+    all p Vermas are simple, each has a one-line highest-weight space
+    ker E_0 spanned by an h-eigenvector, and the p highest h-eigenvalues are
+    distinct.  The mapping is read-only, like `regular_split_projectives`.
     """
     out = {}
     tops = set()
     for c in range(ctx.p):
         Z = repcore.baby_verma(ctx, d + ctx.el(c))
         if is_simple(Z) is not True:
-            raise ValueError(f"non-generic seed: Z(d+{c}) is not simple")
+            raise NonGenericSeed(f"non-generic seed: Z(d+{c}) is not simple")
         J = _graded_joint_kernel(Z.E, Z.grading)
         if sum(b.cols for b in J.values()) != 1:
-            raise ValueError(f"non-generic seed: ker E_0 of Z(d+{c}) is not one line")
+            raise NonGenericSeed(f"non-generic seed: ker E_0 of Z(d+{c}) is not one line")
         (v,) = J.values()
         hv = Z.h_matrix() @ v
         i = int(np.flatnonzero(v.arr.any(axis=-1))[0])
         lam = hv.entry(i, 0) / v.entry(i, 0)
         if hv != v.scale(lam):
-            raise ValueError(f"non-generic seed: Z(d+{c}) highest weight is not an h-eigenvector")
+            raise NonGenericSeed(
+                f"non-generic seed: Z(d+{c}) highest weight is not an h-eigenvector")
         # an isomorphism intertwines E_0 and F_0, so it preserves ker E_0 and
         # the h-eigenvalue on it: distinct eigenvalues mean non-isomorphic simples
         tops.add(lam)
         out[c] = Z
     if len(tops) != ctx.p:
-        raise ValueError("non-generic seed: Vermas are not pairwise distinct")
-    return out
+        raise NonGenericSeed("non-generic seed: Vermas are not pairwise distinct")
+    return MappingProxyType(out)
 
 
 def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
@@ -637,14 +645,17 @@ class EndAlgebra:
             total += self.homs[(a, a)].dim
         constraint_rows = []
         for a in self.labels:
+            Ea = self.homs[(a, a)]
             for b in self.labels:
-                H = self.homs[(a, b)]
+                H, Eb = self.homs[(a, b)], self.homs[(b, b)]
                 for f in H.basis:
+                    images = [f @ ea for ea in Ea.basis] + [eb @ f for eb in Eb.basis]
+                    X = H.span.coordinates(vecs(ctx, H.shape, images))
+                    if X is None:
+                        raise ValueError(f"a composite with a map {a} -> {b} left its Hom space")
                     block = np.zeros((H.dim, total, ctx.k), dtype=np.int64)
-                    for i, ea in enumerate(self.homs[(a, a)].basis):
-                        block[:, offsets[a] + i] += H.coordinates(f @ ea).arr[:, 0]
-                    for j, eb in enumerate(self.homs[(b, b)].basis):
-                        block[:, offsets[b] + j] -= H.coordinates(eb @ f).arr[:, 0]
+                    block[:, offsets[a]:offsets[a] + Ea.dim] += X.arr[:, :Ea.dim]
+                    block[:, offsets[b]:offsets[b] + Eb.dim] -= X.arr[:, Ea.dim:]
                     constraint_rows.append(Matrix(ctx, block))
         if not constraint_rows:
             return []
@@ -763,14 +774,10 @@ def hom_as_gmodule(P: ModuleRep, Q: ModuleRep, level: int):
         grading.append(ddeg // scale)
     mats = {}
     for name, GP, GQ in (("e", P.E[level], Q.E[level]), ("f", P.F[level], Q.F[level])):
-        act = np.zeros((H.dim, H.dim, ctx.k), dtype=np.int64)
-        for i, phi in enumerate(H.basis):
-            img = GQ @ phi - phi @ GP
-            coords = H.coordinates(img)
-            if coords is None:
-                raise ValueError("adjoint action left the hom space")
-            act[:, i] = coords.arr[:, 0]
-        mats[name] = Matrix(ctx, act)
+        images = [GQ @ phi - phi @ GP for phi in H.basis]
+        mats[name] = H.span.coordinates(vecs(ctx, H.shape, images))
+        if mats[name] is None:
+            raise ValueError("adjoint action left the hom space")
     V = ModuleRep(ctx, [mats["e"]], [mats["f"]], np.array(grading, dtype=np.int64),
                   [ctx.zero()], provenance=f"Hom({P.provenance},{Q.provenance})")
     # exact sl2 sanity on the action

@@ -8,8 +8,9 @@ scope exits, normally or by an exception.  Outside a scope nothing is
 cached, and an exception is never cached.
 
 Every hit hands out the same object, so memoised values must be immutable:
-`Matrix` arrays and `ModuleRep` gradings are read-only, and `HomSpace`
-bases are tuples.
+`Matrix` arrays and `ModuleRep` gradings are read-only, `HomSpace` bases
+are tuples (and its `span` is never grown), and the projective-cover
+builders return read-only mappings.
 """
 
 from __future__ import annotations

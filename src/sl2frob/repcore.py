@@ -1,4 +1,4 @@
-"""ModuleRep calculus: constructors, functors, validity checks, serialization.
+"""ModuleRep calculus: constructors, functors, validity checks, content digests.
 
 A module over a central reduction of the divided-power algebra is stored as
 matrices E_j, F_j for the actions of e^(p^j), f^(p^j) at levels j < cap,
@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .exactfield import FieldCtx, FieldElement, Matrix
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix
 from .smallalg import DividedPowerPlan
 
 _FUSE_TAG_LEN = 40
@@ -145,21 +145,6 @@ class ModuleRep:
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim}, cap={self.cap}, {self.provenance!r})"
-
-    # -- canonical text serialization (for golden tests) -------------------
-
-    def to_canonical_text(self) -> str:
-        lines = [
-            f"field p={self.ctx.p} k={self.ctx.k} modulus={self.ctx.modulus[0]},{self.ctx.modulus[1]}",
-            f"dim {self.dim} cap {self.cap}",
-            "grading " + ",".join(str(int(w)) for w in self.grading),
-            "pchar " + ",".join("".join(format(c, "x") for c in s.coeffs)
-                                for s in self.pchar_scalars),
-        ]
-        for j in range(self.cap):
-            lines.append(f"E{j} " + self.E[j].to_hex())
-            lines.append(f"F{j} " + self.F[j].to_hex())
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +307,16 @@ def dual(M: ModuleRep) -> ModuleRep:
 def submodule(M: ModuleRep, basis: Matrix, provenance: str = "sub") -> ModuleRep:
     """Restrict M to the submodule spanned by the columns of basis.
 
-    The columns must be weight-homogeneous and the span must be stable
-    under all level actions (checked exactly via a solve).
+    The columns must be independent and weight-homogeneous, and the span
+    must be stable under all level actions (checked exactly by `Basis`).
     """
     ctx = M.ctx
+    span = Basis(basis)
     E, F = [], []
     for j in range(M.cap):
         for mats, acc in ((M.E, E), (M.F, F)):
-            rhs = mats[j] @ basis
-            sol = basis.solve(rhs)
-            if sol is None or not (basis @ sol - rhs).is_zero():
+            sol = span.coordinates(mats[j] @ basis)
+            if sol is None:
                 raise ValueError("basis does not span a submodule")
             acc.append(sol)
     grading = np.zeros(basis.cols, dtype=np.int64)

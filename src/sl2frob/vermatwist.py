@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactfield import FieldCtx, FieldElement, Matrix, vec
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, vecs
 from . import repcore, homology
 from .smallalg import binom_mod
 from .reporting import check, report
@@ -55,7 +55,7 @@ class TwistElement:
 def twist_closed_form(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     """A_k = (-1)^k / (k! d(d-1)...(d-k+1)); requires d outside F_p."""
     if d.in_prime_field():
-        raise ValueError("non-generic weight value: twist denominators vanish")
+        raise homology.NonGenericSeed("non-generic weight value: twist denominators vanish")
     coeffs = [ctx.one()]
     for k in range(1, ctx.p):
         # A_k = -A_{k-1} / (k (d - k + 1))
@@ -77,8 +77,8 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     stacked = Matrix.vstack([T.E[0], T.F[0]])
     ker = stacked.kernel()
     if ker.cols != 1:
-        raise ValueError(f"invariant space has dimension {ker.cols}, not 1 "
-                         "(non-generic seed or wrong orientation)")
+        raise homology.NonGenericSeed(f"invariant space has dimension {ker.cols}, not 1 "
+                                      "(non-generic seed or wrong orientation)")
     inv_vec = Matrix(ctx, ker.arr[:, 0:1])
     # the vectors e^k 1^* (x) f^k 1 in the tensor basis
     D = repcore.dual(Z)
@@ -89,8 +89,7 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
         left = D.divided_power("e", 1).pow_int(k) @ estar if k else estar
         right = unit.take_cols([k])  # f^k 1 in the Verma basis
         cols.append(left.kron(right))
-    B = Matrix.hstack(cols)
-    sol = B.solve(inv_vec)
+    sol = Basis(Matrix.hstack(cols)).coordinates(inv_vec)
     if sol is None:
         raise ValueError("invariant vector not supported on e^k 1* (x) f^k 1")
     a0 = sol.entry(0, 0)
@@ -179,7 +178,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                 # top projection: z'_0 block row, z_0 column
                 top = Matrix(ctx, phi.arr[0:V.dim, 0:1])
                 ok_inv = top == v
-                in_space = Hgr.coordinates(phi) is not None
+                in_space = Hgr.span.coordinates(vec(phi)) is not None
                 checks.append(check(f"transfer_{tag}_{mu}_{mu_p}_{t}",
                                     ok_int and ok_inv and in_space,
                                     intertwiner=ok_int, top_inverse=ok_inv,
@@ -278,6 +277,13 @@ class WindowedEnd:
             homology.canonical_r1_hom_bases(ctx, self.ext)
         self.twists = {n: twist_closed_form(ctx, d + ctx.el(n % ctx.p)).coeffs
                        for n in range(-radius - 2, radius + 3)}
+        # one Basis per degree piece a composite can land in; pieces of different
+        # degrees are independent, so these are the whole basis's coordinates
+        p = self.p
+        self.pieces = {
+            (a, c, deg): Basis(vecs(ctx, (self.ext[c].dim, self.ext[a].dim),
+                                    self.hom[(a, c)].get(deg, [])))
+            for a in range(p) for c in range(p) for deg in (-p, 0, p)}
 
     # -- morphism bookkeeping ------------------------------------------------
 
@@ -289,33 +295,6 @@ class WindowedEnd:
         (mu, lam), (mu2, lam2) = src, tgt
         deg = self.p * (mu - mu2)
         return self.hom[(lam, lam2)].get(deg, [])
-
-    def coords(self, lam_a, lam_c, deg, mat: Matrix) -> list[FieldElement] | None:
-        """Coordinates of mat in the canonical basis of one degree piece.
-
-        Returns None if mat is nonzero outside that piece (an error elsewhere).
-        """
-        basis = []
-        for dd, mats in sorted(self.hom[(lam_a, lam_c)].items()):
-            basis.extend(mats)
-        if not basis:
-            return None if not mat.is_zero() else []
-        B = Matrix.hstack([vec(m) for m in basis])
-        sol = B.solve(vec(mat))
-        if sol is None:
-            return None
-        out = []
-        i = 0
-        good = True
-        for dd, mats in sorted(self.hom[(lam_a, lam_c)].items()):
-            for _ in mats:
-                c = sol.entry(i, 0)
-                if dd == deg:
-                    out.append(c)
-                elif not c.is_zero():
-                    good = False
-                i += 1
-        return out if good else None
 
     # -- the adjoint action and the twisted product --------------------------
 
@@ -483,7 +462,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
             phis = []
             for x in amats:
                 ph = _phi_transfer(W, d, x, lam, lam2, mu, mu2)
-                in_space = BH.coordinates(ph) is not None
+                in_space = BH.span.coordinates(vec(ph)) is not None
                 top = Matrix(ctx, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim])
                 checks.append(check(f"transfer_{mu}_{lam}__{mu2}_{lam2}",
                                     in_space and top == x,
@@ -526,15 +505,16 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
                                 sigma_ok = False
                                 sigma_fail.append((mu, la, mu2, lb, mu3, lc))
                             continue
-                        cp = W.coords(la, lc, deg, plain)
-                        ct = W.coords(la, lc, deg, twisted)
-                        if cp is None or ct is None:
+                        X = W.pieces[(la, lc, deg)].coordinates(
+                            Matrix.hstack([vec(plain), vec(twisted)]))
+                        if X is None:
                             sigma_ok = False
                             sigma_fail.append((mu, la, mu2, lb, mu3, lc, "span"))
                             continue
                         Dg = _sigma_multiplier(W, resc, mu2, mu3, gi, lb == lc)
                         Dx = _sigma_multiplier(W, resc, mu, mu2, xi, la == lb)
-                        for bi, (a_c, t_c) in enumerate(zip(cp, ct)):
+                        for bi in range(X.rows):
+                            a_c, t_c = X.entry(bi, 0), X.entry(bi, 1)
                             Db = _sigma_multiplier(W, resc, mu, mu3, bi, la == lc)
                             if not (Db * a_c - Dg * Dx * t_c).is_zero():
                                 sigma_ok = False
@@ -546,7 +526,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
                         rhs = Matrix.zeros(ctx, lhs.rows, lhs.cols)
                         for bi, b in enumerate(basis_c):
                             rhs = rhs + _phi_transfer(W, d, b, la, lc, mu, mu3) \
-                                .scale(ct[bi])
+                                .scale(X.entry(bi, 1))
                         if lhs != rhs:
                             twist_ok = False
                             twist_fail.append((mu, la, mu2, lb, mu3, lc))

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from sl2frob import homology, memo, repcore
+from sl2frob import homology, memo, repcore, vermatwist
 from sl2frob.cli import main, run_command, parse_seed
 from sl2frob.exactfield import FieldCtx
+from sl2frob.reporting import check, merge_reports, report
 
 
 def test_twist_command(capsys):
@@ -49,6 +50,28 @@ def test_non_generic_seed_exit_code(capsys):
     code = main(["twist", "--p", "3", "--d-seed", "1,0"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (homology.NonGenericSeed("Z(d) is not simple"), 3, "error: Z(d) is not simple"),
+    (ValueError("no generic seed wanted here"), 2, "error: no generic seed wanted here"),
+    (homology.Inconclusive("no verdict"), 4, "error: inconclusive: no verdict"),
+], ids=["non-generic", "usage", "inconclusive"])
+def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch, capsys):
+    def fail(ctx, d):
+        raise error
+
+    monkeypatch.setattr(vermatwist, "twist_oracle", fail)
+    assert main(["twist", "--p", "3"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_report_without_checks_fails():
+    assert report("empty", {}, [])["failures"] == 1
+    merged = merge_reports("all", {}, [report("empty", {}, []),
+                                       report("one", {}, [check("ok", True)])])
+    assert merged["failures"] == 1
+    assert [c["name"] for c in merged["checks"]] == ["empty:has_checks", "one:ok"]
 
 
 def test_bad_seed_format(capsys):

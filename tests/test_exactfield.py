@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sl2frob.exactfield import FieldCtx, FieldElement, Matrix, vec, unvec
+from sl2frob.exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, unvec
 
 
 F3 = FieldCtx(3)
@@ -96,7 +98,7 @@ def test_rref_matches_scalar_gauss_jordan(A):
     R, pivots = A.rref()
     R0, pivots0 = gauss_jordan(A)
     assert pivots == pivots0
-    assert R.to_hex() == R0.to_hex()
+    assert R == R0
     K = A.kernel()
     assert K.shape == (A.cols, A.cols - len(pivots))
     assert (A @ K).is_zero()
@@ -119,6 +121,64 @@ def test_solve_exactly_when_consistent(A, nrhs, in_image, data):
         assert A @ X == B
     else:
         assert X is None
+
+
+@st.composite
+def independent_columns(draw):
+    """An n x m matrix with independent columns (m may be 0) over F_3, F_9, F_25 or F_49."""
+    ctx = draw(st.sampled_from([F3, F9, F25, F49]))
+    n = draw(st.integers(1, 8))
+    A = draw(structured_matrices(ctx, draw(st.integers(0, n)), n)).transpose()
+    return A.take_cols(gauss_jordan(A)[1]) if A.cols else A
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_columns(), st.integers(0, 3), st.booleans(), st.data())
+def test_basis_coordinates_match_solve(B, nrhs, inside, data):
+    if inside:
+        V = B @ data.draw(structured_matrices(B.ctx, B.cols, nrhs))
+    else:
+        V = data.draw(structured_matrices(B.ctx, B.rows, nrhs))
+    X = Basis(B).coordinates(V)
+    ref = B.solve(V)
+    # independent columns make the coordinates unique, so both agree exactly
+    assert X == ref if ref is not None else X is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(elimination_inputs())
+def test_basis_rejects_dependent_columns(A):
+    independent = gauss_jordan(A)[1]
+    dependent = [j for j in range(A.cols) if j not in independent]
+    if dependent:
+        with pytest.raises(ValueError, match=re.escape(f"columns {dependent} depend")):
+            Basis(A)
+    else:
+        assert Basis(A).pivots == gauss_jordan(A.transpose())[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(independent_columns(), st.integers(0, 6), st.data())
+def test_basis_add_accepts_exactly_when_rank_grows(B, t, data):
+    ctx, n = B.ctx, B.rows
+    basis = Basis(B)
+    rows = B.transpose()
+    # candidates: members of the span, then columns that are random, zero,
+    # repeated or proportional to earlier ones
+    inside = B @ data.draw(structured_matrices(ctx, B.cols, 2))
+    cands = Matrix.hstack([inside, data.draw(structured_matrices(ctx, t, n)).transpose()])
+    for j in range(cands.cols):
+        v = cands.take_cols([j])
+        stacked = Matrix.vstack([rows, v.transpose()])
+        grows = len(gauss_jordan(stacked)[1]) > len(gauss_jordan(rows)[1])
+        assert basis.add(v) == grows
+        if grows:
+            rows = stacked
+        R, pivots = gauss_jordan(rows)
+        assert basis.pivots == pivots
+        assert basis.R == Matrix(ctx, R.arr[:len(pivots)])
+        assert basis.B.transpose() == rows
+        assert basis.coordinates(basis.B) == Matrix.identity(ctx, basis.B.cols)
 
 
 @pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
@@ -258,4 +318,4 @@ def test_rref_deterministic_golden():
     A = Matrix.from_int_rows(F3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     R, piv = A.rref()
     assert piv == [0, 1]
-    assert R.to_hex() == "102012000"
+    assert R == Matrix.from_int_rows(F3, [[1, 0, 2], [0, 1, 2], [0, 0, 0]])

@@ -174,6 +174,43 @@ def test_spin():
     assert spin(Z, v).cols == 3
 
 
+def _spin_by_stacking(M, v):
+    """Reference spin: re-echelonise the whole stack for every candidate vector."""
+    rows = v.transpose()
+    frontier = [v]
+    while frontier:
+        new_vecs = []
+        for u in frontier:
+            for G in list(M.E) + list(M.F):
+                w = G @ u
+                if w.is_zero():
+                    continue
+                R, piv = Matrix.vstack([rows, w.transpose()]).rref()
+                if len(piv) > rows.rows:
+                    rows = Matrix(M.ctx, R.arr[:len(piv)])
+                    new_vecs.append(w)
+        frontier = new_vecs
+    return rows
+
+
+@st.composite
+def _module_and_vector(draw):
+    ctx = draw(st.sampled_from([F3, F9, F25, FieldCtx(7, 2)]))
+    M = draw(_graded_module(ctx, draw(st.integers(1, 2))))
+    idx = draw(st.lists(st.integers(0, ctx.q - 1), min_size=M.dim, max_size=M.dim)
+               .filter(any))
+    return M, Matrix(ctx, ctx.arr_from_index(np.array(idx)).reshape(M.dim, 1, ctx.k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_module_and_vector())
+def test_spin_matches_stacked_reference(Mv):
+    M, v = Mv
+    # the reference keeps v unnormalized while nothing joins it; its RREF is
+    # the basis spin returns
+    assert spin(M, v) == _spin_by_stacking(M, v).rref()[0].transpose()
+
+
 def test_is_simple_verdicts(proj3):
     assert is_simple(simple_restricted(F3, 2)) is True
     assert is_simple(proj3[0]) is False
@@ -327,7 +364,7 @@ def test_hom_as_gmodule(ext3):
     # x . id = 0 for the identity endomorphism
     Hend, Vend = hom_as_gmodule(ext3[0], ext3[0], 1)
     ident = Matrix.identity(F3, 6)
-    coords = Hend.coordinates(ident)
+    coords = Hend.span.coordinates(vec(ident))
     img = Matrix(F3, (Vend.E[0] @ coords).arr)
     assert img.is_zero()
 
@@ -393,6 +430,14 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
             for (M, N, deg), want in zip(pairs, expected):
                 got = hom_space(M, N, degree=deg)
                 assert got.basis == want.basis and got.degrees == want.degrees
+
+
+def test_memoised_projective_mappings_are_read_only(proj3):
+    with pytest.raises(TypeError):
+        proj3[0] = proj3[1]
+    vermas = generic_verma_projectives(F9, F9.gen())
+    with pytest.raises(TypeError):
+        vermas[0] = vermas[1]
 
 
 def test_matrices_and_gradings_are_read_only():

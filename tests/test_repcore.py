@@ -179,19 +179,6 @@ def test_h_refinement_on_twist_structured_modules():
     assert rep["h_pth_power"] and not rep["h_eigen_refinement"]
 
 
-def test_serialization_golden():
-    L1 = simple_restricted(F3, 1)
-    expected = (
-        "field p=3 k=1 modulus=0,0\n"
-        "dim 2 cap 1\n"
-        "grading 1,-1\n"
-        "pchar 0\n"
-        "E0 0100\n"
-        "F0 0010\n"
-    )
-    assert L1.to_canonical_text() == expected
-
-
 def test_trivial_module_shift():
     T = trivial_module(F3, cap=2, shift=5)
     assert T.dim == 1 and list(T.grading) == [5]
