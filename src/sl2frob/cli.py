@@ -2,10 +2,11 @@
 
 Reports are deterministic for identical flags (seeds included, no
 timestamps) and embed the field modulus and all sign/ordering conventions,
-so they can be used as golden files.  Exit code 0 means every check passed,
-1-120 counts failing checks, and the exception type picks the rest: 2 a usage
-error, 3 a non-generic weight seed (`homology.NonGenericSeed`), 4 an undecided
-certificate (`homology.Inconclusive`; stderr says `error: inconclusive: ...`).
+so they can be used as golden files.  Exit code 0 means every check passed
+and 1 that at least one failed (the report counts them); the exception type
+picks the rest: 2 a usage error, 3 a non-generic weight seed
+(`homology.NonGenericSeed`), 4 an undecided certificate
+(`homology.Inconclusive`; stderr says `error: inconclusive: ...`).
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
             f.write(text)
     else:
         sys.stdout.write(text)
-    return min(rep["failures"], 120)
+    return 1 if rep["failures"] else 0
 
 
 if __name__ == "__main__":

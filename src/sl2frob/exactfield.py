@@ -94,12 +94,6 @@ class FieldCtx:
     def one(self) -> "FieldElement":
         return self.el(1)
 
-    def gen(self) -> "FieldElement":
-        """The class of x (only meaningful for k = 2)."""
-        if self.k != 2:
-            raise ValueError("gen() requires k = 2")
-        return self.el(0, 1)
-
     def from_index(self, idx: int) -> "FieldElement":
         return self.el(idx % self.p, idx // self.p)
 
@@ -411,9 +405,6 @@ class Matrix:
 
     def take_cols(self, idx) -> "Matrix":
         return Matrix(self.ctx, self.arr[:, np.asarray(idx, dtype=np.int64)])
-
-    def block(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.ctx, self.arr[np.ix_(np.asarray(row_idx), np.asarray(col_idx))])
 
     @classmethod
     def hstack(cls, mats: list["Matrix"]) -> "Matrix":

@@ -186,15 +186,11 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> Matrix | None:
 # spin / simplicity
 # ---------------------------------------------------------------------------
 
-def spin(M: ModuleRep, v: Matrix, ops: list[Matrix] | None = None) -> Matrix:
-    """RREF column basis of the smallest subspace containing v closed under ops.
-
-    Default operator set: all level actions E_j, F_j.
-    """
+def spin(M: ModuleRep, v: Matrix) -> Matrix:
+    """RREF column basis of the submodule generated by v (closed under every E_j, F_j)."""
     if v.is_zero():
         raise ValueError("cannot spin the zero vector")
-    if ops is None:
-        ops = list(M.E) + list(M.F)
+    ops = M.E + M.F
     span = Basis(v)
     frontier = [v]
     while frontier:
@@ -301,41 +297,32 @@ def head_is_simple(M: ModuleRep, simples) -> bool:
 # ---------------------------------------------------------------------------
 
 class SummandDecomposition:
-    """Orthogonal idempotent decomposition into indecomposable summands."""
+    """A module written as a direct sum: the inclusions of its indecomposable summands."""
 
     def __init__(self, module: ModuleRep):
         self.module = module
         self.inclusions: list[Matrix] = []
-        self.projections: list[Matrix] = []
         self.summands: list[ModuleRep] = []
-        self.labels: list[object] = []
 
     def add(self, incl: Matrix, summand: ModuleRep):
         self.inclusions.append(incl)
         self.summands.append(summand)
-        self.labels.append(None)
 
     def finalize(self):
-        """Compute projections from the combined basis; verify idempotents."""
-        ctx = self.module.ctx
-        C = Matrix.hstack(self.inclusions)
-        if C.cols != self.module.dim:
-            raise ValueError("summand dimensions do not fill the module")
-        Cinv = C.inverse()
-        off = 0
-        self.projections = []
-        for incl in self.inclusions:
-            rows = Matrix(ctx, Cinv.arr[off:off + incl.cols])
-            self.projections.append(rows)
-            off += incl.cols
-        total = Matrix.zeros(ctx, self.module.dim, self.module.dim)
-        for incl, proj in zip(self.inclusions, self.projections):
-            idem = incl @ proj
-            if not (idem @ idem - idem).is_zero():
-                raise ValueError("projection is not idempotent")
-            total = total + idem
-        if total != Matrix.identity(ctx, self.module.dim):
-            raise ValueError("idempotents do not sum to the identity")
+        """Check that the summands are independent and fill the module.
+
+        Then the combined inclusion matrix is invertible, so its inverse's row
+        blocks are projections that are idempotent and sum to the identity.
+        """
+        name = self.module.provenance
+        try:
+            Basis(Matrix.hstack(self.inclusions))
+        except ValueError as e:
+            raise ValueError(f"summands of {name!r} overlap: {e}") from None
+        filled = sum(incl.cols for incl in self.inclusions)
+        if filled != self.module.dim:
+            raise ValueError(f"summands of {name!r} fill dimension {filled} "
+                             f"of {self.module.dim}")
 
 
 def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
@@ -382,53 +369,65 @@ def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
     return pieces
 
 
+SPLIT_TRIES = 12   # random candidates per node before it is certified as a leaf
+
+
+def _restrict_stack(stack: list[Matrix], pieces: list[Matrix]) -> list[list[Matrix]]:
+    """Each piece's stack: the diagonal blocks of C^-1 W C, C = [pieces], per W.
+
+    The pieces are the graded summands of one split, so C is invertible and
+    a block is the restriction pi_i W iota_i of W to piece i.  Each W's
+    coordinates are taken on their own and only copies of the blocks kept.
+    """
+    C = Matrix.hstack(pieces)
+    span = Basis(C)
+    ends = np.cumsum([0] + [b.cols for b in pieces])
+    out: list[list[Matrix]] = [[] for _ in pieces]
+    for W in stack:
+        X = span.coordinates(W @ C).arr
+        for piece_stack, lo, hi in zip(out, ends, ends[1:]):
+            # Matrix reduces into a new array, so no block keeps X alive
+            piece_stack.append(Matrix(W.ctx, X[lo:hi, lo:hi]))
+    return out
+
+
 def split_indecomposables(M: ModuleRep, seed: int = 0, sampler=None,
-                          simples=None, max_tries: int = 12) -> SummandDecomposition:
+                          simples=None) -> SummandDecomposition:
     """Recursive Fitting-style splitting along degree-0 endomorphisms.
 
-    sampler(rng) may supply random degree-0 endomorphisms (used for regular
-    modules, where right multiplications realize the full End); otherwise
-    the degree-0 hom space is solved directly.  Leaves are certified by a
-    simple head when a simple list is supplied; without one, exhaustion of
-    the candidate endomorphisms is required.
+    sampler may be an algebra whose weight-zero right multiplications span
+    the degree-0 endomorphisms of M (a regular module): candidates are its
+    `random_weight_zero_right_mult` draws over that stack, which each split
+    restricts to the new pieces once.  Otherwise the degree-0 hom space is
+    solved directly.  Leaves are certified by a simple head when a simple
+    list is supplied; without one, exhaustion of the candidate
+    endomorphisms is required.
     """
     rng = np.random.default_rng(seed)
     ctx = M.ctx
     dec = SummandDecomposition(M)
 
-    def candidates(node, node_sampler):
-        if node_sampler is not None:
-            for _ in range(max_tries):
-                yield node_sampler(rng)
+    def candidates(node, stack):
+        if stack is not None:
+            for _ in range(SPLIT_TRIES):
+                yield sampler.random_weight_zero_right_mult(rng, stack)
         else:
             H = hom_space(node, node, degree=0)
             for b in H.basis:
                 yield b
-            for _ in range(max_tries):
+            for _ in range(SPLIT_TRIES):
                 c = Matrix(ctx, rng.integers(0, ctx.p, size=(H.dim, 1, ctx.k)))
                 yield H.element(c)
 
-    def recurse(node: ModuleRep, incl: Matrix, node_sampler):
-        for phi in candidates(node, node_sampler):
+    def recurse(node: ModuleRep, incl: Matrix, stack):
+        for phi in candidates(node, stack):
             pieces = _eigen_split(node, phi)
             if pieces is None:
                 continue
-            for basis in pieces:
+            stacks = [None] * len(pieces) if stack is None else _restrict_stack(stack, pieces)
+            for basis, sub_stack in zip(pieces, stacks):
                 sub = repcore.submodule(node, basis, provenance="summand")
-                sub_incl = incl @ basis
-                if node_sampler is None:
-                    recurse(sub, sub_incl, None)
-                else:
-                    # restrict the sampler: pi . phi . iota on the new piece
-                    others = [b for b in pieces if b is not basis]
-                    C = Matrix.hstack([basis] + others)
-                    Cinv = C.inverse()
-                    proj = Matrix(ctx, Cinv.arr[:basis.cols])
-
-                    def sub_sampler(r, _proj=proj, _basis=basis, _s=node_sampler):
-                        return _proj @ _s(r) @ _basis
-
-                    recurse(sub, sub_incl, sub_sampler)
+                recurse(sub, incl @ basis, sub_stack)
             return
         # no candidate split this node: certify it as a leaf
         if simples is not None and not head_is_simple(node, simples):
@@ -436,23 +435,13 @@ def split_indecomposables(M: ModuleRep, seed: int = 0, sampler=None,
                 f"summand of dim {node.dim} did not split but its head is not simple")
         dec.add(incl, node)
 
-    recurse(M, Matrix.identity(ctx, M.dim), sampler)
+    recurse(M, Matrix.identity(ctx, M.dim),
+            None if sampler is None else sampler.weight_zero_right_mult_basis())
     # recurse refers to itself through its closure; emptying that cell lets
     # refcounting free the nodes it reached instead of the cyclic collector
     del recurse
     dec.finalize()
     return dec
-
-
-def identify_summands(dec: SummandDecomposition,
-                      references: list[tuple[object, ModuleRep]], seed: int = 0):
-    """Label each summand by the isomorphic reference module (graded shifts allowed)."""
-    for i, s in enumerate(dec.summands):
-        for label, ref in references:
-            if s.dim == ref.dim and is_isomorphic(s, ref, seed=seed) is not None:
-                dec.labels[i] = label
-                break
-    return dec.labels
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +456,11 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, Modu
     """
     from . import smallalg
 
-    chi = smallalg.PChar.zero(ctx)
-    alg = smallalg.build_u_chi(ctx, chi)
+    alg = smallalg.UChiAlgebra(ctx)
     reg = smallalg.regular_module(alg)
     simples = [(i, repcore.simple_restricted(ctx, i)) for i in range(ctx.p)]
 
-    dec = split_indecomposables(reg, seed=seed,
-                                sampler=alg.random_weight_zero_right_mult,
-                                simples=simples)
+    dec = split_indecomposables(reg, seed=seed, sampler=alg, simples=simples)
     out: dict[int, ModuleRep] = {}
     for inc, leaf in zip(dec.inclusions, dec.summands):
         _, mults = radical_and_head(leaf, simples)
@@ -554,7 +540,7 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
 
 
 def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
-                      seed: int = 0, cap: int | None = None) -> dict[tuple, ModuleRep]:
+                      seed: int = 0) -> dict[tuple, ModuleRep]:
     """Labeled indecomposable projectives of the level-r reduction.
 
     chi = 0 when d is None.  Labels are digit tuples (k_0, ..., k_{r-1});
@@ -565,11 +551,11 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     the heads are re-verified computationally by the callers.
     """
     p = ctx.p
-    if r == 1 and cap is None:
+    if r == 1:
         if d is not None:
             return {(c,): Z for c, Z in generic_verma_projectives(ctx, d).items()}
         return {(i,): P for i, P in regular_split_projectives(ctx, seed=seed).items()}
-    cap = cap if cap is not None else r + 1
+    cap = r + 1
     ext = all_extended_projectives(ctx, seed=seed)
     out: dict[tuple, ModuleRep] = {}
     for lab in repcore.all_labels(p, r):

@@ -24,38 +24,6 @@ from .smallalg import DividedPowerPlan
 _FUSE_TAG_LEN = 40
 
 
-class WeightLabel:
-    """A character label: base-p digits, a top weight value, a graded shift.
-
-    For the zero character the top value lies in the prime field and equals
-    the last digit; a generic label carries a seed outside the prime field.
-    """
-
-    def __init__(self, digits: tuple[int, ...], seed: FieldElement | None = None,
-                 shift: int = 0):
-        self.digits = tuple(int(k) for k in digits)
-        self.seed = seed
-        self.shift = shift
-
-    def validate(self, ctx: FieldCtx) -> None:
-        for k in self.digits:
-            if not 0 <= k <= ctx.p - 1:
-                raise ValueError(f"digit {k} out of range for p={ctx.p}")
-        if self.seed is not None and self.seed.in_prime_field():
-            raise ValueError("generic label with a prime-field seed")
-
-    @property
-    def generic(self) -> bool:
-        return self.seed is not None
-
-    def weight(self, p: int) -> int:
-        return sum(k * p**j for j, k in enumerate(self.digits))
-
-    def __repr__(self):
-        tag = f";d={self.seed}" if self.seed is not None else ""
-        return f"WeightLabel{self.digits}{tag}<{self.shift}>"
-
-
 def all_labels(p: int, r: int) -> list[tuple]:
     """Every digit tuple (k_0, ..., k_{r-1}) with 0 <= k_j <= p-1, k_0 slowest."""
     labels = [()]
@@ -89,7 +57,6 @@ class ModuleRep:
         if len(self.pchar_scalars) != len(E):
             raise ValueError("one p-character scalar per level required")
         self.provenance = provenance
-        self.aux = None
 
     @property
     def dim(self) -> int:
@@ -138,10 +105,8 @@ class ModuleRep:
         return out.scale(corr)
 
     def shift_grading(self, s: int) -> "ModuleRep":
-        out = ModuleRep(self.ctx, self.E, self.F, self.grading + s,
-                        self.pchar_scalars, provenance=self.provenance)
-        out.aux = self.aux
-        return out
+        return ModuleRep(self.ctx, self.E, self.F, self.grading + s,
+                         self.pchar_scalars, provenance=self.provenance)
 
     def __repr__(self):
         return f"ModuleRep(dim={self.dim}, cap={self.cap}, {self.provenance!r})"
@@ -194,11 +159,11 @@ def baby_verma(ctx: FieldCtx, d: FieldElement, shift: int = 0, cap: int = 1) -> 
     return ModuleRep(ctx, E, F, grading, pch, provenance=f"Z({d})")
 
 
-def trivial_module(ctx: FieldCtx, cap: int = 1, shift: int = 0) -> ModuleRep:
+def trivial_module(ctx: FieldCtx) -> ModuleRep:
+    """The one-dimensional trivial module in degree 0 (level cap 1)."""
     z = Matrix.zeros(ctx, 1, 1)
-    return ModuleRep(ctx, [z] * cap, [z] * cap,
-                     np.array([shift], dtype=np.int64), [ctx.zero()] * cap,
-                     provenance=f"k<{shift}>")
+    return ModuleRep(ctx, [z], [z], np.array([0], dtype=np.int64), [ctx.zero()],
+                     provenance="k<0>")
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +205,7 @@ def extend_levels(M: ModuleRep, cap: int) -> ModuleRep:
     E = list(M.E) + [zeros] * (cap - M.cap)
     F = list(M.F) + [zeros] * (cap - M.cap)
     pch = list(M.pchar_scalars) + [ctx.zero()] * (cap - M.cap)
-    out = ModuleRep(ctx, E, F, M.grading, pch, provenance=M.provenance)
-    out.aux = M.aux
-    return out
+    return ModuleRep(ctx, E, F, M.grading, pch, provenance=M.provenance)
 
 
 def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
@@ -333,7 +296,7 @@ def submodule(M: ModuleRep, basis: Matrix, provenance: str = "sub") -> ModuleRep
 # validation and canonical checks
 # ---------------------------------------------------------------------------
 
-def validate(M: ModuleRep, check_h_refinement: bool = False) -> dict:
+def validate(M: ModuleRep) -> dict:
     """Itemized invariant report; never raises on failures."""
     ctx = M.ctx
     p = ctx.p
@@ -367,17 +330,4 @@ def validate(M: ModuleRep, check_h_refinement: bool = False) -> dict:
         if not (H.pow_int(p) - H - target).is_zero():
             ok_h = False
     report["h_pth_power"] = ok_h
-
-    if check_h_refinement:
-        ok_ref = True
-        widx = M.weight_indices()
-        for j in range(M.cap):
-            H = M.h_matrix(j)
-            for w, idx in widx.items():
-                blk = H.block(idx, idx)
-                val = blk.entry(0, 0)
-                if not (blk - Matrix.scalar(ctx, len(idx), val)).is_zero():
-                    ok_ref = False
-        report["h_eigen_refinement"] = ok_ref
-
     return report

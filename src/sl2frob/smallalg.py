@@ -1,23 +1,25 @@
-"""The reduced enveloping algebra u_chi(sl2) in PBW form, and divided-power tools.
+"""The restricted enveloping algebra u_0(sl2) by its generator matrices, and divided-power tools.
 
 Conventions: generators e, h, f with [e,f] = h, [h,e] = 2e, [h,f] = -2f.
-PBW monomials are e^a h^b f^c with 0 <= a,b,c < p, encoded as (a, b, c).
-The central reduction for a semisimple p-character chi (supported on h) is
+PBW monomials are e^a h^b f^c with 0 <= a,b,c < p, the monomial (a, b, c)
+at index (a p + b) p + c.  At the zero character the central reduction is
 
-    e^p = 0,   f^p = 0,   h^p = h + chi(h)^p.
+    e^p = 0,   f^p = 0,   h^p = h.
 
-A "generic" character is parametrized by a weight seed d outside F_p; the
-character value chi(h) is recovered from d^p - d = chi(h)^p, which is
-solvable because x -> x^p is an automorphism of F_{p^2}.
+The algebra is held as the three matrices R_e, R_h, R_f of right
+multiplication by a generator; products of them give every other right
+multiplication, and applied to a generator they give its left
+multiplication on the regular module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .exactfield import FieldCtx, FieldElement, Matrix
+from .exactfield import FieldCtx, Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -77,268 +79,97 @@ class DividedPowerPlan:
 
 
 # ---------------------------------------------------------------------------
-# p-characters
+# u_0(sl2)
 # ---------------------------------------------------------------------------
-
-class PChar:
-    """A semisimple p-character of sl2, supported on h (chi(e) = chi(f) = 0)."""
-
-    def __init__(self, ctx: FieldCtx, chi_h: FieldElement, seed: FieldElement | None = None):
-        self.ctx = ctx
-        self.chi_h = chi_h
-        self.seed = seed
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "PChar":
-        return cls(ctx, ctx.zero())
-
-    @classmethod
-    def from_weight_seed(cls, ctx: FieldCtx, d: FieldElement) -> "PChar":
-        """chi with chi(h)^p = d^p - d; generic iff d is outside F_p."""
-        s = d.frobenius() - d
-        # invert frobenius: over F_{p^2} applying it once more recovers chi(h)
-        chi_h = s.frobenius() if ctx.k == 2 else s
-        return cls(ctx, chi_h, seed=d)
-
-    @property
-    def is_generic(self) -> bool:
-        return self.seed is not None and not self.seed.in_prime_field()
-
-    def scalar(self) -> FieldElement:
-        """The value of h^p - h on any module with this character: chi(h)^p."""
-        return self.chi_h.frobenius() if self.ctx.k == 2 else self.chi_h
-
-    def __repr__(self):
-        return f"PChar(chi_h={self.chi_h})"
-
-
-# ---------------------------------------------------------------------------
-# PBW arithmetic
-# ---------------------------------------------------------------------------
-
-class PBWElement:
-    """A linear combination of PBW monomials e^a h^b f^c, coefficients in F_q."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: "UChiAlgebra", terms: dict | None = None):
-        self.alg = alg
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
-
-    def _add_term(self, mon, coeff):
-        cur = self.terms.get(mon)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            self.terms.pop(mon, None)
-        else:
-            self.terms[mon] = new
-
-    def __add__(self, other):
-        out = PBWElement(self.alg, dict(self.terms))
-        for m, c in other.terms.items():
-            out._add_term(m, c)
-        return out
-
-    def __sub__(self, other):
-        out = PBWElement(self.alg, dict(self.terms))
-        for m, c in other.terms.items():
-            out._add_term(m, -c)
-        return out
-
-    def scale(self, c: FieldElement):
-        return PBWElement(self.alg, {m: v * c for m, v in self.terms.items()})
-
-    def __mul__(self, other: "PBWElement") -> "PBWElement":
-        alg = self.alg
-        out = PBWElement(alg)
-        for m2, c2 in other.terms.items():
-            part = alg._mul_by_monomial(self, m2)
-            for m, c in part.terms.items():
-                out._add_term(m, c * c2)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, PBWElement) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b, c) in sorted(self.terms):
-            coeff = self.terms[(a, b, c)]
-            mon = "".join(s for s, n in (("e", a), ("h", b), ("f", c)) for _ in range(n)) or "1"
-            bits.append(f"{coeff}*{mon}")
-        return " + ".join(bits)
-
 
 class UChiAlgebra:
-    """u_chi(sl2): the p^3-dimensional central reduction in a PBW basis."""
+    """u_0(sl2) as the matrices of y -> y e, y -> y h and y -> y f on the PBW basis.
 
-    def __init__(self, ctx: FieldCtx, chi: PChar):
+    R_{xy} = R_y R_x, so right multiplication by e^a h^b f^c is
+    R_f^c R_h^b R_e^a, and left multiplication by g sends the monomial
+    e^a h^b f^c to g e^a h^b f^c = R_f^c R_h^b R_e^a g.
+    """
+
+    def __init__(self, ctx: FieldCtx):
+        p = ctx.p
         self.ctx = ctx
-        self.p = ctx.p
-        self.chi = chi
-        self.hp_shift = chi.scalar()  # h^p = h + hp_shift
-        self.dim = ctx.p**3
-        self.monomials = [(a, b, c)
-                          for a in range(self.p)
-                          for b in range(self.p)
-                          for c in range(self.p)]
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.p = p
+        self.dim = p**3
+        idx = np.arange(self.dim)
+        a, b, c = idx // p**2, idx // p % p, idx % p
+        self.weights = 2 * (a - c)           # e has weight 2, f has -2, h has 0
+        hb = np.where(b + 1 < p, b + 1, 1)   # h^b h with h^p = h
+        up, down = a + 1 < p, c >= 1         # e^p = 0; f^c e needs c >= 1
+        # h_plus_2[b, i] is the coefficient of h^i in (h + 2)^b
+        h_plus_2 = np.array([[comb(n, i) * 2**(n - i) if i <= n else 0 for i in range(p)]
+                             for n in range(p)])
+        # a term (mask, a', b', c', coeff): for each monomial y = e^a h^b f^c
+        # where mask holds, y times the generator has coeff at e^a' h^b' f^c'
+        self.Rf = self._scatter([(c + 1 < p, a, b, c + 1, 1)])
+        # f^c h = (h + 2c) f^c
+        self.Rh = self._scatter([(True, a, b, c, 2 * c), (True, a, hb, c, 1)])
+        # f^c e = e f^c - c h f^(c-1) - c(c-1) f^(c-1) and h^b e = e (h + 2)^b
+        self.Re = self._scatter([(up, a + 1, i, c, h_plus_2[b, i]) for i in range(p)]
+                                + [(down, a, hb, c - 1, -c), (down, a, b, c - 1, -c * (c - 1))])
 
-    # weights: e has weight 2, f has -2, h has 0
-    def monomial_weight(self, mon) -> int:
-        a, _, c = mon
-        return 2 * (a - c)
+    def _scatter(self, terms) -> Matrix:
+        """The matrix whose column y holds the listed terms of y times a generator."""
+        p, n = self.p, self.dim
+        src = np.arange(n)
+        M = np.zeros((n, n), dtype=np.int64)
+        for mask, a, b, c, coeff in terms:
+            keep, tgt, val = np.broadcast_arrays(mask, (a * p + b) * p + c, coeff)
+            np.add.at(M, (tgt[keep], src[keep]), val[keep])
+        out = np.zeros((n, n, self.ctx.k), dtype=np.int64)
+        out[..., 0] = M % p
+        return Matrix(self.ctx, out)
 
-    def zero(self) -> PBWElement:
-        return PBWElement(self)
-
-    def element(self, terms: dict) -> PBWElement:
-        return PBWElement(self, terms)
-
-    def unit(self) -> PBWElement:
-        return PBWElement(self, {(0, 0, 0): self.ctx.one()})
-
-    def generator(self, name: str) -> PBWElement:
-        mon = {"e": (1, 0, 0), "h": (0, 1, 0), "f": (0, 0, 1)}[name]
-        return PBWElement(self, {mon: self.ctx.one()})
-
-    # -- straightening core: right-multiplication by a single generator ----
-
-    def _mul_gen_f(self, x: PBWElement) -> PBWElement:
-        out = PBWElement(self)
-        for (a, b, c), coeff in x.terms.items():
-            if c + 1 < self.p:
-                out._add_term((a, b, c + 1), coeff)
-            # f^p = 0 under a semisimple character
-        return out
-
-    def _mul_gen_h(self, x: PBWElement) -> PBWElement:
-        out = PBWElement(self)
-        for (a, b, c), coeff in x.terms.items():
-            # f^c h = h f^c + 2c f^c
-            out._add_term((a, b, c), coeff * (2 * c))
-            if b + 1 < self.p:
-                out._add_term((a, b + 1, c), coeff)
-            else:
-                # h^p = h + chi(h)^p
-                out._add_term((a, 1, c), coeff)
-                out._add_term((a, 0, c), coeff * self.hp_shift)
-        return out
-
-    def _mul_gen_e(self, x: PBWElement) -> PBWElement:
-        p = self.p
-        out = PBWElement(self)
-        for (a, b, c), coeff in x.terms.items():
-            # f^c e = e f^c - c h f^{c-1} - c(c-1) f^{c-1}
-            if a + 1 < p:
-                # e^a h^b e f^c = e^{a+1} (h+2)^b f^c
-                for i in range(b + 1):
-                    u = (binom_mod(b, i, p) * pow(2, b - i, p)) % p
-                    if u:
-                        out._add_term((a + 1, i, c), coeff * u)
-            if c >= 1:
-                if b + 1 < p:
-                    out._add_term((a, b + 1, c - 1), coeff * (-c))
-                else:
-                    out._add_term((a, 1, c - 1), coeff * (-c))
-                    out._add_term((a, 0, c - 1), (coeff * (-c)) * self.hp_shift)
-                out._add_term((a, b, c - 1), coeff * (-(c * (c - 1))))
-        return out
-
-    def _mul_by_monomial(self, x: PBWElement, mon) -> PBWElement:
-        a, b, c = mon
-        out = x
-        for _ in range(a):
-            out = self._mul_gen_e(out)
-        for _ in range(b):
-            out = self._mul_gen_h(out)
-        for _ in range(c):
-            out = self._mul_gen_f(out)
-        return out
-
-    def straighten(self, word: list[str]) -> PBWElement:
-        """Product of the listed generators, reduced to the PBW basis."""
-        out = self.unit()
-        for g in word:
-            if g == "e":
-                out = self._mul_gen_e(out)
-            elif g == "h":
-                out = self._mul_gen_h(out)
-            elif g == "f":
-                out = self._mul_gen_f(out)
-            else:
-                raise ValueError(f"unknown generator {g!r}")
-        return out
-
-    # -- matrices -----------------------------------------------------------
-
-    def left_mult_matrix(self, x: PBWElement) -> Matrix:
-        """Matrix of y -> x*y in the monomial basis."""
-        ctx = self.ctx
-        M = np.zeros((self.dim, self.dim, ctx.k), dtype=np.int64)
-        for j, mon in enumerate(self.monomials):
-            prod = x * self.element({mon: ctx.one()})
-            for m, c in prod.terms.items():
-                M[self.index[m], j] = c._arr()
-        return Matrix(ctx, M)
-
-    def right_mult_matrix(self, x: PBWElement) -> Matrix:
-        """Matrix of y -> y*x: a module endomorphism of the left regular module."""
-        ctx = self.ctx
-        M = np.zeros((self.dim, self.dim, ctx.k), dtype=np.int64)
-        for j, mon in enumerate(self.monomials):
-            prod = self.element({mon: ctx.one()}) * x
-            for m, c in prod.terms.items():
-                M[self.index[m], j] = c._arr()
-        return Matrix(ctx, M)
+    def left_mult(self, g: str) -> Matrix:
+        """Matrix of y -> g y for g = e or f: column e^a h^b f^c is R_f^c R_h^b R_e^a g."""
+        ctx, n = self.ctx, self.dim
+        cols = np.zeros((n, 1, ctx.k), dtype=np.int64)
+        cols[{"e": self.p**2, "f": 1}[g], 0, 0] = 1
+        for R in (self.Re, self.Rh, self.Rf):
+            powers = [Matrix(ctx, cols)]
+            for _ in range(self.p - 1):
+                powers.append(R @ powers[-1])
+            # column j of the block becomes columns j p, ..., j p + p - 1
+            cols = np.stack([m.arr for m in powers], axis=2).reshape(n, -1, ctx.k)
+        return Matrix(ctx, cols)
 
     def weight_zero_right_mult_basis(self) -> list[Matrix]:
         """Right multiplications by the p^2 weight-zero monomials e^a h^b f^a.
 
-        Cached; these span the degree-0 endomorphisms of the left regular
-        module, which is what the splitting machinery samples from.
-        R_{xy} = R_y R_x, so a monomial's matrix is a product of the three
-        generator matrices.
+        These span the degree-0 endomorphisms of the left regular module,
+        which is what the splitting machinery samples from.
         """
-        if not hasattr(self, "_rmult_w0"):
-            Re = self.right_mult_matrix(self.generator("e"))
-            Rh = self.right_mult_matrix(self.generator("h"))
-            Rf = self.right_mult_matrix(self.generator("f"))
-            out = []
-            for a in range(self.p):
-                Ra = Re.pow_int(a)
-                for b in range(self.p):
-                    out.append(Rf.pow_int(a) @ Rh.pow_int(b) @ Ra)
-            self._rmult_w0 = out
-        return self._rmult_w0
-
-    def random_weight_zero_right_mult(self, rng: np.random.Generator) -> Matrix:
-        basis = self.weight_zero_right_mult_basis()
-        out = Matrix.zeros(self.ctx, self.dim, self.dim)
-        for m in basis:
-            c = self.ctx.from_index(int(rng.integers(0, self.ctx.q)))
-            if not c.is_zero():
-                out = out + m.scale(c)
+        out = []
+        for a in range(self.p):
+            Ra = self.Re.pow_int(a)
+            for b in range(self.p):
+                out.append(self.Rf.pow_int(a) @ self.Rh.pow_int(b) @ Ra)
         return out
 
-def build_u_chi(ctx: FieldCtx, chi: PChar) -> UChiAlgebra:
-    return UChiAlgebra(ctx, chi)
+    def random_weight_zero_right_mult(self, rng: np.random.Generator,
+                                      stack: list[Matrix]) -> Matrix:
+        """sum_k c_k W_k over the stack W_k, each c_k drawn uniformly from F_q in order.
+
+        The stack is `weight_zero_right_mult_basis()` or its restriction to
+        a summand of the regular module.
+        """
+        ctx = self.ctx
+        out = np.zeros(stack[0].arr.shape, dtype=np.int64)
+        for W in stack:
+            c = int(rng.integers(0, ctx.q))
+            if c:
+                out += ctx.arr_mul(W.arr, ctx.arr_from_index(np.array(c)))
+        return Matrix(ctx, out)
 
 
 def regular_module(alg: UChiAlgebra):
-    """The left regular module of u_chi(sl2) as a ModuleRep (level cap 1)."""
+    """The left regular module of u_0(sl2) as a ModuleRep (level cap 1)."""
     from . import repcore
 
     ctx = alg.ctx
-    E = alg.left_mult_matrix(alg.generator("e"))
-    F = alg.left_mult_matrix(alg.generator("f"))
-    grading = np.array([alg.monomial_weight(m) for m in alg.monomials], dtype=np.int64)
-    M = repcore.ModuleRep(ctx, [E], [F], grading, [alg.chi.scalar()],
-                          provenance=f"regular(p={ctx.p})")
-    M.aux = alg
-    return M
+    return repcore.ModuleRep(ctx, [alg.left_mult("e")], [alg.left_mult("f")], alg.weights,
+                             [ctx.zero()], provenance=f"regular(p={ctx.p})")

@@ -8,26 +8,15 @@ the equivalence onto the Steinberg block given by M -> M^(1) (x) St.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .exactfield import FieldCtx, FieldElement
 from . import repcore, homology
 from .homology import hom_space, is_simple
 from .reporting import check, report
 
 
-def build_simple(ctx: FieldCtx, label, d: FieldElement | None = None,
+def build_simple(ctx: FieldCtx, label: tuple[int, ...], d: FieldElement | None = None,
                  cap: int | None = None) -> repcore.ModuleRep:
-    """L_{k_0} (x) L_{k_1}^(1) (x) ... with a simple Verma on top when generic.
-
-    label is a digit tuple or a WeightLabel (whose seed and shift are used).
-    """
-    shift = 0
-    if isinstance(label, repcore.WeightLabel):
-        label.validate(ctx)
-        d = label.seed if label.seed is not None else d
-        shift = label.shift
-        label = label.digits
+    """L_{k_0} (x) L_{k_1}^(1) (x) ... with a simple Verma on top when generic."""
     r = len(label)
     cap = cap if cap is not None else r
     for k in label:
@@ -41,14 +30,11 @@ def build_simple(ctx: FieldCtx, label, d: FieldElement | None = None,
             base = repcore.simple_restricted(ctx, k, cap=cap - j)
         factors.append(repcore.frobenius_twist(base, j))
     M = repcore.tensor_many(factors)
-    if shift:
-        M = M.shift_grading(shift)
     M.provenance = f"L{label}" + ("" if d is None else "@chi")
     return M
 
 
-def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None,
-                     pair_limit: int | None = None, seed: int = 0) -> dict:
+def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None) -> dict:
     """All p^r labeled products are simple and pairwise non-isomorphic."""
     p = ctx.p
     if d is not None:
@@ -62,10 +48,6 @@ def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None,
         dims[str(lab)] = mods[lab].dim
         checks.append(check(f"simple{lab}", verdict is True, verdict=str(verdict)))
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    if pair_limit is not None and len(pairs) > pair_limit:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=pair_limit, replace=False)
-        pairs = [pairs[i] for i in sorted(idx)]
     for a, b in pairs:
         hdim = hom_space(mods[a], mods[b]).dim
         checks.append(check(f"distinct{a}|{b}", hdim == 0, hom_dim=hdim))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sl2frob import homology, memo, repcore, vermatwist
+from sl2frob import cli, homology, memo, repcore, vermatwist
 from sl2frob.cli import main, run_command, parse_seed
 from sl2frob.exactfield import FieldCtx
 from sl2frob.reporting import check, merge_reports, report
@@ -64,6 +64,14 @@ def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch,
     monkeypatch.setattr(vermatwist, "twist_oracle", fail)
     assert main(["twist", "--p", "3"]) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_failing_checks_exit_1_whatever_their_count(monkeypatch, capsys):
+    # three failures must not read as exit 3, a non-generic seed
+    failing = report("stub", {}, [check(f"c{i}", False) for i in range(3)])
+    monkeypatch.setattr(cli, "run_command", lambda *args: failing)
+    assert main(["twist", "--p", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == 3
 
 
 def test_report_without_checks_fails():

@@ -200,7 +200,7 @@ def test_modulus_choices():
 
 
 def test_inverse_of_generator():
-    x = F9.gen()
+    x = F9.el(0, 1)
     assert x.inv() == F9.el(0, 2)     # x * 2x = 2x^2 = -2 = 1
     assert x * x.inv() == F9.one()
 

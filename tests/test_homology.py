@@ -3,19 +3,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2frob.exactfield import FieldCtx, Matrix, vec
 from sl2frob import memo, repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
-    split_indecomposables, identify_summands,
+    split_indecomposables, SummandDecomposition,
     regular_split_projectives, all_extended_projectives, blocks,
     EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive,
 )
 from sl2frob.repcore import (
     simple_restricted, baby_verma, tensor, dual, frobenius_twist, restrict_levels,
 )
+from sl2frob.smallalg import UChiAlgebra, regular_module
+from summand_labels import identify_summands
 
 
 F3 = FieldCtx(3)
@@ -150,7 +152,7 @@ def test_split_leaves_no_reference_cycles():
 
 def test_verma_hom_weight_dims():
     # dim Hom(Z_mu, Z_mu' (x) L_1) is 1 exactly when mu - mu' = +-1
-    d = F9.gen()
+    d = F9.el(0, 1)
     V = simple_restricted(F9, 1)
     for mu in (-1, 0, 1):
         for mu_p in (-1, 0, 1):
@@ -168,7 +170,7 @@ def test_spin():
     with pytest.raises(ValueError):
         spin(L2, Matrix.zeros(F3, 3, 1))
     # generic Verma: the bottom vector climbs back up
-    d = F9.gen()
+    d = F9.el(0, 1)
     Z = baby_verma(F9, d)
     v = Matrix.identity(F9, 3).take_cols([2])
     assert spin(Z, v).cols == 3
@@ -250,14 +252,11 @@ def test_projective_hom_counts_multiplicities(proj3):
 
 
 def test_regular_split_multiplicities():
-    from sl2frob.smallalg import PChar, build_u_chi, regular_module
-    alg = build_u_chi(F3, PChar.zero(F3))
+    alg = UChiAlgebra(F3)
     reg = regular_module(alg)
     simples = [(i, simple_restricted(F3, i)) for i in range(3)]
     P = regular_split_projectives(F3, seed=0)
-    dec = split_indecomposables(reg, seed=0,
-                                sampler=alg.random_weight_zero_right_mult,
-                                simples=simples)
+    dec = split_indecomposables(reg, seed=0, sampler=alg, simples=simples)
     labels = identify_summands(dec, [(i, P[i]) for i in P])
     assert sorted(Counter(labels).items()) == [(0, 1), (1, 2), (2, 3)]
 
@@ -277,23 +276,71 @@ def test_split_idempotent_consistency(ext3):
     V = simple_restricted(F3, 1, cap=2)
     M = tensor(ext3[0], V)
     dec = split_indecomposables(M, seed=0)
-    dec.finalize()  # idempotents orthogonal and complete (raises otherwise)
+    dec.finalize()  # independent summands that fill M (raises otherwise)
     assert sum(s.dim for s in dec.summands) == M.dim
+    # the summands' inclusions form an invertible matrix: its row blocks are
+    # the projections, idempotent and summing to the identity
+    C = Matrix.hstack(dec.inclusions)
+    Cinv = C.inverse()
+    lo = 0
+    total = Matrix.zeros(F3, M.dim, M.dim)
+    for incl in dec.inclusions:
+        idem = incl @ Matrix(F3, Cinv.arr[lo:lo + incl.cols])
+        assert idem @ idem == idem
+        total = total + idem
+        lo += incl.cols
+    assert total == Matrix.identity(F3, M.dim)
 
 
-def test_generic_regular_module_splits_into_vermas():
-    from sl2frob.smallalg import PChar, build_u_chi, regular_module
-    d = F9.gen()
-    chi = PChar.from_weight_seed(F9, d)
-    alg = build_u_chi(F9, chi)
-    reg = regular_module(alg)
-    vermas = generic_verma_projectives(F9, d)
-    dec = split_indecomposables(reg, seed=0,
-                                sampler=alg.random_weight_zero_right_mult)
-    labels = identify_summands(dec, list(vermas.items()))
-    counts = Counter(labels)
-    assert sorted(counts.values()) == [3, 3, 3]
-    assert None not in counts
+def test_finalize_rejects_overlapping_or_missing_summands():
+    k = repcore.trivial_module(F3)
+    M = repcore.ModuleRep(F3, [Matrix.zeros(F3, 2, 2)], [Matrix.zeros(F3, 2, 2)],
+                          [0, 0], provenance="k+k")
+    e0, e1 = Matrix.identity(F3, 2).take_cols([0]), Matrix.identity(F3, 2).take_cols([1])
+    overlap = SummandDecomposition(M)
+    for incl in (e0, e0.scale(F3.el(2)), e1):
+        overlap.add(incl, k)
+    with pytest.raises(ValueError, match=r"summands of 'k\+k' overlap"):
+        overlap.finalize()
+    short = SummandDecomposition(M)
+    short.add(e0 + e1, k)
+    with pytest.raises(ValueError, match=r"summands of 'k\+k' fill dimension 1 of 2"):
+        short.finalize()
+
+
+@st.composite
+def _stack_and_split(draw):
+    """Pieces of F_q^n (the column blocks of an invertible C) and a stack of n x n matrices."""
+    ctx = draw(st.sampled_from([F3, F9, F25]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    n = sum(sizes)
+
+    def matrix(rows, cols):
+        idx = draw(st.lists(st.integers(0, ctx.q - 1), min_size=rows * cols,
+                            max_size=rows * cols))
+        return Matrix(ctx, ctx.arr_from_index(np.array(idx, dtype=np.int64))
+                      .reshape(rows, cols, ctx.k))
+
+    C = matrix(n, n)
+    assume(C.rank() == n)
+    ends = np.cumsum([0] + sizes)
+    pieces = [C.take_cols(range(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+    stack = [matrix(n, n) for _ in range(draw(st.integers(1, 3)))]
+    return pieces, stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stack_and_split())
+def test_restricted_stack_is_the_diagonal_block_of_the_conjugate(case):
+    pieces, stack = case
+    restricted = homology._restrict_stack(stack, pieces)
+    C = Matrix.hstack(pieces)
+    Cinv = C.inverse()
+    ends = np.cumsum([0] + [b.cols for b in pieces])
+    for k, W in enumerate(stack):
+        conj = (Cinv @ W @ C).arr
+        for piece_stack, lo, hi in zip(restricted, ends, ends[1:]):
+            assert piece_stack[k] == Matrix(W.ctx, conj[lo:hi, lo:hi])
 
 
 def _pairwise_hom_certificate(ctx, d) -> bool:
@@ -435,7 +482,7 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
 def test_memoised_projective_mappings_are_read_only(proj3):
     with pytest.raises(TypeError):
         proj3[0] = proj3[1]
-    vermas = generic_verma_projectives(F9, F9.gen())
+    vermas = generic_verma_projectives(F9, F9.el(0, 1))
     with pytest.raises(TypeError):
         vermas[0] = vermas[1]
 

@@ -4,25 +4,15 @@ import pytest
 from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore
 from sl2frob.smallalg import (
-    PChar, UChiAlgebra, build_u_chi, regular_module,
-    DividedPowerPlan, digits, binom_mod,
+    UChiAlgebra, regular_module, DividedPowerPlan, digits, binom_mod,
 )
 
 
 F3 = FieldCtx(3)
 F5 = FieldCtx(5)
-F9 = FieldCtx(3, 2)
 
-ALG3 = build_u_chi(F3, PChar.zero(F3))
-ALG5 = build_u_chi(F5, PChar.zero(F5))
-
-
-def rand_element(alg, rng, terms=4):
-    out = {}
-    for _ in range(terms):
-        m = alg.monomials[int(rng.integers(0, alg.dim))]
-        out[m] = alg.ctx.from_index(int(rng.integers(0, alg.ctx.q)))
-    return alg.element(out)
+ALG3 = UChiAlgebra(F3)
+ALG5 = UChiAlgebra(F5)
 
 
 def test_dimension():
@@ -31,75 +21,95 @@ def test_dimension():
 
 
 def test_defining_relation_fe():
-    fe = ALG3.straighten(["f", "e"])
-    assert fe == ALG3.element({(1, 0, 1): F3.one(), (0, 1, 0): -F3.one()})
+    # fe = ef - h: R_{fe} = R_e R_f sends 1 to fe
+    I = Matrix.identity(F3, ALG3.dim)
+    one = I.take_cols([0])
+    # e f is the monomial (1, 0, 1) at index 10, h is (0, 1, 0) at index 3
+    assert ALG3.Re @ ALG3.Rf @ one == I.take_cols([10]) - I.take_cols([3])
 
 
 def test_truncation():
-    assert ALG3.straighten(["e"] * 3).is_zero()
-    assert ALG3.straighten(["f"] * 3).is_zero()
+    I = Matrix.identity(F3, ALG3.dim)
+    one = I.take_cols([0])
+    assert (ALG3.Re.pow_int(3) @ one).is_zero()
+    assert (ALG3.Rf.pow_int(3) @ one).is_zero()
     # h^p = h at chi = 0
-    hp = ALG3.straighten(["h"] * 3)
-    assert hp == ALG3.element({(0, 1, 0): F3.one()})
+    assert ALG3.Rh.pow_int(3) @ one == I.take_cols([3])
 
 
-def test_straighten_against_regular_representation():
-    # h e^2 = e^2 h + 4 e^2 at p = 5, checked against left-multiplication matrices
-    he2 = ALG5.straighten(["h", "e", "e"])
-    assert he2 == ALG5.element({(2, 1, 0): F5.one(), (2, 0, 0): F5.el(4)})
-    Lh = ALG5.left_mult_matrix(ALG5.generator("h"))
-    Le = ALG5.left_mult_matrix(ALG5.generator("e"))
-    assert ALG5.left_mult_matrix(he2) == Lh @ Le @ Le
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_generator_matrices_define_u0(p):
+    ctx = FieldCtx(p)
+    alg = UChiAlgebra(ctx)
+    Re, Rh, Rf = alg.Re, alg.Rh, alg.Rf
+    # a right action reverses products (R_{xy} = R_y R_x), so [x, y] = z
+    # reads R_y R_x - R_x R_y = R_z
+    assert Rf @ Re - Re @ Rf == Rh
+    assert Re @ Rh - Rh @ Re == Re.scale(ctx.el(2))
+    assert Rf @ Rh - Rh @ Rf == Rf.scale(ctx.el(-2))
+    assert Re.pow_int(p).is_zero() and Rf.pow_int(p).is_zero()
+    assert Rh.pow_int(p) == Rh
+    # left multiplications commute with right multiplications
+    reg = regular_module(alg)
+    for L in (reg.E[0], reg.F[0]):
+        for R in (Re, Rh, Rf):
+            assert L @ R == R @ L
+    # R_f^c R_h^b R_e^a maps 1 to e^a h^b f^c, the monomial at index (a p + b) p + c
+    images = [Matrix.identity(ctx, alg.dim).take_cols([0])]
+    for R in (Re, Rh, Rf):
+        powers = [R.pow_int(t) for t in range(p)]
+        images = [Rt @ x for x in images for Rt in powers]
+    assert Matrix.hstack(images) == Matrix.identity(ctx, alg.dim)
 
 
-def test_straighten_is_multiplicative():
-    rng = np.random.default_rng(2)
-    gens = ["e", "h", "f"]
-    for _ in range(30):
-        w1 = [gens[i] for i in rng.integers(0, 3, size=rng.integers(0, 6))]
-        w2 = [gens[i] for i in rng.integers(0, 3, size=rng.integers(0, 6))]
-        assert ALG3.straighten(w1 + w2) == ALG3.straighten(w1) * ALG3.straighten(w2)
-
-
-@pytest.mark.parametrize("alg,seed", [(ALG3, 0), (ALG5, 1)])
-def test_associativity_random_triples(alg, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        x, y, z = (rand_element(alg, rng) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
+@pytest.mark.parametrize("ctx", [F3, FieldCtx(3, 2)], ids=["F3", "F9"])
+def test_weight_zero_draw_is_the_scaled_sum(ctx):
+    # one uniform F_q coefficient per stack element, drawn in stack order
+    alg = UChiAlgebra(ctx)
+    stack = alg.weight_zero_right_mult_basis()
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(3):
+        want = Matrix.zeros(ctx, alg.dim, alg.dim)
+        for W in stack:
+            want = want + W.scale(ctx.from_index(int(ref_rng.integers(0, ctx.q))))
+        assert alg.random_weight_zero_right_mult(rng, stack) == want
 
 
 def test_radical_nilpotent_by_power_iteration():
     # The ideal generated by e, f alone is the whole augmentation ideal
     # (it contains h = ef - fe with h^p = h), so it is NOT nilpotent; the
     # nilpotent ideal of u_0 is its radical, computed through the regular
-    # module and then power-iterated to zero.
+    # module.  Its powers J^(k+1) = J J^k are spans of left multiplications
+    # and reach zero.
     from sl2frob import homology
 
     alg = ALG3
-    ctx = alg.ctx
     reg = regular_module(alg)
     simples = [(i, repcore.simple_restricted(F3, i)) for i in range(3)]
     rad_basis, _ = homology.radical_and_head(reg, simples)
     # dim rad = p^3 - sum (dim L_i)^2 = 27 - 14
     assert rad_basis.cols == 13
 
-    def col_to_elem(col):
-        terms = {}
-        for i, m in enumerate(alg.monomials):
-            c = F3.el(int(col.arr[i, 0, 0]))
-            if not c.is_zero():
-                terms[m] = c
-        return alg.element(terms)
+    Le, Lf = reg.E[0], reg.F[0]
+    Lh = Le.commutator(Lf)
+    # left multiplication by e^a h^b f^c is Le^a Lh^b Lf^c
+    L_mono = [Le.pow_int(a) @ Lh.pow_int(b) @ Lf.pow_int(c)
+              for a in range(3) for b in range(3) for c in range(3)]
 
-    layer = [col_to_elem(Matrix(ctx, rad_basis.arr[:, t:t + 1]))
-             for t in range(rad_basis.cols)]
+    def left_mult(x):
+        out = Matrix.zeros(F3, alg.dim, alg.dim)
+        for i, L in enumerate(L_mono):
+            out = out + L.scale(x.entry(i, 0))
+        return out
+
+    rad_mults = [left_mult(rad_basis.take_cols([t])) for t in range(rad_basis.cols)]
+    layer = rad_basis
     for _ in range(6):
-        if not layer:
+        if layer.cols == 0:
             break
-        prods = [x * y for x in layer for y in layer]
-        layer = [z for z in prods if not z.is_zero()]
-    assert layer == []
+        R, piv = Matrix.hstack([L @ layer for L in rad_mults]).transpose().rref()
+        layer = Matrix(F3, R.arr[:len(piv)]).transpose()
+    assert layer.cols == 0
 
 
 def test_regular_module_shape():
@@ -161,16 +171,3 @@ def test_coproduct_coassociativity_via_tensor():
     B = repcore.tensor(mods[0], repcore.tensor(mods[1], mods[2]))
     for j in range(2):
         assert A.E[j] == B.E[j] and A.F[j] == B.F[j]
-
-
-def test_generic_pchar():
-    d = F9.gen()
-    chi = PChar.from_weight_seed(F9, d)
-    assert chi.is_generic
-    assert chi.chi_h.frobenius() == d.frobenius() - d
-    alg = build_u_chi(F9, chi)
-    # h^p = h + chi(h)^p
-    hp = alg.straighten(["h"] * 3)
-    assert hp == alg.element({(0, 1, 0): F9.one(), (0, 0, 0): chi.scalar()})
-    reg = regular_module(alg)
-    assert all(repcore.validate(reg).values())

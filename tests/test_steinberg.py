@@ -4,11 +4,13 @@ import pytest
 
 from sl2frob.exactfield import FieldCtx
 from sl2frob import repcore, homology, steinberg as SB
+from sl2frob.smallalg import UChiAlgebra, regular_module
+from summand_labels import identify_summands
 
 
 F3 = FieldCtx(3)
 F9 = FieldCtx(3, 2)
-D = F9.gen()
+D = F9.el(0, 1)
 
 
 def failures(rep):
@@ -102,7 +104,7 @@ def test_factor_recovery_by_restriction():
         R = repcore.restrict_levels(M, 1)
         dec = homology.split_indecomposables(R, seed=0)
         refs = [(i, repcore.simple_restricted(F3, i)) for i in range(3)]
-        labels = homology.identify_summands(dec, refs)
+        labels = identify_summands(dec, refs)
         assert Counter(labels) == {lab[0]: lab[1] + 1}
 
 
@@ -110,23 +112,10 @@ def test_completeness_accounting_simples():
     # sum over certified simples of (dim L)^2 + dim rad = p^{3r} at r = 1
     simples = [repcore.simple_restricted(F3, i) for i in range(3)]
     total = sum(m.dim**2 for m in simples)
-    from sl2frob.smallalg import PChar, build_u_chi, regular_module
-    alg = build_u_chi(F3, PChar.zero(F3))
-    reg = regular_module(alg)
+    reg = regular_module(UChiAlgebra(F3))
     rad, _ = homology.radical_and_head(
         reg, [(i, repcore.simple_restricted(F3, i)) for i in range(3)])
     assert total + rad.cols == 27
-
-
-def test_weight_label_input():
-    lab = repcore.WeightLabel((1, 2), shift=3)
-    M = SB.build_simple(F3, lab)
-    assert M.dim == 6 and max(M.grading) == 1 + 3 * 2 + 3
-    gen = repcore.WeightLabel((1, 0), seed=D)
-    G = SB.build_simple(F9, gen)
-    assert G.dim == 6 and homology.is_simple(G) is True
-    with pytest.raises(ValueError):
-        SB.build_simple(F9, repcore.WeightLabel((1,), seed=F9.one()))
 
 
 def test_projective_covers_r1_routes():

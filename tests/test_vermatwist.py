@@ -6,7 +6,7 @@ from sl2frob import repcore, homology, vermatwist as VT
 
 F9 = FieldCtx(3, 2)
 F25 = FieldCtx(5, 2)
-D = F9.gen()
+D = F9.el(0, 1)
 
 
 def generic_seeds(ctx, count):
@@ -145,6 +145,5 @@ def test_equivalence_full():
 
 
 def test_equivalence_other_seed():
-    rep = VT.verify_equivalence(F9, D + F9.one(), radius=1, seed=1,
-                                widen_check=False)
+    rep = VT.verify_equivalence(F9, D + F9.one(), radius=1, seed=1)
     assert rep["failures"] == 0
