@@ -159,13 +159,6 @@ def baby_verma(ctx: FieldCtx, d: FieldElement, shift: int = 0, cap: int = 1) -> 
     return ModuleRep(ctx, E, F, grading, pch, provenance=f"Z({d})")
 
 
-def trivial_module(ctx: FieldCtx) -> ModuleRep:
-    """The one-dimensional trivial module in degree 0 (level cap 1)."""
-    z = Matrix.zeros(ctx, 1, 1)
-    return ModuleRep(ctx, [z], [z], np.array([0], dtype=np.int64), [ctx.zero()],
-                     provenance="k<0>")
-
-
 # ---------------------------------------------------------------------------
 # functors
 # ---------------------------------------------------------------------------

@@ -82,13 +82,15 @@ def hat_borel_irreducibles(ctx: FieldCtx, r: int, d: FieldElement) -> dict:
     The module is the lower simple tensored with the one-dimensional
     character module: the top raising level acts by zero and the top Cartan
     by the scalar d + c, so the operator set is {E_j, F_j (j <= r-2),
-    E_{r-1} = 0, H_{r-1} = (d+c) id}.
+    E_{r-1} = 0, H_{r-1} = (d+c) id}.  Needs r >= 2, so that a lower kernel exists.
     """
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
     homology.generic_verma_projectives(ctx, d)
     p = ctx.p
     checks = []
     for lab in repcore.all_labels(p, r - 1):
-        N = build_simple(ctx, lab, cap=r - 1) if r > 1 else repcore.trivial_module(ctx)
+        N = build_simple(ctx, lab, cap=r - 1)
         # E_{r-1} = 0 and H_{r-1} = (d+c) id leave every subspace invariant,
         # so irreducibility over the full set is irreducibility over the lower kernel
         verdict = is_simple(N)

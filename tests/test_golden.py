@@ -3,6 +3,8 @@
 Covers every p = 5 generic-character report, a few Hom-heavy p = 3 reports
 (relations, hom-iso, equivalence, projectives, and `center --r 2`, which
 repeats the most Hom solves within one call) that exercise the Hom solver,
+`equivalence` at two more weight and RNG seeds, which digest-lock the
+twisted product table at other structure constants,
 and `projectives --p 5 --r 1` at every RNG seed, whose regular-module split
 runs the largest prime-field eliminations and feeds the dimension accounting.
 """
@@ -21,7 +23,8 @@ KEYS = sorted(k for k in GOLDEN
               if k.split()[0] in ("twist", "steinberg", "hat-borel") and k.split()[1] == "5")
 HOM_KEYS = ([f"relations 3 2 2 auto 2 {s}" for s in (0, 1, 2)]
             + [f"hom-iso 3 2 1 0,1 2 {s}" for s in (0, 1, 2)]
-            + ["equivalence 3 2 1 0,1 3 0", "projectives 3 2 2 auto 2 0",
+            + ["equivalence 3 2 1 0,1 3 0", "equivalence 3 2 1 1,2 3 1",
+               "equivalence 3 2 1 2,2 3 2", "projectives 3 2 2 auto 2 0",
                "center 3 2 2 auto 2 0"]
             + [f"projectives 5 2 1 auto 2 {s}" for s in (0, 1, 2)])
 

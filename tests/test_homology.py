@@ -293,7 +293,7 @@ def test_split_idempotent_consistency(ext3):
 
 
 def test_finalize_rejects_overlapping_or_missing_summands():
-    k = repcore.trivial_module(F3)
+    k = repcore.simple_restricted(F3, 0)
     M = repcore.ModuleRep(F3, [Matrix.zeros(F3, 2, 2)], [Matrix.zeros(F3, 2, 2)],
                           [0, 0], provenance="k+k")
     e0, e1 = Matrix.identity(F3, 2).take_cols([0]), Matrix.identity(F3, 2).take_cols([1])

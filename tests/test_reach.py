@@ -2,7 +2,10 @@
 
 A definition counts as reached when its name is used (as a name or an
 attribute) anywhere in `src/sl2frob`.  Code that only tests reach is either
-a command's business or dead weight, so it fails here.
+a command's business or dead weight, so it fails here.  Likewise every
+parameter of a `def` is read in its body: a parameter that every caller
+passes and nothing reads only misleads.  Lambdas are exempt, since the memo
+passes every argument to its `key` and `matches` callbacks.
 """
 
 import ast
@@ -41,5 +44,25 @@ def unreached() -> list[str]:
                   if name not in used and name not in ALLOWED)
 
 
+def unread_parameters() -> list[str]:
+    """module.function.parameter for each parameter a `def` never reads in its body."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(x for x in (a.vararg, a.kwarg) if x is not None)]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            out += [f"{path.stem}.{node.name}.{x.arg}" for x in params if x.arg not in read]
+    return sorted(out)
+
+
 def test_every_definition_is_reached_from_the_package():
     assert unreached() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -5,7 +5,7 @@ from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore, homology
 from sl2frob.repcore import (
     simple_restricted, baby_verma, frobenius_twist, tensor, dual,
-    restrict_levels, extend_levels, validate, trivial_module,
+    restrict_levels, extend_levels, validate,
 )
 from summand_labels import identify_summands
 
@@ -185,10 +185,3 @@ def test_h_refinement_on_twist_structured_modules():
     assert _h_refines_weights(M)
     SS = tensor(simple_restricted(F3, 2, cap=2), simple_restricted(F3, 2, cap=2))
     assert validate(SS)["h_pth_power"] and not _h_refines_weights(SS)
-
-
-def test_trivial_module_shift():
-    # the trivial module sits in degree 0: its shifts come from shift_grading
-    T = trivial_module(F3)
-    assert T.dim == 1 and T.cap == 1 and list(T.grading) == [0]
-    assert list(T.shift_grading(5).grading) == [5]

@@ -61,6 +61,8 @@ def test_hat_borel():
     assert rep["failures"] == 0
     one_dim = [c for c in rep["checks"] if c["name"].startswith("hat_irreducible(0,)")]
     assert len(one_dim) == 3  # the lambda = 0 lower simple is one-dimensional
+    with pytest.raises(ValueError, match="need r >= 2"):
+        SB.hat_borel_irreducibles(F9, 1, D)
 
 
 def test_zero_char_twisted_verma_head():

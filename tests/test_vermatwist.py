@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from sl2frob.exactfield import FieldCtx, Matrix
+from sl2frob.exactfield import FieldCtx, Matrix, vec
 from sl2frob import repcore, homology, vermatwist as VT
 
 
@@ -78,7 +79,7 @@ def test_hom_transfer_identity_normalization():
     # V = L_0, mu' = mu: the transfer of 1 is the identity map
     V = repcore.simple_restricted(F9, 0)
     v = Matrix.identity(F9, 1)
-    phi = VT.verma_map(F9, D, V, 0, 0, v)
+    phi = VT.verma_map(F9, D, V, 0, v)
     assert phi == Matrix.identity(F9, 3)
 
 
@@ -147,3 +148,102 @@ def test_equivalence_full():
 def test_equivalence_other_seed():
     rep = VT.verify_equivalence(F9, D + F9.one(), radius=1, seed=1)
     assert rep["failures"] == 0
+
+
+@pytest.mark.parametrize("d, radius", [(D, 1), (D + F9.one(), 2)])
+def test_table_associativity_matches_direct_composition(d, radius):
+    # the bilinear expansion over the product table against four direct
+    # twisted compositions per basis triple
+    W = VT.WindowedEnd(F9, d, radius, seed=0)
+    objs = W.objects()
+    direct = {}
+    for (mu, la) in objs:
+        for (mu2, lb) in objs:
+            for xi, x in enumerate(W.mor_basis((mu, la), (mu2, lb))):
+                for (mu3, lc) in objs:
+                    for gi, g in enumerate(W.mor_basis((mu2, lb), (mu3, lc))):
+                        for (mu4, ld) in objs:
+                            for hi, h in enumerate(W.mor_basis((mu3, lc), (mu4, ld))):
+                                gx = W.compose_twisted(g, x, la, lb, lc, mu2)
+                                hg = W.compose_twisted(h, g, lb, lc, ld, mu3)
+                                direct[(mu, la, mu2, lb, mu3, lc, mu4, ld, xi, gi, hi)] = (
+                                    W.compose_twisted(h, gx, la, lc, ld, mu3),
+                                    W.compose_twisted(hg, x, la, lb, ld, mu2))
+    table = {t: (left, right)
+             for t, left, right in VT._associativity_sides(W, VT._basis_products(W))}
+    assert direct and table.keys() == direct.keys()
+    for t, (left, right) in table.items():
+        assert left == direct[t][0] and right == direct[t][1], t
+
+
+def _alter_one_product(monkeypatch, x_at, g_at, mu_mid, new):
+    """Make compose_twisted return new(W, product) for one pair of basis morphisms.
+
+    x_at and g_at are (lam, lam', degree, index) into W.hom; mu_mid is the
+    grading of the middle object.
+    """
+    original = VT.WindowedEnd.compose_twisted
+    la, lb, _, _ = x_at
+    lc = g_at[1]
+
+    def altered(self, g, x, *args):
+        out = original(self, g, x, *args)
+        pick = lambda at: self.hom[at[:2]][at[2]][at[3]]
+        if args == (la, lb, lc, mu_mid) and x == pick(x_at) and g == pick(g_at):
+            return new(self, out)
+        return out
+
+    monkeypatch.setattr(VT.WindowedEnd, "compose_twisted", altered)
+
+
+def _failed(rep):
+    return {c["name"] for c in rep["checks"] if c["status"] == "fail"}
+
+
+def test_altered_basis_product_fails_equivalence(monkeypatch):
+    # up o id through mu = 0 is up; doubling it keeps it in the span but
+    # breaks the rescaled structure constant and the transfer
+    _alter_one_product(monkeypatch, (0, 0, 0, 0), (0, 1, -3, 0), 0,
+                       lambda W, out: out.scale(F9.el(2)))
+    failed = _failed(VT.verify_equivalence(F9, D, radius=1, seed=0))
+    assert {"rescaled_structure_constants", "transfer_intertwines_twisted_product",
+            "twisted_associativity"} <= failed
+
+
+def _outside_span(W, out):
+    # plus an elementary matrix outside the one-dimensional Hom(P_0, P_1) piece
+    arr = np.zeros(out.arr.shape, dtype=np.int64)
+    arr[0, 0, 0] = 1
+    bad = out + Matrix(F9, arr)
+    assert W.pieces[(0, 1, -3)].coordinates(vec(bad)) is None
+    return bad
+
+
+def _nonzero(W, out):
+    assert out.is_zero()
+    return Matrix.identity(F9, out.rows)
+
+
+@pytest.mark.parametrize("key, x_at, g_at, mu_mid, new", [
+    # id o up from mu = 0 to mu = 1, moved out of its span
+    ((0, 0, 1, 1, 1, 1, 0, 0), (0, 1, -3, 0), (1, 1, 0, 0), 1, _outside_span),
+    # up o up from mu = -1 to mu = 1 must vanish; make it the identity
+    ((-1, 0, 0, 1, 1, 0, 0, 0), (0, 1, -3, 0), (1, 0, -3, 0), 0, _nonzero),
+], ids=["outside_span", "two_steps_apart"])
+def test_product_off_its_span_fails_every_triple_through_it(monkeypatch, key, x_at, g_at,
+                                                            mu_mid, new):
+    _alter_one_product(monkeypatch, x_at, g_at, mu_mid, new)
+    W = VT.WindowedEnd(F9, D, 1, seed=0)
+    prods = VT._basis_products(W)
+    assert [k for k, (_, X) in prods.items() if X is None] == [key]
+    through_gx = through_hg = 0
+    for t, left, right in VT._associativity_sides(W, prods):
+        if t[:6] + t[8:10] == key:
+            through_gx += 1
+            assert left is None
+        if t[2:8] + t[9:11] == key:
+            through_hg += 1
+            assert right is None
+    assert through_gx and through_hg
+    failed = _failed(VT.verify_equivalence(F9, D, radius=1, seed=0))
+    assert {"rescaled_structure_constants", "twisted_associativity"} <= failed
