@@ -6,7 +6,9 @@ so they can be used as golden files.  Exit code 0 means every check passed
 and 1 that at least one failed (the report counts them); the exception type
 picks the rest: 2 a usage error, 3 a non-generic weight seed
 (`homology.NonGenericSeed`), 4 an undecided certificate
-(`homology.Inconclusive`; stderr says `error: inconclusive: ...`).
+(`homology.Inconclusive`; stderr says `error: inconclusive: ...`), 5 a
+failed self-check of the solver (`homology.InvariantError`; stderr says
+`error: internal invariant: ...`).
 """
 
 from __future__ import annotations
@@ -260,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except homology.Inconclusive as e:
         print(f"error: inconclusive: {e}", file=sys.stderr)
         return 4
+    except homology.InvariantError as e:
+        print(f"error: internal invariant: {e}", file=sys.stderr)
+        return 5
 
     text = json.dumps(rep, indent=1, sort_keys=True) + "\n" \
         if args.format == "json" else to_csv(rep)

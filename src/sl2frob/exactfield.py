@@ -534,6 +534,8 @@ class Basis:
         re-echelonises R: the rest, scaled to 1 at its first nonzero entry c,
         clears column c from R and joins it in pivot order.
         """
+        if not v.arr.any():
+            return False
         ctx = v.ctx
         rest = (v.arr[:, 0] - ctx.arr_matmul(v.arr[self.pivots, 0][None], self.R.arr)[0]) % ctx.p
         nonzero = np.flatnonzero(rest.any(axis=-1))

@@ -289,19 +289,23 @@ def submodule(M: ModuleRep, basis: Matrix, provenance: str = "sub") -> ModuleRep
 # validation and canonical checks
 # ---------------------------------------------------------------------------
 
+def ungraded_level(M: ModuleRep) -> int | None:
+    """The first level j whose E_j or F_j does not shift the grading by +-2p^j, or None."""
+    for j in range(M.cap):
+        shift = 2 * M.ctx.p**j
+        for mat, sgn in ((M.E[j], +1), (M.F[j], -1)):
+            rows, cols = np.nonzero(mat.arr.any(axis=-1))
+            if (M.grading[rows] != M.grading[cols] + sgn * shift).any():
+                return j
+    return None
+
+
 def validate(M: ModuleRep) -> dict:
     """Itemized invariant report; never raises on failures."""
     ctx = M.ctx
     p = ctx.p
     report: dict[str, bool] = {}
-    ok_grade = True
-    for j in range(M.cap):
-        shift = 2 * p**j
-        for mat, sgn in ((M.E[j], +1), (M.F[j], -1)):
-            rows, cols = np.nonzero(mat.arr.any(axis=-1))
-            if rows.size and not np.all(M.grading[rows] == M.grading[cols] + sgn * shift):
-                ok_grade = False
-    report["grading_shifts"] = ok_grade
+    report["grading_shifts"] = ungraded_level(M) is None
 
     report["nilpotent_ef"] = all(
         M.E[j].pow_int(p).is_zero() and M.F[j].pow_int(p).is_zero()

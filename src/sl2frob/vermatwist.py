@@ -386,10 +386,12 @@ def _sigma_multiplier(resc: dict, mu: int, mu2: int, basis_index: int) -> FieldE
     return resc["minus"][mu + 1] * resc["plus"][mu] * resc["one_minus_a1"][mu + 1]
 
 
-def _build_bside(ctx: FieldCtx, d: FieldElement, W: WindowedEnd, mu: int, lam: int):
-    Z = repcore.frobenius_twist(repcore.baby_verma(ctx, d + ctx.el(mu % ctx.p)), 1)
-    Z = Z.shift_grading(ctx.p * mu)
-    return repcore.tensor(Z, W.ext[lam])
+def _build_bside(ctx: FieldCtx, d: FieldElement, W: WindowedEnd) -> dict:
+    """Z_mu^(1) (x) P_lam for every object (mu, lam), each twisted Verma built once."""
+    twisted = {mu: repcore.frobenius_twist(repcore.baby_verma(ctx, d + ctx.el(mu % ctx.p)),
+                                           1).shift_grading(ctx.p * mu)
+               for mu in range(-W.radius, W.radius + 1)}
+    return {(mu, lam): repcore.tensor(twisted[mu], W.ext[lam]) for mu, lam in W.objects()}
 
 
 def _combine(X: Matrix, col: int, mats: list[Matrix], shape: tuple[int, int]) -> Matrix:
@@ -470,7 +472,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
     resc = solve_rescaling(ctx, d, radius)
     p = ctx.p
     objs = W.objects()
-    bside = {(mu, lam): _build_bside(ctx, d, W, mu, lam) for (mu, lam) in objs}
+    bside = _build_bside(ctx, d, W)
 
     # (a) + (c): dimensions and the transfer Z_mu^(1) (x) P_a -> Z_mu'^(1) (x) P_b
     # (e, f acting on x by the level-1 adjoint action), per object pair with |shift| <= 2

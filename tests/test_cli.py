@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sl2frob import cli, homology, memo, repcore, vermatwist
@@ -56,7 +57,9 @@ def test_non_generic_seed_exit_code(capsys):
     (homology.NonGenericSeed("Z(d) is not simple"), 3, "error: Z(d) is not simple"),
     (ValueError("no generic seed wanted here"), 2, "error: no generic seed wanted here"),
     (homology.Inconclusive("no verdict"), 4, "error: inconclusive: no verdict"),
-], ids=["non-generic", "usage", "inconclusive"])
+    (homology.InvariantError("a solved map does not intertwine"), 5,
+     "error: internal invariant: a solved map does not intertwine"),
+], ids=["non-generic", "usage", "inconclusive", "invariant"])
 def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch, capsys):
     def fail(ctx, d):
         raise error
@@ -64,6 +67,21 @@ def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch,
     monkeypatch.setattr(vermatwist, "twist_oracle", fail)
     assert main(["twist", "--p", "3"]) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_solver_self_check_exits_5(monkeypatch, capsys):
+    # with every relation coordinate read as zero the presented Hom solver
+    # finds maps that do not intertwine; its self-check stops the command
+    present = homology._presentation
+
+    def forgetful(M):
+        P = present(M)
+        return P._replace(rel_coef=np.zeros_like(P.rel_coef))
+
+    monkeypatch.setattr(homology, "_presentation", forgetful)
+    assert main(["center", "--p", "3", "--r", "1"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal invariant: Hom(") and err.count("\n") == 1
 
 
 def test_failing_checks_exit_1_whatever_their_count(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """Reports match the benchmark's golden digests.
 
 Covers every p = 5 generic-character report, a few Hom-heavy p = 3 reports
-(relations, hom-iso, equivalence, projectives, and `center --r 2`, which
-repeats the most Hom solves within one call) that exercise the Hom solver,
+that exercise the Hom solver (relations, hom-iso, equivalence, and
+`projectives --r 2` and `center --r 2` at every RNG seed; `center --r 2`
+repeats the most Hom solves within one call),
 `equivalence` at two more weight and RNG seeds, which digest-lock the
 twisted product table at other structure constants,
 and `projectives --p 5 --r 1` at every RNG seed, whose regular-module split
@@ -24,8 +25,8 @@ KEYS = sorted(k for k in GOLDEN
 HOM_KEYS = ([f"relations 3 2 2 auto 2 {s}" for s in (0, 1, 2)]
             + [f"hom-iso 3 2 1 0,1 2 {s}" for s in (0, 1, 2)]
             + ["equivalence 3 2 1 0,1 3 0", "equivalence 3 2 1 1,2 3 1",
-               "equivalence 3 2 1 2,2 3 2", "projectives 3 2 2 auto 2 0",
-               "center 3 2 2 auto 2 0"]
+               "equivalence 3 2 1 2,2 3 2"]
+            + [f"{cmd} 3 2 2 auto 2 {s}" for cmd in ("projectives", "center") for s in (0, 1, 2)]
             + [f"projectives 5 2 1 auto 2 {s}" for s in (0, 1, 2)])
 
 

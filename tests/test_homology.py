@@ -11,7 +11,7 @@ from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
     split_indecomposables, SummandDecomposition,
     regular_split_projectives, all_extended_projectives, blocks,
-    EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive,
+    EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive, InvariantError,
 )
 from sl2frob.repcore import (
     simple_restricted, baby_verma, tensor, dual, frobenius_twist, restrict_levels,
@@ -125,6 +125,41 @@ def test_graded_solver_matches_unblocked_oracle_property(pair, degree):
     Hd = hom_space(M, N, degree=degree)
     assert Hd.degrees == (degree,) * Hd.dim
     assert Hd.basis == tuple(b for b, d in zip(H.basis, H.degrees) if d == degree)
+
+
+@pytest.fixture(scope="module")
+def cap3_projectives():
+    """The nine cap-3 projectives of `center --p 3 --r 2`."""
+    return homology.projective_covers(F3, 2, seed=0)
+
+
+def test_presented_solver_matches_entrywise_on_cap3_projectives(cap3_projectives):
+    P = cap3_projectives
+    assert {lab: homology._presentation(M).gens.size for lab, M in P.items()
+            if M.dim == 36} == {(0, 0): 4, (0, 1): 4, (1, 0): 4, (1, 1): 4}
+    for a, b in [((0, 0), (0, 0)), ((0, 0), (1, 1)), ((1, 0), (0, 1)), ((0, 2), (2, 0)),
+                 ((2, 2), (0, 0)), ((1, 1), (2, 2))]:
+        M, N = P[a], P[b]
+        H = hom_space(M, N)
+        for d in sorted({int(wn) - int(wm) for wn in N.weights() for wm in M.weights()}):
+            got = [phi for phi, deg in zip(H.basis, H.degrees) if deg == d]
+            assert got == homology._blocked_hom_basis(M, N, d), (a, b, d)
+
+
+def test_corrupted_relation_raises_invariant_error(monkeypatch):
+    # the first relation of L_2 is E (F v) = 2 v; read as E (F v) = 0 it lets
+    # non-intertwiners L_2 -> L_0 through, and the solver must not return them
+    L2, L0 = simple_restricted(F3, 2), simple_restricted(F3, 0)
+    good = homology._presentation(L2)
+    coef = good.rel_coef.copy()
+    coef[0] = 0
+    bad = good._replace(rel_coef=coef)
+    with memo.scope():
+        monkeypatch.setattr(homology, "_presentation", lambda M: bad)
+        with pytest.raises(InvariantError, match="does not intertwine"):
+            hom_space(L2, L0)
+        monkeypatch.undo()
+        assert hom_space(L2, L0).dim == 0
 
 
 def test_ungraded_action_is_rejected():
@@ -455,11 +490,14 @@ def test_hom_space_memo_lives_in_its_scope():
         assert hom_space(_rebuilt(T, "other"), _rebuilt(T, "another")) is H
         H0 = hom_space(T, T, degree=0)
         assert H0 is not H and hom_space(T, T, degree=0) is H0
+        P = homology._presentation(T)
+        assert homology._presentation(_rebuilt(T, "other")) is P
         with memo.scope():      # a nested scope reuses the open one
-            assert hom_space(T, T) is H
+            assert hom_space(T, T) is H and homology._presentation(T) is P
     again = hom_space(T, T)     # outside a scope nothing is cached
     assert again is not H and again.basis == H.basis
     assert hom_space(T, T) is not again
+    assert homology._presentation(T) is not P
 
 
 def test_hom_space_memo_survives_digest_collisions(monkeypatch):
@@ -471,12 +509,18 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
         dual(L2), _rebuilt(L2, "copy")]
     pairs = [(M, N, deg) for M in mods for N in mods for deg in (None, 0, 2)]
     expected = [hom_space(M, N, degree=deg) for M, N, deg in pairs]
+    presentations = [homology._presentation(M) for M in mods]
     monkeypatch.setattr(repcore.ModuleRep, "content_digest", lambda self: b"")
     with memo.scope():
         for _ in range(2):
             for (M, N, deg), want in zip(pairs, expected):
                 got = hom_space(M, N, degree=deg)
                 assert got.basis == want.basis and got.degrees == want.degrees
+            for M, want in zip(mods, presentations):
+                got = homology._presentation(M)
+                assert got.module.same_content(M) and got.S_inv == want.S_inv
+                assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                           for f in ("gens", "edge_b", "edge_op", "rel_l", "rel_coef"))
 
 
 def test_memoised_projective_mappings_are_read_only(proj3):
