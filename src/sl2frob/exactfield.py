@@ -3,7 +3,14 @@
 Field elements are coefficient vectors of length k over F_p relative to a
 fixed monic irreducible modulus; matrices are dense numpy int64 arrays of
 shape (rows, cols, k).  All arithmetic is exact (reduced mod p and mod the
-modulus); there is no floating point anywhere.
+modulus).  A large product runs its plane products on float64 BLAS, which
+carries every integer below 2^53 exactly: it is taken only when the inner
+dimension m keeps every partial sum below that, m (p-1)^2 < 2^53 over F_p and
+m (p-1)^2 (p+1) < 2^53 over F_{p^2} once the modulus terms are folded in, and
+the result is converted back to int64 and reduced mod p once (Dumas, Giorgi
+and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  Every other product stays in
+int64.  The BLAS thread count (OPENBLAS_NUM_THREADS) changes speed, never
+results.
 
 Gaussian elimination runs on element indices (a0 + a1*x is a0 + p*a1):
 the matrix is converted once, each pivot step is a few lookups in the
@@ -24,6 +31,14 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
+
+# Products of at least this many multiplications (n*m*l, times the batch)
+# run on float64 BLAS.  Measured single-threaded on a 2-core x86-64 host
+# (AVX-512, OpenBLAS), numpy's int64 loop and the float64 plane products
+# break even at about 3,500 (square) to 13,000 (matrix-vector) for k = 1
+# and about 1,500 to 3,000 for k = 2.  Replaying the products of one pass
+# of each benchmark workload, the total is flat from 1,024 to 8,192.
+_BLAS_MIN_MULTS = 4096
 
 
 def _is_prime(n: int) -> bool:
@@ -81,6 +96,10 @@ class FieldCtx:
             squares = {(x * x) % p for x in range(p)}
             if (c1 * c1 - 4 * c0) % p in squares:
                 raise ValueError(f"modulus x^2+{c1}x+{c0} is reducible over F_{p}")
+        # the largest inner dimension m whose products float64 carries exactly
+        # (every integer below 2^53): each plane product is at most m (p-1)^2,
+        # and folding in c0, c1 < p bounds the F_{p^2} combination by m (p-1)^2 (p+1)
+        self._blas_inner = (2**53 - 1) // ((p - 1) ** 2 * (p + 1 if k == 2 else 1))
         self._tabs = None
 
     # -- scalar encoding -------------------------------------------------
@@ -131,18 +150,30 @@ class FieldCtx:
         return out
 
     def arr_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product of coefficient arrays, shapes (n,m,k) x (m,l,k)."""
-        p = self.p
-        if self.k == 1:
-            return (a[..., 0] @ b[..., 0] % p)[..., None]
-        c1, c0 = self.modulus
-        a0, a1 = a[..., 0], a[..., 1]
-        b0, b1 = b[..., 0], b[..., 1]
-        cross = a1 @ b1
-        out = np.empty(cross.shape + (2,), dtype=np.int64)
-        out[..., 0] = a0 @ b0 - c0 * cross
-        out[..., 1] = a0 @ b1 + a1 @ b0 - c1 * cross
-        out %= p
+        """Matrix product of coefficient arrays, shapes (..., n,m,k) x (..., m,l,k).
+
+        Entries must be residues in [0, p).  A product of at least
+        _BLAS_MIN_MULTS multiplications whose inner dimension m is within the
+        exactness bound multiplies float64 copies of the planes; all others
+        multiply the int64 planes.  Both reduce mod p once at the end.
+        """
+        k = self.k
+        if (a.shape[-2] <= self._blas_inner
+                and max(a.size * b.shape[-2], b.size * a.shape[-3]) >= _BLAS_MIN_MULTS * k):
+            planes = [x[..., i].astype(np.float64) for x in (a, b) for i in range(k)]
+        else:
+            planes = [x[..., i] for x in (a, b) for i in range(k)]
+        if k == 1:
+            out = (planes[0] @ planes[1])[..., None]
+        else:
+            c1, c0 = self.modulus
+            a0, a1, b0, b1 = planes
+            cross = a1 @ b1
+            out = np.empty(cross.shape + (2,), dtype=cross.dtype)
+            out[..., 0] = a0 @ b0 - c0 * cross
+            out[..., 1] = a0 @ b1 + a1 @ b0 - c1 * cross
+        out = out.astype(np.int64, copy=False)
+        out %= self.p
         return out
 
     def _tables(self):
@@ -384,15 +415,29 @@ class Matrix:
         return Matrix(ctx, prod.reshape(ra * rb, ca * cb, ctx.k))
 
     def pow_int(self, n: int) -> "Matrix":
+        """self^n by squaring, from the lowest set bit of n to the highest."""
         if self.rows != self.cols:
             raise ValueError("matrix power needs a square matrix")
-        out = Matrix.identity(self.ctx, self.rows)
+        if not n:
+            return Matrix.identity(self.ctx, self.rows)
         base = self
-        while n:
-            if n & 1:
-                out = out @ base
+        while not n & 1:
             base = base @ base
             n >>= 1
+        out = base
+        while n := n >> 1:
+            base = base @ base
+            if n & 1:
+                out = out @ base
+        return out
+
+    def powers(self, n: int) -> list["Matrix"]:
+        """The ladder [I, self, self^2, ..., self^n], one product per step."""
+        if self.rows != self.cols:
+            raise ValueError("matrix power needs a square matrix")
+        out = [Matrix.identity(self.ctx, self.rows)]
+        while len(out) <= n:
+            out.append(self if len(out) == 1 else out[-1] @ self)
         return out
 
     def commutator(self, other: "Matrix") -> "Matrix":

@@ -545,7 +545,8 @@ def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
 
     Returns per-piece homogeneous column bases if there are at least two
     pieces, else None.  All endomorphism rings in this workbench split over
-    the base field, so scanning field elements finds every eigenvalue.
+    the base field, so scanning field elements finds every eigenvalue; the
+    scan stops once the pieces found fill M.
     """
     ctx = M.ctx
     n = M.dim
@@ -565,6 +566,8 @@ def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
         if cols:
             pieces.append(Matrix.hstack(cols))
             covered += pieces[-1].cols
+            if covered == n:
+                break       # the pieces fill M: no later lam is an eigenvalue
             prod = nil if prod is None else prod @ nil
     if covered < n and prod is not None:
         # complement: image of the product of all found nilpotent powers

@@ -15,6 +15,8 @@ caller of a call-scoped memo.
 from __future__ import annotations
 
 import hashlib
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -93,16 +95,27 @@ class ModuleRep:
     def h_matrix(self, level: int = 0) -> Matrix:
         return self.E[level].commutator(self.F[level])
 
-    def divided_power(self, kind: str, n: int) -> Matrix:
-        """Matrix of e^(n) (kind 'e') or f^(n) (kind 'f') via digit factorization."""
-        plan = DividedPowerPlan.build(n, self.ctx.p, self.cap)
+    def divided_powers(self, kind: str, n: int) -> list[Matrix]:
+        """[x^(0), ..., x^(n)] for x = e (kind 'e') or f (kind 'f'), by digit factorization.
+
+        x^(a) is prod_j X_j^{a_j} times prod_j inv(a_j!) over the base-p
+        digits a_j of a.  One power ladder X_j^d is built per level j, only
+        up to d = min(p-1, n // p^j), and every x^(a) reads from it.
+        """
+        p = self.ctx.p
         mats = self.E if kind == "e" else self.F
-        out = Matrix.identity(self.ctx, self.dim)
-        for j, dj in enumerate(plan.digit_list):
-            if dj:
-                out = out @ mats[j].pow_int(dj)
-        corr = self.ctx.el(plan.correction)
-        return out.scale(corr)
+        ladders = [m.powers(min(p - 1, n // p**j)) for j, m in enumerate(mats)]
+        out = []
+        for a in range(n + 1):
+            plan = DividedPowerPlan.build(a, p, self.cap)
+            factors = [ladders[j][d] for j, d in enumerate(plan.digit_list) if d]
+            x = reduce(operator.matmul, factors) if factors else ladders[0][0]
+            out.append(x if plan.correction == 1 else x.scale(self.ctx.el(plan.correction)))
+        return out
+
+    def divided_power(self, kind: str, n: int) -> Matrix:
+        """Matrix of e^(n) (kind 'e') or f^(n) (kind 'f'): the last rung of `divided_powers`."""
+        return self.divided_powers(kind, n)[n]
 
     def shift_grading(self, s: int) -> "ModuleRep":
         return ModuleRep(self.ctx, self.E, self.F, self.grading + s,
@@ -204,8 +217,8 @@ def extend_levels(M: ModuleRep, cap: int) -> ModuleRep:
 def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     """Tensor product along the divided-power coproduct.
 
-    E_j(M (x) N) = sum_{a+b=p^j} e^(a)_M (x) e^(b)_N, computed through digit
-    factorization on each factor.  p-characters add levelwise and at most
+    E_j(M (x) N) = sum_{a+b=p^j} e^(a)_M (x) e^(b)_N, read from each
+    factor's `divided_powers` ladder.  p-characters add levelwise and at most
     one factor may carry a nonzero scalar at any level.
     """
     if M.ctx != N.ctx:
@@ -217,13 +230,9 @@ def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     E, F = [], []
     for j in range(M.cap):
         n = p**j
-        Ej = Matrix.zeros(ctx, M.dim * N.dim, M.dim * N.dim)
-        Fj = Matrix.zeros(ctx, M.dim * N.dim, M.dim * N.dim)
-        for a in range(n + 1):
-            Ej = Ej + M.divided_power("e", a).kron(N.divided_power("e", n - a))
-            Fj = Fj + M.divided_power("f", a).kron(N.divided_power("f", n - a))
-        E.append(Ej)
-        F.append(Fj)
+        for kind, acc in (("e", E), ("f", F)):
+            xm, xn = M.divided_powers(kind, n), N.divided_powers(kind, n)
+            acc.append(Matrix(ctx, sum(xm[a].kron(xn[n - a]).arr for a in range(n + 1))))
     grading = (M.grading[:, None] + N.grading[None, :]).reshape(-1)
     pch = []
     for j in range(M.cap):

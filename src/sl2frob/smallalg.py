@@ -14,7 +14,9 @@ multiplication on the regular module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -141,13 +143,16 @@ class UChiAlgebra:
         """Right multiplications by the p^2 weight-zero monomials e^a h^b f^a.
 
         These span the degree-0 endomorphisms of the left regular module,
-        which is what the splitting machinery samples from.
+        which is what the splitting machinery samples from.  Each is
+        R_f^a R_h^b R_e^a, read from one power ladder per generator.
         """
+        p = self.p
+        Re, Rh, Rf = (R.powers(p - 1) for R in (self.Re, self.Rh, self.Rf))
         out = []
-        for a in range(self.p):
-            Ra = self.Re.pow_int(a)
-            for b in range(self.p):
-                out.append(self.Rf.pow_int(a) @ self.Rh.pow_int(b) @ Ra)
+        for a in range(p):
+            for b in range(p):
+                factors = [m for m, d in ((Rf[a], a), (Rh[b], b), (Re[a], a)) if d]
+                out.append(reduce(operator.matmul, factors) if factors else Rh[0])
         return out
 
     def random_weight_zero_right_mult(self, rng: np.random.Generator,

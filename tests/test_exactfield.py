@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sl2frob import exactfield
 from sl2frob.exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, unvec
 
 
@@ -319,3 +320,85 @@ def test_rref_deterministic_golden():
     R, piv = A.rref()
     assert piv == [0, 1]
     assert R == Matrix.from_int_rows(F3, [[1, 0, 2], [0, 1, 2], [0, 0, 0]])
+
+
+# x^2 + x + 2 over F_3: every other quadratic modulus here has c1 = 0
+F9_C1 = FieldCtx(3, 2, modulus=(1, 2))
+PRODUCT_FIELDS = [F3, FieldCtx(5), FieldCtx(7), F9, F25, F49, F9_C1]
+
+
+def reference_matmul(ctx, a, b):
+    """The product as Python integers: (a0 + a1 x)(b0 + b1 x) with x^2 = -c1 x - c0."""
+    a, b = a.astype(object), b.astype(object)
+    if ctx.k == 1:
+        return (a[..., 0] @ b[..., 0])[..., None] % ctx.p
+    c1, c0 = ctx.modulus
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    x2 = a1 @ b1
+    return np.stack([a0 @ b0 - c0 * x2, a0 @ b1 + a1 @ b0 - c1 * x2], axis=-1) % ctx.p
+
+
+@st.composite
+def product_inputs(draw):
+    """Operands of arr_matmul on one side of the float64 size constant.
+
+    Shapes are (n,m,k) @ (m,l,k), the presented solver's batched
+    (h,n,m,k) @ (m,l,k), or its (1,t,n,m,k) @ (h,t,m,1,k); entries are
+    random residues or all p-1, the largest partial sums.
+    """
+    ctx = draw(st.sampled_from(PRODUCT_FIELDS))
+    large = draw(st.booleans())
+    kind = draw(st.sampled_from(["plain", "batched", "broadcast"]))
+    if kind == "broadcast":
+        h, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        d = draw(st.integers(64, 80) if large else st.integers(0, 12))
+        sa, sb = (1, t, d, d), (h, t, d, 1)
+    else:
+        dim = st.integers(16, 24) if large else st.integers(0, 9)
+        n, m, l = draw(dim), draw(dim), draw(dim)
+        batch = (draw(st.integers(1 if large else 0, 3)),) if kind == "batched" else ()
+        sa, sb = batch + (n, m), (m, l)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a, b = (rng.integers(0, ctx.p, size=s + (ctx.k,)) for s in (sa, sb))
+    else:
+        a, b = (np.full(s + (ctx.k,), ctx.p - 1, dtype=np.int64) for s in (sa, sb))
+    return ctx, large, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_inputs())
+def test_arr_matmul_matches_python_int_product(inputs):
+    ctx, large, a, b = inputs
+    mults = max(a.size * b.shape[-2], b.size * a.shape[-3]) // ctx.k
+    assert (mults >= exactfield._BLAS_MIN_MULTS) == large
+    got = ctx.arr_matmul(a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_matmul(ctx, a, b).astype(np.int64))
+
+
+def test_large_prime_product_beyond_the_float_bound_stays_exact():
+    p = 2**21 + 17                      # the smallest prime above 2^21
+    ctx = FieldCtx(p)
+    m = 4096                            # m (p-1)^2 is about 2^54
+    assert m > ctx._blas_inner and 2 * m * 2 >= exactfield._BLAS_MIN_MULTS
+    rng = np.random.default_rng(11)
+    a = rng.integers(p - 1000, p, size=(2, m, 1))
+    b = rng.integers(p - 1000, p, size=(m, 2, 1))
+    want = reference_matmul(ctx, a, b).astype(np.int64)
+    # float64 would round these sums, so only the int64 path gets them right
+    rounded = (a[..., 0].astype(np.float64) @ b[..., 0].astype(np.float64)).astype(np.int64) % p
+    assert not np.array_equal(rounded, want[..., 0])
+    assert np.array_equal(ctx.arr_matmul(a, b), want)
+    assert Matrix(ctx, a) @ Matrix(ctx, b) == Matrix(ctx, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13])
+def test_pow_int_matches_repeated_products(n):
+    rng = np.random.default_rng(n)
+    A = rand_matrix(F9, 4, 4, rng)
+    want = Matrix.identity(F9, 4)
+    for _ in range(n):
+        want = want @ A
+    assert A.pow_int(n) == want
+    assert A.powers(n)[n] == want and len(A.powers(n)) == n + 1

@@ -4,9 +4,10 @@ import pytest
 from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore, homology
 from sl2frob.repcore import (
-    simple_restricted, baby_verma, frobenius_twist, tensor, dual,
+    simple_restricted, baby_verma, frobenius_twist, tensor, tensor_many, dual,
     restrict_levels, extend_levels, validate,
 )
+from sl2frob.smallalg import DividedPowerPlan
 from summand_labels import identify_summands
 
 
@@ -185,3 +186,39 @@ def test_h_refinement_on_twist_structured_modules():
     assert _h_refines_weights(M)
     SS = tensor(simple_restricted(F3, 2, cap=2), simple_restricted(F3, 2, cap=2))
     assert validate(SS)["h_pth_power"] and not _h_refines_weights(SS)
+
+
+def digit_factorised(M, kind: str, a: int) -> Matrix:
+    """x^(a) as prod_j X_j^{a_j} over the base-p digits a_j of a, times prod_j inv(a_j!)."""
+    plan = DividedPowerPlan.build(a, M.ctx.p, M.cap)
+    mats = M.E if kind == "e" else M.F
+    out = Matrix.identity(M.ctx, M.dim)
+    for j, dj in enumerate(plan.digit_list):
+        if dj:
+            out = out @ mats[j].pow_int(dj)
+    return out.scale(M.ctx.el(plan.correction))
+
+
+def _steinberg_type(ctx, tops):
+    """L_{t_0} (x) L_{t_1}^(1) (x) ... with a nonzero action at every level."""
+    cap = len(tops)
+    return tensor_many([frobenius_twist(simple_restricted(ctx, t, cap - j), j)
+                        for j, t in enumerate(tops)])
+
+
+@pytest.mark.parametrize("ctx, tops", [(F3, (2, 1)), (F3, (2, 1, 1)),
+                                       (F5, (3, 2)), (F5, (1, 1, 1))],
+                         ids=["p3-cap2", "p3-cap3", "p5-cap2", "p5-cap3"])
+def test_divided_powers_match_digit_factorisation(ctx, tops):
+    M = _steinberg_type(ctx, tops)
+    M = tensor(M, M) if M.dim <= 6 else M
+    top = ctx.p ** M.cap - 1
+    for kind in ("e", "f"):
+        for n in sorted({1, ctx.p, ctx.p + 1, top}):
+            ladder = M.divided_powers(kind, n)
+            assert len(ladder) == n + 1
+            for a, x in enumerate(ladder):
+                assert x == digit_factorised(M, kind, a), (kind, n, a)
+        assert not M.divided_powers(kind, ctx.p)[ctx.p].is_zero()
+    with pytest.raises(ValueError):
+        M.divided_powers("e", top + 1)
