@@ -14,6 +14,13 @@ of G_N X - X G_M.  A failed self-check of the solver raises
 `InvariantError`; a full unblocked Kronecker-product solve is kept as an
 oracle for tests.
 
+A full space is first tested for zero.  An intertwiner phi: M -> N has
+phi W_M = W_N phi for every word W in the level actions, so where
+W_M = diag(m) and W_N = diag(n), (n_a - m_b) phi[a, b] = 0.  If the words
+H_j = [E_j, F_j] and C_j = 4 F_j E_j + H_j^2 + 2 H_j (j < cap) that are
+diagonal on both leave no entry free, Hom(M, N) = 0, with no hypothesis on
+the grading or the central character.
+
 Splitting into indecomposables uses degree-0 endomorphisms only.  Every
 natural decomposition here exists in the graded category, all endomorphism
 rings split over the base field, so generalized eigenspaces of a degree-0
@@ -29,8 +36,8 @@ projective covers, the extended projectives and the generic-seed
 certificate are each computed once per distinct input.  A Hom space is keyed
 by the content digests of its two modules and its degree, and a stored space
 is returned only if its source and target equal the arguments entry for
-entry, so a digest collision cannot return a wrong space; a presentation is
-keyed and guarded the same way by its module.
+entry, so a digest collision cannot return a wrong space; a presentation and
+the word diagonals are keyed and guarded the same way by their module.
 """
 
 from __future__ import annotations
@@ -211,6 +218,28 @@ def _presentation(M: ModuleRep) -> _Presentation:
                          _frozen(cols[rel_e, rel_l]))
 
 
+@memo.memoised(key=lambda M: M.content_digest(), matches=lambda D, M: D[0].same_content(M))
+def _word_diagonals(M: ModuleRep) -> tuple:
+    """(M, D, diagonal): row w of D holds, as element indices, the diagonal of
+    the w-th word of H_0, C_0, H_1, C_1, ..., valid where diagonal[w]."""
+    ctx, n = M.ctx, M.dim
+    E, F = (np.stack([G.arr for G in Gs]) for Gs in (M.E, M.F))
+    FE = ctx.arr_matmul(F, E)
+    H = (ctx.arr_matmul(E, F) - FE) % ctx.p
+    C = (4 * FE + ctx.arr_matmul(H, H) + 2 * H) % ctx.p
+    W = np.stack([H, C], axis=1).reshape(2 * M.cap, n, n, ctx.k)
+    diag = np.eye(n, dtype=bool)
+    return M, _frozen(ctx.arr_index(W[:, diag])), _frozen(~W[:, ~diag].any(axis=(1, 2)))
+
+
+def _word_mask(M: ModuleRep, N: ModuleRep) -> np.ndarray:
+    """The entries (a, b) that no word diagonal forces to zero in an intertwiner M -> N."""
+    _, DM, diagonal_M = _word_diagonals(M)
+    _, DN, diagonal_N = _word_diagonals(N)
+    both = diagonal_M & diagonal_N
+    return (DN[both][:, :, None] == DM[both][:, None, :]).all(axis=0)
+
+
 def _check_graded(M: ModuleRep, N: ModuleRep):
     """Raise ValueError unless each level action of M and N shifts the grading by its degree."""
     for mod in (M, N):
@@ -234,7 +263,6 @@ def _presented_hom_basis(M: ModuleRep, N: ModuleRep) -> tuple[list[Matrix], list
     into one small kernel per degree.  Then phi = Phi S^-1, and each degree's
     maps are re-normalised to the RREF kernel basis of `_blocked_hom_basis`.
     """
-    _check_graded(M, N)
     P = _presentation(M)
     ctx, n, dN, s = M.ctx, M.dim, N.dim, P.gens.size
     opsN = N.E + N.F
@@ -336,8 +364,9 @@ def _renormalised(M: ModuleRep, N: ModuleRep, delta: int, phi: np.ndarray) -> np
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
     """All intertwiners M -> N (or only those of one graded degree).
 
-    The full space is solved from the presentation of M; one degree is
-    solved entry-wise by `_blocked_hom_basis`.
+    The full space is zero when the word diagonals leave no entry free, and
+    otherwise solved from the presentation of M; one degree is solved
+    entry-wise by `_blocked_hom_basis`.
     """
     if M.ctx != N.ctx:
         raise ValueError("mixed field contexts")
@@ -346,7 +375,8 @@ def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace
     if degree is not None:
         basis = _blocked_hom_basis(M, N, degree)
         return HomSpace(M, N, basis, [degree] * len(basis))
-    if not (M.dim and N.dim):
+    _check_graded(M, N)
+    if not _word_mask(M, N).any():
         return HomSpace(M, N, [], [])
     return HomSpace(M, N, *_presented_hom_basis(M, N))
 

@@ -218,8 +218,9 @@ def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     """Tensor product along the divided-power coproduct.
 
     E_j(M (x) N) = sum_{a+b=p^j} e^(a)_M (x) e^(b)_N, read from each
-    factor's `divided_powers` ladder.  p-characters add levelwise and at most
-    one factor may carry a nonzero scalar at any level.
+    factor's `divided_powers` ladder; a term with a zero factor is skipped.
+    p-characters add levelwise and at most one factor may carry a nonzero
+    scalar at any level.
     """
     if M.ctx != N.ctx:
         raise ValueError("mixed field contexts")
@@ -228,11 +229,13 @@ def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     ctx = M.ctx
     p = ctx.p
     E, F = [], []
+    zero = np.zeros((M.dim * N.dim, M.dim * N.dim, ctx.k), dtype=np.int64)
     for j in range(M.cap):
         n = p**j
         for kind, acc in (("e", E), ("f", F)):
             xm, xn = M.divided_powers(kind, n), N.divided_powers(kind, n)
-            acc.append(Matrix(ctx, sum(xm[a].kron(xn[n - a]).arr for a in range(n + 1))))
+            acc.append(Matrix(ctx, sum((xm[a].kron(xn[n - a]).arr for a in range(n + 1)
+                                        if not (xm[a].is_zero() or xn[n - a].is_zero())), zero)))
     grading = (M.grading[:, None] + N.grading[None, :]).reshape(-1)
     pch = []
     for j in range(M.cap):

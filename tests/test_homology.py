@@ -17,6 +17,7 @@ from sl2frob.repcore import (
     simple_restricted, baby_verma, tensor, dual, frobenius_twist, restrict_levels,
 )
 from sl2frob.smallalg import UChiAlgebra, regular_module
+from sl2frob.steinberg import verify_steinberg
 from summand_labels import identify_summands
 
 
@@ -148,7 +149,9 @@ def test_presented_solver_matches_entrywise_on_cap3_projectives(cap3_projectives
 
 def test_corrupted_relation_raises_invariant_error(monkeypatch):
     # the first relation of L_2 is E (F v) = 2 v; read as E (F v) = 0 it lets
-    # non-intertwiners L_2 -> L_0 through, and the solver must not return them
+    # non-intertwiners L_2 -> L_0 through, and the solver must not return them.
+    # hom_space proves this pair zero from its word diagonals without solving,
+    # so the solver is called directly
     L2, L0 = simple_restricted(F3, 2), simple_restricted(F3, 0)
     good = homology._presentation(L2)
     coef = good.rel_coef.copy()
@@ -157,9 +160,74 @@ def test_corrupted_relation_raises_invariant_error(monkeypatch):
     with memo.scope():
         monkeypatch.setattr(homology, "_presentation", lambda M: bad)
         with pytest.raises(InvariantError, match="does not intertwine"):
-            hom_space(L2, L0)
+            homology._presented_hom_basis(L2, L0)
         monkeypatch.undo()
         assert hom_space(L2, L0).dim == 0
+
+
+def _assert_word_mask_sound(M, N):
+    """Every oracle map vanishes off the word mask, and an empty mask means no map."""
+    mask = homology._word_mask(M, N)
+    oracle = hom_space_unblocked(M, N)
+    for phi in oracle:
+        assert not (phi.arr.any(axis=-1) & ~mask).any()
+    if not mask.any():
+        assert not oracle
+    return mask, oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(_module_pair(), st.data())
+def test_word_mask_is_sound_property(proj3, pair, data):
+    M, N = pair
+    if M.ctx == F3 and M.cap == 1:      # swap in the p = 3 projective covers
+        covers = list(proj3.values())
+        M, N = data.draw(st.sampled_from([M] + covers)), data.draw(st.sampled_from([N] + covers))
+    _assert_word_mask_sound(M, N)
+
+
+def test_word_mask_separates_the_p5_simples():
+    simples = [simple_restricted(FieldCtx(5), i) for i in range(5)]
+    casimir_only = set()
+    for i in range(5):
+        for j in range(i + 1, 5):
+            for M, N in ((simples[i], simples[j]), (simples[j], simples[i])):
+                mask, _ = _assert_word_mask_sound(M, N)
+                assert not mask.any()
+            # C_0 acts on L_i by the scalar (i + 1)^2 - 1
+            c_i, c_j = (homology._word_diagonals(simples[k])[1][1, 0] for k in (i, j))
+            if c_i == c_j:
+                casimir_only.add((i, j))
+    assert casimir_only == {(0, 3), (1, 2)}       # H_0 alone separates these
+
+
+def test_word_mask_separates_the_generic_vermas():
+    d = F25.el(1, 1)
+    vermas = [baby_verma(F25, d + F25.el(c)) for c in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            mask, _ = _assert_word_mask_sound(vermas[i], vermas[j])
+            assert not mask.any()
+
+
+def test_word_mask_is_silent_where_the_casimir_is_not_diagonal(proj3):
+    P0, P1 = proj3[0], proj3[1]
+    assert not homology._word_diagonals(P0)[2][1]     # C_0
+    mask, oracle = _assert_word_mask_sound(P0, P1)
+    assert mask.any() and len(oracle) == hom_space(P0, P1).dim == 2
+
+
+@pytest.mark.parametrize("ctx, d", [(FieldCtx(5), None), (F25, F25.el(1, 1))],
+                         ids=["F5", "F25-generic"])
+def test_steinberg_distinctness_solves_no_hom_space(monkeypatch, ctx, d):
+    solved = []
+    solver = homology._presented_hom_basis
+    monkeypatch.setattr(homology, "_presented_hom_basis",
+                        lambda M, N: solved.append((M, N)) or solver(M, N))
+    with memo.scope():
+        rep = verify_steinberg(ctx, 1, d)
+    assert rep["failures"] == 0 and rep["params"]["pairs_checked"] == 10
+    assert solved == []
 
 
 def test_ungraded_action_is_rejected():
@@ -492,12 +560,16 @@ def test_hom_space_memo_lives_in_its_scope():
         assert H0 is not H and hom_space(T, T, degree=0) is H0
         P = homology._presentation(T)
         assert homology._presentation(_rebuilt(T, "other")) is P
+        D = homology._word_diagonals(T)
+        assert homology._word_diagonals(_rebuilt(T, "other")) is D
         with memo.scope():      # a nested scope reuses the open one
             assert hom_space(T, T) is H and homology._presentation(T) is P
+            assert homology._word_diagonals(T) is D
     again = hom_space(T, T)     # outside a scope nothing is cached
     assert again is not H and again.basis == H.basis
     assert hom_space(T, T) is not again
     assert homology._presentation(T) is not P
+    assert homology._word_diagonals(T) is not D
 
 
 def test_hom_space_memo_survives_digest_collisions(monkeypatch):
@@ -510,6 +582,7 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
     pairs = [(M, N, deg) for M in mods for N in mods for deg in (None, 0, 2)]
     expected = [hom_space(M, N, degree=deg) for M, N, deg in pairs]
     presentations = [homology._presentation(M) for M in mods]
+    words = [homology._word_diagonals(M)[1:] for M in mods]
     monkeypatch.setattr(repcore.ModuleRep, "content_digest", lambda self: b"")
     with memo.scope():
         for _ in range(2):
@@ -521,6 +594,10 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
                 assert got.module.same_content(M) and got.S_inv == want.S_inv
                 assert all(np.array_equal(getattr(got, f), getattr(want, f))
                            for f in ("gens", "edge_b", "edge_op", "rel_l", "rel_coef"))
+            for M, want in zip(mods, words):
+                module, *got = homology._word_diagonals(M)
+                assert module.same_content(M)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_memoised_projective_mappings_are_read_only(proj3):

@@ -222,3 +222,21 @@ def test_divided_powers_match_digit_factorisation(ctx, tops):
         assert not M.divided_powers(kind, ctx.p)[ctx.p].is_zero()
     with pytest.raises(ValueError):
         M.divided_powers("e", top + 1)
+
+
+@pytest.mark.parametrize("ctx, tops", [(F3, (2, 1)), (F3, (2, 1, 1)), (F5, (3, 2))],
+                         ids=["p3-cap2", "p3-cap3", "p5-cap2"])
+def test_tensor_matches_the_full_coproduct_sum(ctx, tops):
+    # tensor skips the terms with a zero divided power; the sum must not change
+    M = _steinberg_type(ctx, tops)
+    N = simple_restricted(ctx, 1, cap=M.cap)
+    T = tensor(M, N)
+    zero_terms = 0
+    for j in range(M.cap):
+        n = ctx.p**j
+        for kind, got in (("e", T.E[j]), ("f", T.F[j])):
+            xm, xn = M.divided_powers(kind, n), N.divided_powers(kind, n)
+            terms = [xm[a].kron(xn[n - a]) for a in range(n + 1)]
+            zero_terms += sum(t.is_zero() for t in terms)
+            assert got == sum(terms[1:], terms[0]), (kind, j)
+    assert zero_terms
