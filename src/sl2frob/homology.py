@@ -33,11 +33,15 @@ closure, the center, the adjoint action on Hom spaces) go through
 
 Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
 projective covers, the extended projectives and the generic-seed
-certificate are each computed once per distinct input.  A Hom space is keyed
-by the content digests of its two modules and its degree, and a stored space
-is returned only if its source and target equal the arguments entry for
-entry, so a digest collision cannot return a wrong space; a presentation and
-the word diagonals are keyed and guarded the same way by their module.
+certificate are each computed once per distinct input.  A Hom space is
+solved once up to a common grading shift: shifting both modules by s keeps
+the level actions and every degree deg N_i - deg M_j, so Hom(M<s>, N<s>)
+is Hom(M, N) map for map and degree for degree.  It is keyed by the
+shift-invariant content digests of M and N, min deg N - min deg M and the
+degree, and reused only if the arguments equal its source and target entry
+for entry up to one common shift, so a digest collision cannot return a
+wrong space.  A presentation and the word diagonals read absolute degrees,
+so their keys add the minimum degree and they are reused on equal content.
 """
 
 from __future__ import annotations
@@ -86,6 +90,24 @@ class HomSpace:
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
         self._span = None
+        self._origin = None     # the space whose span this one shares
+
+    def rebound(self, source: ModuleRep, target: ModuleRep) -> "HomSpace | None":
+        """This space for source -> target, or None unless they are its source
+        and target up to one common grading shift s.
+
+        Hom(M<s>, N<s>) = Hom(M, N) map for map and degree for degree, so
+        s = 0 gives this space itself and any other s a space that shares
+        its basis, degrees and span.
+        """
+        s = source.shift_from(self.source)
+        if s is None or target.shift_from(self.target) != s:
+            return None
+        if s == 0:
+            return self
+        out = HomSpace(source, target, self.basis, self.degrees)
+        out._origin = self
+        return out
 
     @property
     def dim(self) -> int:
@@ -99,7 +121,8 @@ class HomSpace:
     @property
     def span(self) -> Basis:
         if self._span is None:
-            self._span = Basis(vecs(self.source.ctx, self.shape, self.basis))
+            self._span = self._origin.span if self._origin is not None else \
+                Basis(vecs(self.source.ctx, self.shape, self.basis))
         return self._span
 
     def element(self, coeffs: Matrix) -> Matrix:
@@ -173,8 +196,8 @@ class _Presentation(NamedTuple):
     rel_coef: np.ndarray
 
 
-@memo.memoised(key=lambda M: M.content_digest(),
-               matches=lambda P, M: P.module.same_content(M))
+@memo.memoised(key=lambda M: (M.content_digest(), M.min_degree),
+               reuse=lambda P, M: P if P.module.same_content(M) else None)
 def _presentation(M: ModuleRep) -> _Presentation:
     """Generators of M taken greedily among standard basis vectors, in descending degree.
 
@@ -218,10 +241,12 @@ def _presentation(M: ModuleRep) -> _Presentation:
                          _frozen(cols[rel_e, rel_l]))
 
 
-@memo.memoised(key=lambda M: M.content_digest(), matches=lambda D, M: D[0].same_content(M))
+@memo.memoised(key=lambda M: (M.content_digest(), M.min_degree),
+               reuse=lambda D, M: D if D[0].same_content(M) else None)
 def _word_diagonals(M: ModuleRep) -> tuple:
-    """(M, D, diagonal): row w of D holds, as element indices, the diagonal of
-    the w-th word of H_0, C_0, H_1, C_1, ..., valid where diagonal[w]."""
+    """(M, D, diagonal, ungraded): row w of D holds, as element indices, the
+    diagonal of the w-th word of H_0, C_0, H_1, C_1, ..., valid where
+    diagonal[w]; ungraded is `repcore.ungraded_level(M)`."""
     ctx, n = M.ctx, M.dim
     E, F = (np.stack([G.arr for G in Gs]) for Gs in (M.E, M.F))
     FE = ctx.arr_matmul(F, E)
@@ -229,24 +254,24 @@ def _word_diagonals(M: ModuleRep) -> tuple:
     C = (4 * FE + ctx.arr_matmul(H, H) + 2 * H) % ctx.p
     W = np.stack([H, C], axis=1).reshape(2 * M.cap, n, n, ctx.k)
     diag = np.eye(n, dtype=bool)
-    return M, _frozen(ctx.arr_index(W[:, diag])), _frozen(~W[:, ~diag].any(axis=(1, 2)))
+    return (M, _frozen(ctx.arr_index(W[:, diag])), _frozen(~W[:, ~diag].any(axis=(1, 2))),
+            repcore.ungraded_level(M))
 
 
 def _word_mask(M: ModuleRep, N: ModuleRep) -> np.ndarray:
-    """The entries (a, b) that no word diagonal forces to zero in an intertwiner M -> N."""
-    _, DM, diagonal_M = _word_diagonals(M)
-    _, DN, diagonal_N = _word_diagonals(N)
-    both = diagonal_M & diagonal_N
-    return (DN[both][:, :, None] == DM[both][:, None, :]).all(axis=0)
+    """The entries (a, b) that no word diagonal forces to zero in an intertwiner M -> N.
 
-
-def _check_graded(M: ModuleRep, N: ModuleRep):
-    """Raise ValueError unless each level action of M and N shifts the grading by its degree."""
-    for mod in (M, N):
-        j = repcore.ungraded_level(mod)
+    Raises ValueError unless each level action of M and N shifts the grading
+    by its degree.
+    """
+    _, DM, diagonal_M, ungraded_M = _word_diagonals(M)
+    _, DN, diagonal_N, ungraded_N = _word_diagonals(N)
+    for j in (ungraded_M, ungraded_N):
         if j is not None:
             raise ValueError(f"level-{j} action of {M.provenance!r} or {N.provenance!r} "
                              "does not respect the grading")
+    both = diagonal_M & diagonal_N
+    return (DN[both][:, :, None] == DM[both][:, None, :]).all(axis=0)
 
 
 _CHUNK = 1 << 16     # residual entries built at once
@@ -359,8 +384,9 @@ def _renormalised(M: ModuleRep, N: ModuleRep, delta: int, phi: np.ndarray) -> np
 
 
 @memo.memoised(
-    key=lambda M, N, degree: (M.content_digest(), N.content_digest(), degree),
-    matches=lambda H, M, N, degree: H.source.same_content(M) and H.target.same_content(N))
+    key=lambda M, N, degree: (M.content_digest(), N.content_digest(),
+                              N.min_degree - M.min_degree, degree),
+    reuse=lambda H, M, N, degree: H.rebound(M, N))
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
     """All intertwiners M -> N (or only those of one graded degree).
 
@@ -375,7 +401,6 @@ def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace
     if degree is not None:
         basis = _blocked_hom_basis(M, N, degree)
         return HomSpace(M, N, basis, [degree] * len(basis))
-    _check_graded(M, N)
     if not _word_mask(M, N).any():
         return HomSpace(M, N, [], [])
     return HomSpace(M, N, *_presented_hom_basis(M, N))

@@ -7,10 +7,11 @@ same key instead of running again.  A nested scope (the sub-commands of
 scope exits, normally or by an exception.  Outside a scope nothing is
 cached, and an exception is never cached.
 
-Every hit hands out the same object, so memoised values must be immutable:
-`Matrix` arrays and `ModuleRep` gradings are read-only, `HomSpace` bases
-are tuples (and its `span` is never grown), and the projective-cover
-builders return read-only mappings.
+A hit hands out the stored object, or one that shares its parts, so
+memoised values must be immutable: `Matrix` arrays are read-only, a
+`ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its
+`span` is never grown), `TwistElement` is a frozen dataclass, and the
+projective-cover builders return read-only mappings.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ def scope():
         _store.reset(token)
 
 
-def memoised(key=None, matches=None):
+def memoised(key=None, reuse=None):
     """Memoise the decorated function within the open scope.
 
     key(**arguments) gives the lookup key; by default it is the tuple of the
     bound arguments with defaults applied, which must be hashable.  If
-    matches(value, **arguments) is given, a stored value is returned only
-    when it confirms the value belongs to these arguments, so a key that is
-    only a digest can never return the value of other inputs.
+    reuse(value, **arguments) is given, a stored value is handed out only
+    through it: it returns what this call returns, built from the stored
+    value, or None when the stored value belongs to other inputs, so a key
+    that is only a digest can never return the value of other inputs.
     """
     def decorate(fn):
         sig = inspect.signature(fn)
@@ -61,8 +63,9 @@ def memoised(key=None, matches=None):
             k = key(**arguments) if key is not None else tuple(arguments.values())
             bucket = store.setdefault((fn, k), [])
             for value in bucket:
-                if matches is None or matches(value, **arguments):
-                    return value
+                out = value if reuse is None else reuse(value, **arguments)
+                if out is not None:
+                    return out
             value = fn(*args, **kwargs)
             bucket.append(value)
             return value

@@ -7,9 +7,10 @@ level.  The scalar at level j is the value of H_j^p - H_j where
 H_j = [E_j, F_j]; it is zero below the top level for every module built
 here and equals chi(h)^p (suitably Frobenius-twisted) at the top.
 
-A ModuleRep's level matrices are read-only `Matrix` values held in tuples
-and its grading is a read-only array, so a module can be shared by every
-caller of a call-scoped memo.
+A ModuleRep's content is frozen: its level matrices are read-only
+`Matrix` values held in tuples, its grading is a read-only array, and none
+of them can be reassigned, so a module can be shared by every caller of a
+call-scoped memo and its content digest is hashed once.
 """
 
 from __future__ import annotations
@@ -35,30 +36,44 @@ def all_labels(p: int, r: int) -> list[tuple]:
 
 
 class ModuleRep:
-    """A finite-dimensional module with divided-power level actions."""
+    """A finite-dimensional module with divided-power level actions.
+
+    The content (field, level actions, grading, p-characters) is frozen:
+    assigning any of it after construction raises AttributeError, which is
+    what lets `content_digest` be computed once.  `provenance` is a label
+    and stays writable.
+    """
+
+    _CONTENT = frozenset({"ctx", "E", "F", "grading", "pchar_scalars"})
 
     def __init__(self, ctx: FieldCtx, E: list[Matrix], F: list[Matrix],
                  grading, pchar_scalars: list[FieldElement] | None = None,
                  provenance: str = ""):
         if len(E) != len(F) or not E:
             raise ValueError("need matching nonempty E, F level lists")
-        self.ctx = ctx
-        self.E = tuple(E)
-        self.F = tuple(F)
+        E, F = tuple(E), tuple(F)
         grading = np.asarray(grading, dtype=np.int64)
         if grading.flags.writeable:
             grading = grading.copy()
             grading.flags.writeable = False
-        self.grading = grading
-        dim = self.grading.shape[0]
-        for m in self.E + self.F:
+        dim = grading.shape[0]
+        for m in E + F:
             if m.shape != (dim, dim):
                 raise ValueError("generator matrix shape does not match grading")
-        self.pchar_scalars = tuple(pchar_scalars) if pchar_scalars is not None \
+        pchar_scalars = tuple(pchar_scalars) if pchar_scalars is not None \
             else (ctx.zero(),) * len(E)
-        if len(self.pchar_scalars) != len(E):
+        if len(pchar_scalars) != len(E):
             raise ValueError("one p-character scalar per level required")
+        for name, value in (("ctx", ctx), ("E", E), ("F", F), ("grading", grading),
+                            ("pchar_scalars", pchar_scalars)):
+            object.__setattr__(self, name, value)
         self.provenance = provenance
+        self._digest = None
+
+    def __setattr__(self, name, value):
+        if name in self._CONTENT:
+            raise AttributeError(f"ModuleRep.{name} is frozen")
+        object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -68,23 +83,44 @@ class ModuleRep:
     def cap(self) -> int:
         return len(self.E)
 
+    @property
+    def min_degree(self) -> int:
+        """The lowest degree of the grading (0 for the zero module)."""
+        return int(self.grading.min()) if self.dim else 0
+
     def content_digest(self) -> bytes:
-        """Digest of the field, grading, p-character and level actions (not provenance)."""
-        h = hashlib.blake2b(repr((self.ctx, self.dim, self.cap,
-                                  [s.coeffs for s in self.pchar_scalars])).encode(),
-                            digest_size=16)
-        h.update(self.grading.tobytes())
-        for m in self.E + self.F:
-            h.update(m.arr.tobytes())
-        return h.digest()
+        """Digest of the field, p-character, level actions and the grading
+        relative to `min_degree` (not provenance), hashed on the first call.
+
+        A module and its shifts share one digest; the frozen content keeps
+        the stored digest valid.
+        """
+        if self._digest is None:
+            h = hashlib.blake2b(repr((self.ctx, self.dim, self.cap,
+                                      [s.coeffs for s in self.pchar_scalars])).encode(),
+                                digest_size=16)
+            h.update((self.grading - self.min_degree).tobytes())
+            for m in self.E + self.F:
+                h.update(m.arr.tobytes())
+            self._digest = h.digest()
+        return self._digest
+
+    def shift_from(self, other: "ModuleRep") -> int | None:
+        """The s with self = other<s> (equal field, p-character and level
+        actions, grading shifted by s; provenance aside), or None."""
+        if self is other:
+            return 0
+        if not (self.ctx == other.ctx and self.dim == other.dim and self.cap == other.cap
+                and self.pchar_scalars == other.pchar_scalars):
+            return None
+        s = self.min_degree - other.min_degree
+        same = np.array_equal(self.grading - s, other.grading) and all(
+            a is b or a == b for a, b in zip(self.E + self.F, other.E + other.F))
+        return s if same else None
 
     def same_content(self, other: "ModuleRep") -> bool:
         """Equal field, grading, p-character and level actions (provenance aside)."""
-        return self is other or (
-            self.ctx == other.ctx and self.cap == other.cap
-            and np.array_equal(self.grading, other.grading)
-            and self.pchar_scalars == other.pchar_scalars
-            and all(a == b for a, b in zip(self.E + self.F, other.E + other.F)))
+        return self.shift_from(other) == 0
 
     def weights(self) -> list[int]:
         return sorted(set(int(w) for w in self.grading))

@@ -18,16 +18,21 @@ makes the two graded algebras match structure constant by structure
 constant.  The certificate transfers each canonical basis morphism and
 twists each composable basis pair once; the twisted product is bilinear,
 so associativity is read from that table in the certified coordinates.
+Each morphism's ad_e and ad_f ladders [m, ad m, ..., ad^(p-1) m] are built
+once per window, so a twisted product is one stacked product of two ladders
+and one A-weighted sum.  Twist elements and graded Vermas are memoised
+within a `run_command` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, vecs
-from . import repcore, homology
+from . import memo, repcore, homology
 from .smallalg import binom_mod
 from .reporting import check, report
 
@@ -36,12 +41,12 @@ from .reporting import check, report
 # twist coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TwistElement:
-    """Weight value d and coefficient vector (A_k), A_0 = 1."""
+    """Weight value d and coefficient vector (A_k), A_0 = 1; immutable, so it can be memoised."""
 
     d: FieldElement
-    coeffs: list[FieldElement]
+    coeffs: tuple[FieldElement, ...]
 
     def recursion_holds(self) -> bool:
         ctx = self.d.ctx
@@ -54,6 +59,7 @@ class TwistElement:
         return True
 
 
+@memo.memoised()
 def twist_closed_form(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     """A_k = (-1)^k / (k! d(d-1)...(d-k+1)); requires d outside F_p."""
     if d.in_prime_field():
@@ -63,7 +69,7 @@ def twist_closed_form(ctx: FieldCtx, d: FieldElement) -> TwistElement:
         # A_k = -A_{k-1} / (k (d - k + 1))
         denom = ctx.el(k) * (d - ctx.el(k - 1))
         coeffs.append(-coeffs[k - 1] * denom.inv())
-    return TwistElement(d, coeffs)
+    return TwistElement(d, tuple(coeffs))
 
 
 def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
@@ -99,40 +105,32 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     if a0.is_zero():
         raise ValueError("invariant vector has no top component")
     inv = a0.inv()
-    return TwistElement(d, [sol.entry(k, 0) * inv for k in range(p)])
+    return TwistElement(d, tuple(sol.entry(k, 0) * inv for k in range(p)))
 
 
 # ---------------------------------------------------------------------------
 # the hom transfer at the Verma level
 # ---------------------------------------------------------------------------
 
-def _transfer(ctx: FieldCtx, A: list[FieldElement], x: Matrix, e, f) -> Matrix:
+def _transfer(ctx: FieldCtx, A: tuple[FieldElement, ...], grid: np.ndarray) -> Matrix:
     """The block sum  sum_{j,i,k} A_k binom(j,i) z_{j-i+k} (x) f^i e^k x  (terms j-i+k < p).
 
-    x is an r x c matrix (a vector of V, or a map P_a -> P_b) and e, f apply
-    the actions of e and f to such a matrix.  Block (t, j) of the p r x p c
+    grid[k, i] is the coefficient array of f^i e^k x for an r x c matrix x
+    (a vector of V, or a map P_a -> P_b).  Block (t, j) of the p r x p c
     result is the z_t component of the image of z_j: the bases are z-major.
     """
     p = ctx.p
-    r, c = x.shape
+    r, c = grid.shape[2:4]
     out = np.zeros((p * r, p * c, ctx.k), dtype=np.int64)
-    ek = x
     for k in range(p):
-        if k:
-            ek = e(ek)
-        if ek.is_zero():
-            break
-        fiek = ek
         for i in range(p):
-            if i:
-                fiek = f(fiek)
-            if fiek.is_zero():
-                break
-            blk = fiek.scale(A[k])
+            if not grid[k, i].any():
+                continue
+            blk = ctx.arr_mul(grid[k, i], A[k]._arr())
             for j in range(i, p):
                 t, b = j - i + k, binom_mod(j, i, p)
                 if t < p and b:
-                    out[t * r:(t + 1) * r, j * c:(j + 1) * c] += blk.scale(ctx.el(b)).arr
+                    out[t * r:(t + 1) * r, j * c:(j + 1) * c] += b * blk
     return Matrix(ctx, out)
 
 
@@ -147,10 +145,11 @@ def verma_map(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
         f^j 1  |->  sum_{k,i} A_k binom(j,i) f^{j-i+k} 1  (x)  f^i e^k v.
     """
     A = twist_closed_form(ctx, d + ctx.el(mu_p % ctx.p)).coeffs
-    Ev, Fv = V.E[0], V.F[0]
-    return _transfer(ctx, A, v, lambda y: Ev @ y, lambda y: Fv @ y)
+    Ev, Fv = (np.stack([m.arr for m in G.powers(ctx.p - 1)]) for G in (V.E[0], V.F[0]))
+    return _transfer(ctx, A, ctx.arr_matmul(Fv[None], ctx.arr_matmul(Ev, v.arr)[:, None]))
 
 
+@memo.memoised()
 def _graded_verma(ctx: FieldCtx, d: FieldElement, mu: int) -> repcore.ModuleRep:
     return repcore.baby_verma(ctx, d + ctx.el(mu % ctx.p), shift=mu)
 
@@ -289,14 +288,21 @@ class WindowedEnd:
             homology.canonical_r1_hom_bases(ctx, self.ext)
         self.twists = {n: twist_closed_form(ctx, d + ctx.el(n % ctx.p)).coeffs
                        for n in range(-radius - 2, radius + 3)}
-        # one Basis per degree piece a composite can land in (zero two steps
-        # apart); pieces of different degrees are independent, so these are
-        # the whole basis's coordinates
-        p = self.p
-        self.pieces = {
-            (a, c, deg): Basis(vecs(ctx, (self.ext[c].dim, self.ext[a].dim),
-                                    self.hom[(a, c)].get(deg, [])))
-            for a in range(p) for c in range(p) for deg in range(-2 * p, 2 * p + 1, p)}
+        # the same coefficients as a (p, k) array, for the stacked twisted sum
+        self._twist_arrs = {n: np.array([a.coeffs for a in A]) for n, A in self.twists.items()}
+        self._ladders: dict = {}
+
+    @cached_property
+    def pieces(self) -> dict:
+        """One Basis per degree piece (lam, lam', degree) a composite can land in.
+
+        Pieces of different degrees are independent, so these are the whole
+        basis's coordinates; a piece two steps apart is zero.
+        """
+        p, ext = self.p, self.ext
+        return {(a, c, deg): Basis(vecs(self.ctx, (ext[c].dim, ext[a].dim),
+                                        self.hom[(a, c)].get(deg, [])))
+                for a in range(p) for c in range(p) for deg in range(-2 * p, 2 * p + 1, p)}
 
     # -- morphism bookkeeping ------------------------------------------------
 
@@ -317,27 +323,38 @@ class WindowedEnd:
     def ad_f(self, lam_a, lam_b, mat: Matrix) -> Matrix:
         return self.ext[lam_b].F[1] @ mat - mat @ self.ext[lam_a].F[1]
 
+    def ladder(self, kind: str, lam_a, lam_b, mat: Matrix) -> np.ndarray:
+        """The stack [m, ad m, ..., ad^(p-1) m] for ad = ad_e (kind 'e') or
+        ad_f on maps m: P_lam_a -> P_lam_b, built once per kind, labels and m."""
+        key = (kind, lam_a, lam_b, mat.arr.tobytes())
+        out = self._ladders.get(key)
+        if out is None:
+            ad = self.ad_e if kind == "e" else self.ad_f
+            rungs = [mat]
+            while len(rungs) < self.p:
+                rungs.append(ad(lam_a, lam_b, rungs[-1]))
+            out = self._ladders[key] = np.stack([m.arr for m in rungs])
+            out.flags.writeable = False
+        return out
+
+    def transfer_grid(self, lam_a, lam_b, x: Matrix) -> np.ndarray:
+        """grid[k, i] = ad_f^i ad_e^k x for a map x: P_lam_a -> P_lam_b, read from the ladders."""
+        return np.stack([self.ladder("f", lam_a, lam_b, Matrix(self.ctx, ek))
+                         for ek in self.ladder("e", lam_a, lam_b, x)])
+
     def compose_twisted(self, g: Matrix, x: Matrix, lam_a, lam_b, lam_c,
                         mu_mid: int) -> Matrix:
         """sum_k A_k(d + mu_mid) (f^k g) o (e^k x): the deformed composition.
 
         x is applied first (source morphism), g second; the twist index is
-        the grading of the middle object.
+        the grading of the middle object.  All p products are one stacked
+        product of g's f-ladder and x's e-ladder.
         """
-        A = self.twists[mu_mid]
-        out = Matrix.zeros(self.ctx, g.rows, x.cols)
-        ek_x = x
-        fk_g = g
-        for k in range(self.p):
-            if k:
-                ek_x = self.ad_e(lam_a, lam_b, ek_x)
-                fk_g = self.ad_f(lam_b, lam_c, fk_g)
-            if ek_x.is_zero() or fk_g.is_zero():
-                if k:
-                    break
-                continue
-            out = out + (fk_g @ ek_x).scale(A[k])
-        return out
+        ctx = self.ctx
+        prods = ctx.arr_matmul(self.ladder("f", lam_b, lam_c, g),
+                               self.ladder("e", lam_a, lam_b, x))
+        return Matrix(ctx, ctx.arr_mul(prods, self._twist_arrs[mu_mid][:, None, None])
+                      .sum(axis=0))
 
 
 def solve_rescaling(ctx: FieldCtx, d: FieldElement, radius: int) -> dict:
@@ -398,8 +415,11 @@ def _build_bside(ctx: FieldCtx, d: FieldElement, W: WindowedEnd) -> dict:
 
 def _combine(X: Matrix, col: int, mats: list[Matrix], shape: tuple[int, int]) -> Matrix:
     """sum_b X[b, col] mats[b], a zero matrix of the given shape when mats is empty."""
-    return sum((m.scale(X.entry(bi, col)) for bi, m in enumerate(mats)),
-               Matrix.zeros(X.ctx, *shape))
+    ctx = X.ctx
+    if not mats:
+        return Matrix.zeros(ctx, *shape)
+    stacked = np.stack([m.arr for m in mats])
+    return Matrix(ctx, ctx.arr_mul(stacked, X.arr[:, col, None, None]).sum(axis=0))
 
 
 def _basis_products(W: WindowedEnd) -> dict:
@@ -410,10 +430,11 @@ def _basis_products(W: WindowedEnd) -> dict:
     value is (twisted, X): the columns of X are the exact coordinates of the
     plain product g x and of the twisted one in the canonical basis of
     (mu, la) -> (mu3, lc) (empty two steps apart), or X is None when either
-    lies outside that span.
+    lies outside that span.  Coordinates are taken once per piece, and per
+    pair only when some column of the piece lies outside it.
     """
     objs = W.objects()
-    out = {}
+    maps, by_piece = {}, {}
     for (mu, la) in objs:
         for (mu2, lb) in objs:
             xs = W.mor_basis((mu, la), (mu2, lb))
@@ -423,11 +444,18 @@ def _basis_products(W: WindowedEnd) -> dict:
                 gs = W.mor_basis((mu2, lb), (mu3, lc))
                 for xi, x in enumerate(xs):
                     for gi, g in enumerate(gs):
-                        twisted = W.compose_twisted(g, x, la, lb, lc, mu2)
-                        X = W.pieces[(la, lc, W.p * (mu - mu3))].coordinates(
-                            Matrix.hstack([vec(g @ x), vec(twisted)]))
-                        out[(mu, la, mu2, lb, mu3, lc, xi, gi)] = (twisted, X)
-    return out
+                        key = (mu, la, mu2, lb, mu3, lc, xi, gi)
+                        maps[key] = (g @ x, W.compose_twisted(g, x, la, lb, lc, mu2))
+                        by_piece.setdefault((la, lc, W.p * (mu - mu3)), []).append(key)
+    coords = {}
+    for (la, lc, deg), keys in by_piece.items():
+        span = W.pieces[(la, lc, deg)]
+        shape = (W.ext[lc].dim, W.ext[la].dim)
+        X = span.coordinates(vecs(W.ctx, shape, [m for key in keys for m in maps[key]]))
+        for i, key in enumerate(keys):
+            coords[key] = span.coordinates(vecs(W.ctx, shape, maps[key])) if X is None \
+                else Matrix(W.ctx, X.arr[:, 2 * i:2 * i + 2])
+    return {key: (twisted, coords[key]) for key, (_, twisted) in maps.items()}
 
 
 def _associativity_sides(W: WindowedEnd, prods: dict):
@@ -435,22 +463,44 @@ def _associativity_sides(W: WindowedEnd, prods: dict):
 
     The twisted product is bilinear and prods certifies gx = sum_b c_b b and
     hg = sum_b c'_b b exactly, so h(gx) = sum_b c_b h(b) and
-    (hg)x = sum_b c'_b b(x) are sums of entries of prods.  A side is None
-    when gx or hg lies outside its span.
+    (hg)x = sum_b c'_b b(x) are sums of entries of prods.  Every pair with
+    ends src -> tgt sums over the same basis b: src -> tgt, so one product
+    C S gives all their sums: row i of C holds the coordinates of pair i and
+    the columns of S the maps h(b) for each h leaving tgt and b(x) for each
+    x entering src.  A side is None when gx or hg lies outside its span.
     """
-    for (mu, la, mu2, lb, mu3, lc, xi, gi), (_, X) in prods.items():
-        for (mu4, ld) in W.objects():
-            shape = (W.ext[ld].dim, W.ext[la].dim)
-            for hi in range(len(W.mor_basis((mu3, lc), (mu4, ld)))):
-                Y = prods[(mu2, lb, mu3, lc, mu4, ld, gi, hi)][1]
-                left = right = None
-                if X is not None:
-                    left = _combine(X, 1, [prods[(mu, la, mu3, lc, mu4, ld, bi, hi)][0]
-                                           for bi in range(X.rows)], shape)
-                if Y is not None:
-                    right = _combine(Y, 1, [prods[(mu, la, mu2, lb, mu4, ld, xi, bi)][0]
-                                            for bi in range(Y.rows)], shape)
-                yield (mu, la, mu2, lb, mu3, lc, mu4, ld, xi, gi, hi), left, right
+    ctx, objs = W.ctx, W.objects()
+    n_mor = {(s, t): len(W.mor_basis(s, t)) for s in objs for t in objs}
+    by_ends: dict = {}
+    for key, (_, X) in prods.items():
+        if X is not None:
+            by_ends.setdefault((key[:2], key[4:6]), []).append(key)
+    left, right = {}, {}    # h(gx) by (gx, h) and (hg)x by (x, hg), pairs as in prods
+    for (src, tgt), keys in by_ends.items():
+        nb = n_mor[(src, tgt)]
+        # (store, head, tail, shape, maps): the sum for pair key is stored
+        # at head + key + tail and sums the maps over b
+        parts = [(left, (), o + (i,), (W.ext[o[1]].dim, W.ext[src[1]].dim),
+                  [prods[src + tgt + o + (b, i)][0] for b in range(nb)])
+                 for o in objs for i in range(n_mor[(tgt, o)])]
+        parts += [(right, o + (i,), (), (W.ext[tgt[1]].dim, W.ext[o[1]].dim),
+                   [prods[o + src + tgt + (i, b)][0] for b in range(nb)])
+                  for o in objs for i in range(n_mor[(o, src)])]
+        ends = np.cumsum([0] + [r * c for *_, (r, c), _ in parts])
+        S = np.zeros((nb, ends[-1], ctx.k), dtype=np.int64)
+        for (*_, maps), lo, hi in zip(parts, ends, ends[1:]):
+            for b, m in enumerate(maps):
+                S[b, lo:hi] = m.arr.reshape(hi - lo, ctx.k)
+        V = ctx.arr_matmul(np.stack([prods[key][1].arr[:, 1] for key in keys]), S)
+        for (store, head, tail, shape, _), lo, hi in zip(parts, ends, ends[1:]):
+            for key, v in zip(keys, V[:, lo:hi]):
+                store[head + key + tail] = Matrix(ctx, v.reshape(*shape, ctx.k))
+    for (mu, la, mu2, lb, mu3, lc, xi, gi) in prods:
+        for (mu4, ld) in objs:
+            for hi in range(n_mor[((mu3, lc), (mu4, ld))]):
+                yield ((mu, la, mu2, lb, mu3, lc, mu4, ld, xi, gi, hi),
+                       left.get((mu, la, mu2, lb, mu3, lc, xi, gi, mu4, ld, hi)),
+                       right.get((mu, la, xi, mu2, lb, mu3, lc, mu4, ld, gi, hi)))
 
 
 def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
@@ -489,8 +539,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
                                 len(amats) == BH.dim,
                                 graded_end=len(amats), next_kernel=BH.dim))
             phis = phi[(mu, lam, mu2, lam2)] = [
-                _transfer(ctx, W.twists[mu2], x, lambda y: W.ad_e(lam, lam2, y),
-                          lambda y: W.ad_f(lam, lam2, y)) for x in amats]
+                _transfer(ctx, W.twists[mu2], W.transfer_grid(lam, lam2, x)) for x in amats]
             for x, ph in zip(amats, phis):
                 in_space = BH.span.coordinates(vec(ph)) is not None
                 top = Matrix(ctx, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim])

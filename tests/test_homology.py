@@ -580,6 +580,9 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
         baby_verma(F3, F3.el(1)),   # the grading of L2<-2>, another E
         dual(L2), _rebuilt(L2, "copy")]
     pairs = [(M, N, deg) for M in mods for N in mods for deg in (None, 0, 2)]
+    # the same pairs shifted by one common amount, and by two different ones
+    pairs += [(M.shift_grading(4), N.shift_grading(4 + t), deg)
+              for M, N, deg in pairs for t in (0, 2)]
     expected = [hom_space(M, N, degree=deg) for M, N, deg in pairs]
     presentations = [homology._presentation(M) for M in mods]
     words = [homology._word_diagonals(M)[1:] for M in mods]
@@ -588,6 +591,7 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
         for _ in range(2):
             for (M, N, deg), want in zip(pairs, expected):
                 got = hom_space(M, N, degree=deg)
+                assert got.source.same_content(M) and got.target.same_content(N)
                 assert got.basis == want.basis and got.degrees == want.degrees
             for M, want in zip(mods, presentations):
                 got = homology._presentation(M)
@@ -598,6 +602,30 @@ def test_hom_space_memo_survives_digest_collisions(monkeypatch):
                 module, *got = homology._word_diagonals(M)
                 assert module.same_content(M)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_module_pair(), st.integers(-9, 9), st.integers(-9, 9).filter(bool),
+       st.one_of(st.none(), st.integers(-6, 6)))
+def test_hom_space_memo_is_exact_up_to_a_common_shift(pair, s, t, degree):
+    M, N = pair
+    Ms, Ns, Nt = M.shift_grading(s), N.shift_grading(s), N.shift_grading(t)
+    # solved outside any memo scope
+    want, want_t = hom_space(Ms, Ns, degree=degree), hom_space(M, Nt, degree=degree)
+    with memo.scope():
+        H = hom_space(M, N, degree=degree)
+        got = hom_space(Ms, Ns, degree=degree)
+        assert got.source.same_content(Ms) and got.target.same_content(Ns)
+        assert got.basis == want.basis and got.degrees == want.degrees
+        # a hit: the stored space itself, or one sharing its maps and span
+        assert got.basis is H.basis and (got is H) == (s == 0)
+        assert got.span is H.span
+        # shifted by different amounts: a solve of its own
+        assert H.rebound(Ms, N.shift_grading(s + t)) is None
+        got_t = hom_space(M, Nt, degree=degree)
+        assert got_t.source is M and got_t.target is Nt
+        assert got_t.basis == want_t.basis and got_t.degrees == want_t.degrees
+        assert not any(a is b for a in got_t.basis for b in H.basis)
 
 
 def test_memoised_projective_mappings_are_read_only(proj3):

@@ -5,7 +5,7 @@ attribute) anywhere in `src/sl2frob`.  Code that only tests reach is either
 a command's business or dead weight, so it fails here.  Likewise every
 parameter of a `def` is read in its body: a parameter that every caller
 passes and nothing reads only misleads.  Lambdas are exempt, since the memo
-passes every argument to its `key` and `matches` callbacks.
+passes every argument to its `key` and `reuse` callbacks.
 """
 
 import ast

@@ -158,6 +158,37 @@ def test_extend_levels_guard():
         extend_levels(restrict_levels(St2, 1), 2)  # weight span 8 >= 2p
 
 
+def test_module_content_is_frozen():
+    L2 = simple_restricted(F3, 2)
+    for name in ("ctx", "E", "F", "grading", "pchar_scalars"):
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(L2, name, getattr(L2, name))
+    L2.provenance = "relabelled"    # a label, not content
+    assert L2.provenance == "relabelled"
+
+
+def test_content_digest_is_hashed_once_and_shift_invariant(monkeypatch):
+    calls = []
+    blake2b = repcore.hashlib.blake2b
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(repcore.hashlib, "blake2b", counted)
+    M = tensor(simple_restricted(F9, 1), baby_verma(F9, F9.el(0, 1), shift=3))
+    first = M.content_digest()
+    assert len(calls) == 1
+    assert M.content_digest() == first and len(calls) == 1
+    shifted = M.shift_grading(5)
+    assert shifted.content_digest() == first
+    assert shifted.shift_from(M) == 5 and M.shift_from(shifted) == -5
+    assert M.shift_from(baby_verma(F9, F9.el(0, 1))) is None
+    # a grading that differs by more than a constant shift
+    bent = repcore.ModuleRep(F9, M.E, M.F, M.grading * 2, M.pchar_scalars)
+    assert bent.content_digest() != first and bent.shift_from(M) is None
+
+
 def test_validate_fault_injection():
     L2 = simple_restricted(F3, 2)
     rep = validate(L2)

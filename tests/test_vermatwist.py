@@ -150,6 +150,62 @@ def test_equivalence_other_seed():
     assert rep["failures"] == 0
 
 
+def _repeated_ad_product(W, g, x, la, lb, lc, mu_mid):
+    """sum_k A_k (ad_f^k g) o (ad_e^k x), each ad applied afresh: the reference
+    for the ladder product of `compose_twisted`."""
+    out = Matrix.zeros(F9, g.rows, x.cols)
+    ek_x, fk_g = x, g
+    for k, a in enumerate(W.twists[mu_mid]):
+        if k:
+            ek_x, fk_g = W.ad_e(la, lb, ek_x), W.ad_f(lb, lc, fk_g)
+        out = out + (fk_g @ ek_x).scale(a)
+    return out
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_ladder_product_matches_repeated_ad(radius):
+    W = VT.WindowedEnd(F9, D, radius, seed=0)
+    objs = W.objects()
+    pairs = 0
+    for (mu, la) in objs:
+        for (mu2, lb) in objs:
+            for x in W.mor_basis((mu, la), (mu2, lb)):
+                for (mu3, lc) in objs:
+                    for g in W.mor_basis((mu2, lb), (mu3, lc)):
+                        got = W.compose_twisted(g, x, la, lb, lc, mu2)
+                        assert got == _repeated_ad_product(W, g, x, la, lb, lc, mu2)
+                        pairs += 1
+                        # composite maps P_la -> P_lc, as the first and as the second factor
+                        for h in (got, g @ x + got):
+                            for y in W.mor_basis((mu3, lc), (mu3, lc)):
+                                assert W.compose_twisted(y, h, la, lc, lc, mu3) == \
+                                    _repeated_ad_product(W, y, h, la, lc, lc, mu3)
+                            for y in W.mor_basis((mu, la), (mu, la)):
+                                assert W.compose_twisted(h, y, la, la, lc, mu) == \
+                                    _repeated_ad_product(W, h, y, la, la, lc, mu)
+    assert pairs
+
+
+def test_ladders_are_kept_apart_by_endpoint_labels():
+    # P_0 and P_1 have one dimension, so one matrix is a map between any two
+    # of them; its ladders under different labels must not be shared
+    W = VT.WindowedEnd(F9, D, 1, seed=0)
+    m = W.hom[(0, 1)][-3][0]
+    for kind, ad in (("e", W.ad_e), ("f", W.ad_f)):
+        ladders = {}
+        for la in (0, 1):
+            for lb in (0, 1):
+                rungs = [m]
+                for _ in range(1, W.p):
+                    rungs.append(ad(la, lb, rungs[-1]))
+                want = np.stack([r.arr for r in rungs])
+                ladders[(la, lb)] = W.ladder(kind, la, lb, m)
+                assert np.array_equal(ladders[(la, lb)], want), (kind, la, lb)
+        assert len({lad.tobytes() for lad in ladders.values()}) > 1, kind
+    # the cache returns the stored stack for equal content
+    assert W.ladder("e", 0, 1, Matrix(F9, m.arr.copy())) is W.ladder("e", 0, 1, m)
+
+
 @pytest.mark.parametrize("d, radius", [(D, 1), (D + F9.one(), 2)])
 def test_table_associativity_matches_direct_composition(d, radius):
     # the bilinear expansion over the product table against four direct
