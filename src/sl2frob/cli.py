@@ -145,7 +145,7 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
         for i in (0, 1):
             V = repcore.simple_restricted(ctx, i)
             reps.append(vermatwist.hom_iso_report(ctx, d, V, window, tag=f"L{i}"))
-        ext_projs = homology.all_extended_projectives(ctx, seed=seed)
+        ext_projs = homology.all_extended_projectives(ctx)
         for a in range(p):
             for b in range(p):
                 _, V = homology.hom_as_gmodule(ext_projs[a], ext_projs[b], 1)
@@ -155,7 +155,7 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
         L1 = repcore.simple_restricted(ctx, 1)
         for trip in [(1, 0, 1), (1, 0, -1), (0, 1, 0), (2, 1, 0)]:
             reps.append(vermatwist.composition_law_report(ctx, d, L1, L1, *trip))
-        reps.append(vermatwist.verma_tensor_split(ctx, d, 0, L1, seed=seed))
+        reps.append(vermatwist.verma_tensor_split(ctx, d, 0, L1))
         out = merge_reports("hom-iso", {"p": p, "window": window, "d": str(d)}, reps)
         out["conventions"] = conventions(ctx)
         return out
@@ -195,7 +195,7 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
         return out
 
     if cmd == "block-equivalence":
-        out = steinberg.steinberg_block_equivalence(prime_ctx, seed=seed)
+        out = steinberg.steinberg_block_equivalence(prime_ctx)
         out["conventions"] = conventions(prime_ctx)
         return out
 
@@ -242,7 +242,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="generic weight seed: 'auto' or 'c0,c1'")
     parser.add_argument("--window", type=int, default=2,
                         help="graded window radius")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="RNG seed of the regular-module split behind the r = 1 "
+                             "zero-character covers; other reports only record it")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
     try:

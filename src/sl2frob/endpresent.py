@@ -87,12 +87,11 @@ class EndGenerator:
 class FixedMaps:
     """Deterministic choices of all first-kernel structure maps (cap 2)."""
 
-    def __init__(self, ctx: FieldCtx, seed: int = 0):
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.p = ctx.p
         p = ctx.p
-        self.seed = seed
-        self.ext = homology.all_extended_projectives(ctx, seed=seed)
+        self.ext = homology.all_extended_projectives(ctx)
         self.bases, self.classify_ok, self.unexpected = \
             homology.canonical_r1_hom_bases(ctx, self.ext)
         self.V = repcore.simple_restricted(ctx, 1, cap=2)
@@ -232,9 +231,9 @@ class FixedMaps:
 
 
 @memo.memoised()
-def fixed_maps(ctx: FieldCtx, seed: int = 0) -> FixedMaps:
-    """The FixedMaps of (ctx, seed), built once per call scope."""
-    return FixedMaps(ctx, seed=seed)
+def fixed_maps(ctx: FieldCtx) -> FixedMaps:
+    """The FixedMaps of ctx, built once per call scope."""
+    return FixedMaps(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +343,10 @@ def verify_relations_level1(fm: FixedMaps) -> list[dict]:
 class KernelTwoAlgebra:
     """Objects, generators and hom spaces for the second Frobenius kernel."""
 
-    def __init__(self, ctx: FieldCtx, seed: int = 0):
+    def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.p = ctx.p
-        self.fm = fixed_maps(ctx, seed=seed)
+        self.fm = fixed_maps(ctx)
         p = ctx.p
         self.labels = [(k0, k1) for k0 in range(p) for k1 in range(p)]
         self.modules: dict[tuple, repcore.ModuleRep] = {}
@@ -539,14 +538,14 @@ def verify_relations_level2(K: KernelTwoAlgebra) -> list[dict]:
 def verify_relations(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     fm_checks: list[dict]
     if r == 1:
-        fm = fixed_maps(ctx, seed=seed)
+        fm = fixed_maps(ctx)
         fm_checks = verify_relations_level1(fm)
         fm_checks.append(check("hom_classification", fm.classify_ok,
                                unexpected=fm.unexpected))
         fm_checks.extend(check(f"omega_factors_P{r0}", ok)
                          for r0, ok in fm.omega_factor_checks)
     elif r == 2:
-        K = KernelTwoAlgebra(ctx, seed=seed)
+        K = KernelTwoAlgebra(ctx)
         fm_checks = verify_relations_level1(K.fm)
         fm_checks.extend(verify_relations_level2(K))
     else:
@@ -625,7 +624,7 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     p = ctx.p
     checks = []
     if r == 1:
-        fm = fixed_maps(ctx, seed=seed)
+        fm = fixed_maps(ctx)
         objects = list(range(p))
         mods = {i: repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
         id_mats = {i: Matrix.identity(ctx, mods[i].dim) for i in range(p)}
@@ -636,7 +635,7 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
             by_level[0].append(EndGenerator("down", 0, i, p - 2 - i, fm.down[i], {"deg": p}))
         max_level = 0
     elif r == 2:
-        K = KernelTwoAlgebra(ctx, seed=seed)
+        K = KernelTwoAlgebra(ctx)
         objects = K.labels
         mods = K.restricted
         id_mats = {lab: Matrix.identity(ctx, mods[lab].dim) for lab in objects}
@@ -741,11 +740,11 @@ def verify_center(ctx: FieldCtx, r: int, seed: int = 0,
     p = ctx.p
     checks = []
     if r == 1:
-        fm = fixed_maps(ctx, seed=seed)
+        fm = fixed_maps(ctx)
         mods = {(i,): repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
         labels = [(i,) for i in range(p)]
     elif r == 2:
-        K = KernelTwoAlgebra(ctx, seed=seed)
+        K = KernelTwoAlgebra(ctx)
         fm = K.fm
         mods = K.restricted
         labels = K.labels

@@ -273,16 +273,6 @@ class FieldElement:
         """x -> x^p, a ring automorphism fixing exactly F_p."""
         return FieldElement(self.ctx, self.ctx.arr_frob(self._arr()))
 
-    def pow(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inv().pow(-n)
-        out, base = self.ctx.one(), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

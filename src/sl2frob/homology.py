@@ -21,11 +21,15 @@ H_j = [E_j, F_j] and C_j = 4 F_j E_j + H_j^2 + 2 H_j (j < cap) that are
 diagonal on both leave no entry free, Hom(M, N) = 0, with no hypothesis on
 the grading or the central character.
 
-Splitting into indecomposables uses degree-0 endomorphisms only.  Every
-natural decomposition here exists in the graded category, all endomorphism
-rings split over the base field, so generalized eigenspaces of a degree-0
-endomorphism are graded and an eigenvalue scan over the (small) field splits
-any decomposable node; leaves are certified by a simple head.
+Splitting into indecomposables uses degree-0 endomorphisms only: their
+generalized eigenspaces are graded, and an eigenvalue scan over the (small)
+field finds them.  The candidates at a node are the basis of End_0, its
+degree-0 endomorphisms, and a node that none of them splits is a leaf,
+exactly, when dim End_0 <= 2: such an algebra is local or k x k, and a basis
+map splits k x k.  A larger End_0 that no basis map splits raises
+`Inconclusive`.  Only the split of the regular module draws random
+candidates (its weight-zero right multiplications), and its leaves are
+certified by a simple head.
 
 Coordinates in a basis and growing spans (a Hom space's `span`, the spin
 closure, the center, the adjoint action on Hom spaces) go through
@@ -420,26 +424,18 @@ def hom_space_unblocked(M: ModuleRep, N: ModuleRep) -> list[Matrix]:
             for t in range(ker.cols)]
 
 
-def is_isomorphic(M: ModuleRep, N: ModuleRep, seed: int = 0) -> Matrix | None:
+def is_isomorphic(M: ModuleRep, N: ModuleRep) -> Matrix | None:
     """An invertible intertwiner M -> N, or None.
 
-    For modules with local endomorphism rings an isomorphism, if one exists,
-    is found among basis elements (a basis cannot lie entirely inside the
-    proper subspace of non-isomorphisms); random combinations are a fallback.
+    M must be indecomposable, so End(M) is local.  If some theta: M -> N is
+    an isomorphism, phi -> theta^-1 phi carries Hom(M, N) onto End(M) and
+    the non-isomorphisms onto its radical, a proper subspace.  A basis of
+    Hom(M, N) cannot lie inside a proper subspace, so one of its maps is an
+    isomorphism.
     """
     if M.dim != N.dim:
         return None
-    H = hom_space(M, N)
-    for b in H.basis:
-        if b.rank() == M.dim:
-            return b
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        c = Matrix(M.ctx, rng.integers(0, M.ctx.p, size=(H.dim, 1, M.ctx.k)))
-        cand = H.element(c)
-        if cand.rank() == M.dim:
-            return cand
-    return None
+    return next((b for b in hom_space(M, N).basis if b.rank() == M.dim), None)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +638,7 @@ def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
     return pieces
 
 
-SPLIT_TRIES = 12   # random candidates per node before it is certified as a leaf
+SPLIT_TRIES = 12   # sampled candidates per regular-module node before its head is checked
 
 
 def _restrict_stack(stack: list[Matrix], pieces: list[Matrix]) -> list[list[Matrix]]:
@@ -668,45 +664,51 @@ def split_indecomposables(M: ModuleRep, seed: int = 0, sampler=None,
                           simples=None) -> SummandDecomposition:
     """Recursive Fitting-style splitting along degree-0 endomorphisms.
 
+    Without a sampler the candidates at each node are the basis of End_0,
+    the degree-0 endomorphisms of the node.  A node that no basis map splits
+    is a leaf when dim End_0 <= 2, and this is exact.  A unital algebra of
+    dimension at most 2 is k[x]/(f).  If f is irreducible or a square,
+    End_0 is local and the node is indecomposable.  Otherwise End_0 is
+    k x k, and its basis map outside k.1 acts on the two summands by two
+    distinct eigenvalues in k, so `_eigen_split` splits the node.  A larger
+    End_0 that no basis map splits raises `Inconclusive`.
+
     sampler may be an algebra whose weight-zero right multiplications span
-    the degree-0 endomorphisms of M (a regular module): candidates are its
-    `random_weight_zero_right_mult` draws over that stack, which each split
-    restricts to the new pieces once.  Otherwise the degree-0 hom space is
-    solved directly.  Leaves are certified by a simple head when a simple
-    list is supplied; without one, exhaustion of the candidate
-    endomorphisms is required.
+    End_0 of M (a regular module).  Then the candidates are SPLIT_TRIES
+    `random_weight_zero_right_mult` draws over that stack, from an RNG
+    seeded by seed; each split restricts the stack to the new pieces once.
+    A leaf must have a simple head against the list simples.  seed and
+    simples are read only with a sampler.
     """
-    rng = np.random.default_rng(seed)
     ctx = M.ctx
     dec = SummandDecomposition(M)
-
-    def candidates(node, stack):
-        if stack is not None:
-            for _ in range(SPLIT_TRIES):
-                yield sampler.random_weight_zero_right_mult(rng, stack)
-        else:
-            H = hom_space(node, node, degree=0)
-            for b in H.basis:
-                yield b
-            for _ in range(SPLIT_TRIES):
-                c = Matrix(ctx, rng.integers(0, ctx.p, size=(H.dim, 1, ctx.k)))
-                yield H.element(c)
+    rng = None if sampler is None else np.random.default_rng(seed)
 
     def first_split(node, stack):
-        # returning drops the candidate generator, and with it its hold on stack
-        for phi in candidates(node, stack):
+        """The pieces of the first candidate that splits node, or None for a certified leaf."""
+        if stack is None:
+            H = hom_space(node, node, degree=0)
+            candidates = H.basis
+        else:
+            candidates = (sampler.random_weight_zero_right_mult(rng, stack)
+                          for _ in range(SPLIT_TRIES))
+        # returning drops the candidates, and with them their hold on stack
+        for phi in candidates:
             pieces = _eigen_split(node, phi)
             if pieces is not None:
                 return pieces
+        if stack is None:
+            if H.dim > 2:
+                raise Inconclusive(f"summand of dim {node.dim} has dim End_0 = {H.dim} > 2 "
+                                   f"and no basis map of End_0 splits it")
+        elif not head_is_simple(node, simples):
+            raise Inconclusive(
+                f"summand of dim {node.dim} did not split but its head is not simple")
         return None
 
     def recurse(node: ModuleRep, incl: Matrix, stack):
         pieces = first_split(node, stack)
         if pieces is None:
-            # no candidate split this node: certify it as a leaf
-            if simples is not None and not head_is_simple(node, simples):
-                raise Inconclusive(
-                    f"summand of dim {node.dim} did not split but its head is not simple")
             dec.add(incl, node)
             return
         stacks = [None] * len(pieces) if stack is None else _restrict_stack(stack, pieces)
@@ -756,7 +758,7 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, Modu
 
 
 @memo.memoised()
-def extended_projective(ctx: FieldCtx, i: int, seed: int = 0) -> ModuleRep:
+def extended_projective(ctx: FieldCtx, i: int) -> ModuleRep:
     """P_i with its canonical level-1 action (cap 2), head in degree i.
 
     For i <= p-2 this is the indecomposable cap-2 summand of St (x) L_{p-1-i}
@@ -771,7 +773,7 @@ def extended_projective(ctx: FieldCtx, i: int, seed: int = 0) -> ModuleRep:
     St = repcore.simple_restricted(ctx, p - 1, cap=2)
     L = repcore.simple_restricted(ctx, p - 1 - i, cap=2)
     T = repcore.tensor(St, L)
-    dec = split_indecomposables(T, seed=seed)
+    dec = split_indecomposables(T)
     top = 2 * p - 2 - i
     for leaf in dec.summands:
         if top in leaf.weights():
@@ -782,8 +784,8 @@ def extended_projective(ctx: FieldCtx, i: int, seed: int = 0) -> ModuleRep:
     raise Inconclusive(f"no summand of St(x)L_{p-1-i} contains weight {top}")
 
 
-def all_extended_projectives(ctx: FieldCtx, seed: int = 0) -> dict[int, ModuleRep]:
-    return {i: extended_projective(ctx, i, seed=seed) for i in range(ctx.p)}
+def all_extended_projectives(ctx: FieldCtx) -> dict[int, ModuleRep]:
+    return {i: extended_projective(ctx, i) for i in range(ctx.p)}
 
 
 @memo.memoised()
@@ -827,9 +829,9 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     chi = 0 when d is None.  Labels are digit tuples (k_0, ..., k_{r-1});
     for generic characters the top digit indexes the Verma Z_{d+c}.  At
     r = 1 the zero-character covers come from splitting the regular module
-    (identified by head) and the generic ones are the baby Vermas; for
-    r >= 2 they are twisted tensors of the cap-2 extended projectives and
-    the heads are re-verified computationally by the callers.
+    (identified by head; the only use of seed) and the generic ones are the
+    baby Vermas; for r >= 2 they are twisted tensors of the cap-2 extended
+    projectives and the heads are re-verified computationally by the callers.
     """
     p = ctx.p
     if r == 1:
@@ -837,7 +839,7 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
             return {(c,): Z for c, Z in generic_verma_projectives(ctx, d).items()}
         return {(i,): P for i, P in regular_split_projectives(ctx, seed=seed).items()}
     cap = r + 1
-    ext = all_extended_projectives(ctx, seed=seed)
+    ext = all_extended_projectives(ctx)
     out: dict[tuple, ModuleRep] = {}
     for lab in repcore.all_labels(p, r):
         factors = []
@@ -894,10 +896,6 @@ class EndAlgebra:
         for a in self.labels:
             for b in self.labels:
                 self.homs[(a, b)] = hom_space(self.modules[a], self.modules[b])
-
-    @property
-    def dim(self) -> int:
-        return sum(h.dim for h in self.homs.values())
 
     def center(self) -> list[dict]:
         """Basis of central elements, each a dict label -> matrix in End(P_label).

@@ -109,7 +109,7 @@ def hat_borel_irreducibles(ctx: FieldCtx, r: int, d: FieldElement) -> dict:
 # the Steinberg-block equivalence
 # ---------------------------------------------------------------------------
 
-def steinberg_block_equivalence(ctx: FieldCtx, seed: int = 0) -> dict:
+def steinberg_block_equivalence(ctx: FieldCtx) -> dict:
     """M -> M^(1) (x) St preserves Hom data and carries projectives to the
     Steinberg-block projectives of the next kernel."""
     p = ctx.p
@@ -131,7 +131,7 @@ def steinberg_block_equivalence(ctx: FieldCtx, seed: int = 0) -> dict:
     checks.append(check("unit_to_steinberg", iso is not None))
 
     # projectives: (P_k)^(1) (x) St matches the Steinberg-block projective
-    ext = homology.all_extended_projectives(ctx, seed=seed)
+    ext = homology.all_extended_projectives(ctx)
     for k in range(p):
         Pk1 = repcore.restrict_levels(
             repcore.tensor(repcore.frobenius_twist(ext[k], 1),
@@ -139,7 +139,7 @@ def steinberg_block_equivalence(ctx: FieldCtx, seed: int = 0) -> dict:
         ref = repcore.restrict_levels(
             repcore.tensor(repcore.extend_levels(ext[p - 1], 3),
                            repcore.frobenius_twist(repcore.extend_levels(ext[k], 2), 1)), 2)
-        iso = homology.is_isomorphic(Pk1, ref, seed=seed)
+        iso = homology.is_isomorphic(Pk1, ref)
         checks.append(check(f"projective_match_{k}", iso is not None, dim=Pk1.dim))
 
     # End(P_0) and End(P_0^(1) (x) St) both two-dimensional
@@ -189,7 +189,7 @@ def verify_projective_construction(ctx: FieldCtx, r: int,
                             dim=P.dim, expected=expected_dim))
     # graded agreement under reordering the tensor factors (r = 2 case)
     if r == 2:
-        ext = homology.all_extended_projectives(ctx, seed=seed)
+        ext = homology.all_extended_projectives(ctx)
         for lab in repcore.all_labels(p, 2):
             k0, k1 = lab
             if d is not None:

@@ -240,11 +240,11 @@ def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
 # ---------------------------------------------------------------------------
 
 def verma_tensor_split(ctx: FieldCtx, d: FieldElement, mu: int,
-                       V: repcore.ModuleRep, seed: int = 0) -> dict:
+                       V: repcore.ModuleRep) -> dict:
     """Z_mu (x) V splits into Vermas with weight-space multiplicities."""
     Z = _graded_verma(ctx, d, mu)
     M = repcore.tensor(Z, V)
-    dec = homology.split_indecomposables(M, seed=seed)
+    dec = homology.split_indecomposables(M)
     wd = V.weight_indices()
     found: dict[int, int] = {}
     checks = []
@@ -278,12 +278,12 @@ class WindowedEnd:
     makes each Hom space a module with weights (degree / p^r).
     """
 
-    def __init__(self, ctx: FieldCtx, d: FieldElement, radius: int, seed: int = 0):
+    def __init__(self, ctx: FieldCtx, d: FieldElement, radius: int):
         self.ctx = ctx
         self.d = d
         self.radius = radius
         self.p = ctx.p
-        self.ext = homology.all_extended_projectives(ctx, seed=seed)
+        self.ext = homology.all_extended_projectives(ctx)
         self.hom, self.classify_ok, self.unexpected = \
             homology.canonical_r1_hom_bases(ctx, self.ext)
         self.twists = {n: twist_closed_form(ctx, d + ctx.el(n % ctx.p)).coeffs
@@ -518,7 +518,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
     """
     homology.generic_verma_projectives(ctx, d)
     checks = []
-    W = WindowedEnd(ctx, d, radius, seed=seed)
+    W = WindowedEnd(ctx, d, radius)
     checks.append(check("basis_classification", W.classify_ok,
                         unexpected=W.unexpected))
     resc = solve_rescaling(ctx, d, radius)
@@ -605,7 +605,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
     checks.append(check("generator_composition_rules", rules_ok))
 
     # (e) widening stability: the wider window's own twisted products agree
-    W2 = WindowedEnd(ctx, d, radius + 1, seed=seed)
+    W2 = WindowedEnd(ctx, d, radius + 1)
     stable = all(
         W2.compose_twisted(W.mor_basis((mu2, lb), (mu3, lc))[gi],
                            W.mor_basis((mu, la), (mu2, lb))[xi], la, lb, lc, mu2) == twisted

@@ -3,11 +3,11 @@
 from sl2frob import homology
 
 
-def identify_summands(dec, references, seed=0) -> list:
+def identify_summands(dec, references) -> list:
     """Each summand's label: the first isomorphic reference of equal dimension, else None."""
     labels = []
     for s in dec.summands:
         labels.append(next((label for label, ref in references
                             if s.dim == ref.dim
-                            and homology.is_isomorphic(s, ref, seed=seed) is not None), None))
+                            and homology.is_isomorphic(s, ref) is not None), None))
     return labels

@@ -79,14 +79,14 @@ def test_criterion_05_tensor_rules():
     ok = True
     for p in (3, 5, 7):
         ctx = FieldCtx(p)
-        ext = homology.all_extended_projectives(ctx, seed=0)
+        ext = homology.all_extended_projectives(ctx)
         V = repcore.simple_restricted(ctx, 1, cap=2)
         VSt = repcore.tensor(
             repcore.frobenius_twist(repcore.simple_restricted(ctx, 1), 1),
             repcore.simple_restricted(ctx, p - 1, cap=2))
         refs = [(("P", i), ext[i]) for i in range(p)] + [(("VSt",), VSt)]
         for i in range(p):
-            dec = homology.split_indecomposables(repcore.tensor(ext[i], V), seed=0)
+            dec = homology.split_indecomposables(repcore.tensor(ext[i], V))
             got = sorted(Counter(identify_summands(dec, refs)).items())
             if i == 0:
                 want = [(("P", 1), 1), (("VSt",), 1)]
@@ -107,7 +107,7 @@ def test_criterion_06_hom_space_isomorphism():
     for i in (0, 1):
         V = repcore.simple_restricted(ctx, i)
         ok &= VT.hom_iso_report(ctx, d, V, window=2, tag=f"L{i}")["failures"] == 0
-    ext = homology.all_extended_projectives(ctx, seed=0)
+    ext = homology.all_extended_projectives(ctx)
     for a in range(3):
         for b in range(3):
             _, V = homology.hom_as_gmodule(ext[a], ext[b], 1)
@@ -161,7 +161,7 @@ def test_criterion_10_center():
     rep = EP.verify_center(FieldCtx(5), 1, seed=0)
     ok &= rep["failures"] == 0
     ok &= sorted(t["data"]["dim"] for t in rep["tables"]) == [1, 3, 3]
-    rep = SB.steinberg_block_equivalence(FieldCtx(3), seed=0)
+    rep = SB.steinberg_block_equivalence(FieldCtx(3))
     ok &= rep["failures"] == 0
     _line("10 center theorem (p=3 r=1,2; p=5 r=1) + Steinberg-block equivalence", ok)
 

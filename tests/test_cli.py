@@ -126,6 +126,28 @@ def test_out_file(tmp_path):
     assert rep["failures"] == 0
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["block-equivalence", "--p", "3"], "block-equivalence"),
+    (["generation", "--p", "3", "--r", "1"], "generation"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_command_runs_clean(argv, command, capsys):
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["command"] == command and rep["failures"] == 0 and rep["checks"]
+
+
+def test_all_command_runs_every_sub_report(capsys):
+    code = main(["all", "--p", "3", "--r", "1", "--window", "1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["command"] == "all" and rep["failures"] == 0
+    prefixes = {c["name"].split(":", 1)[0] for c in rep["checks"]}
+    assert prefixes == {"twist", "steinberg", "restriction", "hat-borel", "projectives",
+                        "hom-iso", "equivalence", "relations", "generation", "center",
+                        "block-equivalence"}
+
+
 def test_run_command_steinberg():
     rep = run_command("steinberg", 3, 2, 2, "auto", 2, 0)
     assert rep["failures"] == 0

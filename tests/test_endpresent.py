@@ -10,12 +10,12 @@ F3 = FieldCtx(3)
 
 @pytest.fixture(scope="module")
 def fm3():
-    return EP.FixedMaps(F3, seed=0)
+    return EP.FixedMaps(F3)
 
 
 @pytest.fixture(scope="module")
 def k2():
-    return EP.KernelTwoAlgebra(F3, seed=0)
+    return EP.KernelTwoAlgebra(F3)
 
 
 def test_perm_matrix_roundtrip():

@@ -18,6 +18,7 @@ from sl2frob.repcore import (
 )
 from sl2frob.smallalg import UChiAlgebra, regular_module
 from sl2frob.steinberg import verify_steinberg
+from sl2frob.vermatwist import verma_tensor_split
 from summand_labels import identify_summands
 
 
@@ -46,7 +47,7 @@ def proj3():
 
 @pytest.fixture(scope="module")
 def ext3():
-    return all_extended_projectives(F3, seed=0)
+    return all_extended_projectives(F3)
 
 
 def test_schur():
@@ -316,12 +317,32 @@ def test_spin_matches_stacked_reference(Mv):
     assert spin(M, v) == _spin_by_stacking(M, v).rref()[0].transpose()
 
 
+def _copies(L, n):
+    """L^{(+)n}: the block-diagonal direct sum of n copies of L."""
+    def diag(G):
+        arr = np.zeros((n * L.dim, n * L.dim, G.ctx.k), dtype=np.int64)
+        for c in range(n):
+            arr[c * L.dim:(c + 1) * L.dim, c * L.dim:(c + 1) * L.dim] = G.arr
+        return Matrix(G.ctx, arr)
+
+    return repcore.ModuleRep(L.ctx, [diag(G) for G in L.E], [diag(G) for G in L.F],
+                             np.tile(L.grading, n), L.pchar_scalars)
+
+
 def test_is_simple_verdicts(proj3):
     assert is_simple(simple_restricted(F3, 2)) is True
     assert is_simple(proj3[0]) is False
     M = tensor(simple_restricted(F3, 1, cap=2),
                frobenius_twist(simple_restricted(F3, 2), 1))
     assert is_simple(M) is True
+
+
+def test_is_simple_enumerates_a_two_dim_top_and_gives_up_on_three():
+    L = simple_restricted(F3, 1)
+    # J = ker E is 2-dim in degree 1: every line of it is enumerated, each spins a copy of L
+    assert is_simple(_copies(L, 2)) is False
+    # a 3-dim J in one degree is not enumerated: no verdict
+    assert is_simple(_copies(L, 3)) == "inconclusive"
 
 
 def test_socle_spin_of_projective_is_proper(proj3):
@@ -364,21 +385,32 @@ def test_regular_split_multiplicities():
     assert sorted(Counter(labels).items()) == [(0, 1), (1, 2), (2, 3)]
 
 
-def test_split_label_multiset_stable_across_seeds(ext3):
+def test_splits_outside_the_regular_module_draw_no_random_number(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("an RNG was built")
+
+    monkeypatch.setattr(homology.np.random, "default_rng", no_rng)
+    ext = all_extended_projectives(F3)
+    assert sorted(P.dim for P in ext.values()) == [3, 6, 6]
     V = simple_restricted(F3, 1, cap=2)
-    refs = [(i, ext3[i]) for i in range(3)]
-    results = []
-    for seed in (0, 1, 2):
-        dec = split_indecomposables(tensor(ext3[1], V), seed=seed)
-        labels = identify_summands(dec, refs)
-        results.append(sorted(Counter(labels).items()))
-    assert results[0] == results[1] == results[2] == [(0, 1), (2, 2)]
+    dec = split_indecomposables(tensor(ext[1], V))
+    labels = identify_summands(dec, [(i, ext[i]) for i in range(3)])
+    assert sorted(Counter(labels).items()) == [(0, 1), (2, 2)]
+    rep = verma_tensor_split(F9, F9.el(0, 1), 0, simple_restricted(F9, 1))
+    assert rep["failures"] == 0 and rep["checks"]
+
+
+def test_unsplit_node_with_large_end0_is_inconclusive(monkeypatch):
+    # End_0(L_1 + L_1) = M_2(k) has dim 4: a node no basis map splits is no leaf
+    monkeypatch.setattr(homology, "_eigen_split", lambda M, phi: None)
+    with pytest.raises(Inconclusive, match=r"dim 4 has dim End_0 = 4 > 2"):
+        split_indecomposables(_copies(simple_restricted(F3, 1), 2))
 
 
 def test_split_idempotent_consistency(ext3):
     V = simple_restricted(F3, 1, cap=2)
     M = tensor(ext3[0], V)
-    dec = split_indecomposables(M, seed=0)
+    dec = split_indecomposables(M)
     dec.finalize()  # independent summands that fill M (raises otherwise)
     assert sum(s.dim for s in dec.summands) == M.dim
     # the summands' inclusions form an invertible matrix: its row blocks are
@@ -528,19 +560,10 @@ def test_canonical_bases_classification(ext3):
     assert set(bases[(0, 1)]) == {3, -3}
 
 
-def test_inconclusive_is_loud():
-    # a decomposable module offered with no candidates must raise, not guess
-    L = simple_restricted(F3, 1)
-    Z = Matrix.zeros(F3, L.dim, L.dim)
-
-    def diag(G):
-        return Matrix.vstack([Matrix.hstack([G, Z]), Matrix.hstack([Z, G])])
-
-    M = repcore.ModuleRep(F3, [diag(L.E[0])], [diag(L.F[0])],
-                          np.concatenate([L.grading, L.grading]), L.pchar_scalars)
-    simples = [(i, simple_restricted(F3, i)) for i in range(3)]
-    dec = split_indecomposables(M, seed=0, simples=simples)
-    assert len(dec.summands) == 2  # isotypic pairs do split via eigen-scan
+def test_isotypic_pair_splits_by_a_basis_map_of_end0():
+    # End_0(L_1 + L_1) = M_2(k); a basis map with two eigenvalues splits it
+    dec = split_indecomposables(_copies(simple_restricted(F3, 1), 2))
+    assert [s.dim for s in dec.summands] == [2, 2]
 
 
 def _rebuilt(M, provenance):

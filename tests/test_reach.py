@@ -1,8 +1,10 @@
 """Every function, class and method of the package is reached from the package.
 
-A definition counts as reached when its name is used (as a name or an
-attribute) anywhere in `src/sl2frob`.  Code that only tests reach is either
-a command's business or dead weight, so it fails here.  Likewise every
+A definition counts as reached when its name is used outside its own body
+in `src/sl2frob`: a function or class as a name or an attribute, a method
+only as an attribute.  So neither a recursive call nor a builtin or local
+variable of the same name keeps a method alive.  Code that only tests reach
+is either a command's business or dead weight, so it fails here.  Likewise every
 parameter of a `def` is read in its body: a parameter that every caller
 passes and nothing reads only misleads.  Lambdas are exempt, since the memo
 passes every argument to its `key` and `reuse` callbacks.
@@ -18,30 +20,45 @@ ALLOWED = {"hom_space_unblocked"}
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level function and class and each non-dunder method."""
+    """(qualified name, name, node, is method) of each top-level function and
+    class and each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item, True
+
+
+def _uses(node: ast.AST, enclosing: tuple = ()):
+    """(name, is attribute, enclosing definitions) for each name and attribute used."""
+    if isinstance(node, ast.Name):
+        yield node.id, False, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, True, enclosing
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, enclosing)
 
 
 def unreached() -> list[str]:
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = set()
+    uses: dict[str, list] = {}
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        for name, is_attr, enclosing in _uses(tree):
+            uses.setdefault(name, []).append((is_attr, enclosing))
+
+    def reached(name, node, is_method):
+        return any((is_attr or not is_method) and node not in enclosing
+                   for is_attr, enclosing in uses.get(name, ()))
+
     return sorted(f"{module[:-3]}.{qualified}"
                   for module, tree in trees.items()
-                  for qualified, name in _definitions(tree)
-                  if name not in used and name not in ALLOWED)
+                  for qualified, name, node, is_method in _definitions(tree)
+                  if name not in ALLOWED and not reached(name, node, is_method))
 
 
 def unread_parameters() -> list[str]:

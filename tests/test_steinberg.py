@@ -76,7 +76,7 @@ def test_zero_char_twisted_verma_head():
 
 
 def test_block_equivalence():
-    rep = SB.steinberg_block_equivalence(F3, seed=0)
+    rep = SB.steinberg_block_equivalence(F3)
     assert rep["failures"] == 0
     names = [c["name"] for c in rep["checks"]]
     assert "unit_to_steinberg" in names and "end_P0_dims" in names
@@ -104,7 +104,7 @@ def test_factor_recovery_by_restriction():
     for lab in ((1, 2), (2, 1), (0, 2)):
         M = SB.build_simple(F3, lab, cap=2)
         R = repcore.restrict_levels(M, 1)
-        dec = homology.split_indecomposables(R, seed=0)
+        dec = homology.split_indecomposables(R)
         refs = [(i, repcore.simple_restricted(F3, i)) for i in range(3)]
         labels = identify_summands(dec, refs)
         assert Counter(labels) == {lab[0]: lab[1] + 1}

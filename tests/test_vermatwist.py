@@ -116,7 +116,7 @@ def test_rescaling_recurrence():
 
 
 def test_windowed_end_classification():
-    W = VT.WindowedEnd(F9, D, 2, seed=0)
+    W = VT.WindowedEnd(F9, D, 2)
     assert W.classify_ok and not W.unexpected
     assert len(W.mor_basis((0, 0), (0, 0))) == 2
     assert len(W.mor_basis((0, 0), (1, 1))) == 1
@@ -126,7 +126,7 @@ def test_windowed_end_classification():
 
 def test_twisted_product_invariant_elements():
     # products with a degree-0 (invariant) element are unchanged by the twist
-    W = VT.WindowedEnd(F9, D, 1, seed=0)
+    W = VT.WindowedEnd(F9, D, 1)
     for lam in range(2):
         om_src = W.hom[(lam, lam)][0][1]
         om_tgt = W.hom[(1 - lam, 1 - lam)][0][1]
@@ -136,7 +136,7 @@ def test_twisted_product_invariant_elements():
 
 
 def test_equivalence_full():
-    rep = VT.verify_equivalence(F9, D, radius=2, seed=0)
+    rep = VT.verify_equivalence(F9, D, radius=2)
     assert rep["failures"] == 0
     names = {c["name"] for c in rep["checks"]}
     assert "rescaled_structure_constants" in names
@@ -164,7 +164,7 @@ def _repeated_ad_product(W, g, x, la, lb, lc, mu_mid):
 
 @pytest.mark.parametrize("radius", [1, 2])
 def test_ladder_product_matches_repeated_ad(radius):
-    W = VT.WindowedEnd(F9, D, radius, seed=0)
+    W = VT.WindowedEnd(F9, D, radius)
     objs = W.objects()
     pairs = 0
     for (mu, la) in objs:
@@ -189,7 +189,7 @@ def test_ladder_product_matches_repeated_ad(radius):
 def test_ladders_are_kept_apart_by_endpoint_labels():
     # P_0 and P_1 have one dimension, so one matrix is a map between any two
     # of them; its ladders under different labels must not be shared
-    W = VT.WindowedEnd(F9, D, 1, seed=0)
+    W = VT.WindowedEnd(F9, D, 1)
     m = W.hom[(0, 1)][-3][0]
     for kind, ad in (("e", W.ad_e), ("f", W.ad_f)):
         ladders = {}
@@ -210,7 +210,7 @@ def test_ladders_are_kept_apart_by_endpoint_labels():
 def test_table_associativity_matches_direct_composition(d, radius):
     # the bilinear expansion over the product table against four direct
     # twisted compositions per basis triple
-    W = VT.WindowedEnd(F9, d, radius, seed=0)
+    W = VT.WindowedEnd(F9, d, radius)
     objs = W.objects()
     direct = {}
     for (mu, la) in objs:
@@ -261,7 +261,7 @@ def test_altered_basis_product_fails_equivalence(monkeypatch):
     # breaks the rescaled structure constant and the transfer
     _alter_one_product(monkeypatch, (0, 0, 0, 0), (0, 1, -3, 0), 0,
                        lambda W, out: out.scale(F9.el(2)))
-    failed = _failed(VT.verify_equivalence(F9, D, radius=1, seed=0))
+    failed = _failed(VT.verify_equivalence(F9, D, radius=1))
     assert {"rescaled_structure_constants", "transfer_intertwines_twisted_product",
             "twisted_associativity"} <= failed
 
@@ -289,7 +289,7 @@ def _nonzero(W, out):
 def test_product_off_its_span_fails_every_triple_through_it(monkeypatch, key, x_at, g_at,
                                                             mu_mid, new):
     _alter_one_product(monkeypatch, x_at, g_at, mu_mid, new)
-    W = VT.WindowedEnd(F9, D, 1, seed=0)
+    W = VT.WindowedEnd(F9, D, 1)
     prods = VT._basis_products(W)
     assert [k for k, (_, X) in prods.items() if X is None] == [key]
     through_gx = through_hg = 0
@@ -301,5 +301,5 @@ def test_product_off_its_span_fails_every_triple_through_it(monkeypatch, key, x_
             through_hg += 1
             assert right is None
     assert through_gx and through_hg
-    failed = _failed(VT.verify_equivalence(F9, D, radius=1, seed=0))
+    failed = _failed(VT.verify_equivalence(F9, D, radius=1))
     assert {"rescaled_structure_constants", "twisted_associativity"} <= failed
