@@ -93,7 +93,7 @@ class FixedMaps:
         p = ctx.p
         self.ext = homology.all_extended_projectives(ctx)
         self.bases, self.classify_ok, self.unexpected = \
-            homology.canonical_r1_hom_bases(ctx, self.ext)
+            homology.canonical_r1_hom_bases(ctx)
         self.V = repcore.simple_restricted(ctx, 1, cap=2)
         self.V1 = repcore.frobenius_twist(repcore.simple_restricted(ctx, 1), 1)
         # the invariant pairing L_1 (x) L_1 -> k: x_+ (x) x_- - x_- (x) x_+

@@ -23,21 +23,23 @@ the grading or the central character.
 
 Splitting into indecomposables uses degree-0 endomorphisms only: their
 generalized eigenspaces are graded, and an eigenvalue scan over the (small)
-field finds them.  The candidates at a node are the basis of End_0, its
-degree-0 endomorphisms, and a node that none of them splits is a leaf,
-exactly, when dim End_0 <= 2: such an algebra is local or k x k, and a basis
-map splits k x k.  A larger End_0 that no basis map splits raises
-`Inconclusive`.  Only the split of the regular module draws random
-candidates (its weight-zero right multiplications), and its leaves are
-certified by a simple head.
+field finds them.  One depth-first worklist splits every module.  The
+candidates at a node end with a basis of End_0, its degree-0
+endomorphisms, and a node that none of them splits is a leaf, exactly, when
+dim End_0 <= 2: such an algebra is local or k x k, and a basis map splits
+k x k.  A larger End_0 raises `Inconclusive`.  End_0 is the degree-0 Hom
+space of the node, except in the regular module, whose End_0 is the stack
+of weight-zero right multiplications restricted to the node; only there do
+random draws over the stack come first.
 
-Coordinates in a basis and growing spans (a Hom space's `span`, the spin
-closure, the center, the adjoint action on Hom spaces) go through
+Coordinates in a basis and growing spans (a Hom space's coordinates, the
+spin closure, the center, the adjoint action on Hom spaces) go through
 `exactfield.Basis`.
 
 Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
-projective covers, the extended projectives and the generic-seed
-certificate are each computed once per distinct input.  A Hom space is
+projective covers, the extended projectives, their canonical level-one Hom
+bases and the generic-seed certificate are each computed once per distinct
+input.  A Hom space is
 solved once up to a common grading shift: shifting both modules by s keeps
 the level actions and every degree deg N_i - deg M_j, so Hom(M<s>, N<s>)
 is Hom(M, N) map for map and degree for degree.  It is keyed by the
@@ -50,6 +52,7 @@ so their keys add the minimum degree and they are reused on equal content.
 
 from __future__ import annotations
 
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -81,10 +84,9 @@ class HomSpace:
 
     Basis elements are graded (each shifts the grading by a fixed degree),
     ordered by degree and normalized by the deterministic RREF of the
-    solver, so the basis is reproducible.  Basis and degrees are tuples: a
-    memoised space is shared by every caller of its call scope.  `span` is
-    the `Basis` of the vectorized basis maps, built on first use; callers
-    read coordinates from it and never grow it.
+    solver, so the basis is reproducible.  Basis and degrees are tuples and
+    the span of the vectorized maps is private, so a memoised space shared
+    by every caller of its call scope is only read.
     """
 
     def __init__(self, source: ModuleRep, target: ModuleRep,
@@ -93,7 +95,6 @@ class HomSpace:
         self.target = target
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self._span = None
         self._origin = None     # the space whose span this one shares
 
     def rebound(self, source: ModuleRep, target: ModuleRep) -> "HomSpace | None":
@@ -122,16 +123,18 @@ class HomSpace:
         """The shape (dim N, dim M) of every map M -> N."""
         return (self.target.dim, self.source.dim)
 
-    @property
-    def span(self) -> Basis:
-        if self._span is None:
-            self._span = self._origin.span if self._origin is not None else \
-                Basis(vecs(self.source.ctx, self.shape, self.basis))
-        return self._span
+    @cached_property
+    def _span(self) -> Basis:
+        return self._origin._span if self._origin is not None else \
+            Basis(vecs(self.source.ctx, self.shape, self.basis))
+
+    def coordinates(self, maps) -> Matrix | None:
+        """Column t holds the coordinates of maps[t] in the basis; None if a map lies outside."""
+        return self._span.coordinates(vecs(self.source.ctx, self.shape, maps))
 
     def element(self, coeffs: Matrix) -> Matrix:
         """The map sum_i coeffs[i] * basis[i]."""
-        return unvec(self.span.B @ coeffs, *self.shape)
+        return unvec(self._span.B @ coeffs, *self.shape)
 
 
 def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int) -> list[Matrix]:
@@ -553,51 +556,16 @@ def radical_and_head(M: ModuleRep, simples: list[tuple[object, ModuleRep]]):
     return rad, mults
 
 
-def head_is_simple(M: ModuleRep, simples) -> bool:
-    _, mults = radical_and_head(M, simples)
-    return sum(mults.values()) == 1
-
-
 # ---------------------------------------------------------------------------
 # splitting into indecomposables
 # ---------------------------------------------------------------------------
-
-class SummandDecomposition:
-    """A module written as a direct sum: the inclusions of its indecomposable summands."""
-
-    def __init__(self, module: ModuleRep):
-        self.module = module
-        self.inclusions: list[Matrix] = []
-        self.summands: list[ModuleRep] = []
-
-    def add(self, incl: Matrix, summand: ModuleRep):
-        self.inclusions.append(incl)
-        self.summands.append(summand)
-
-    def finalize(self):
-        """Check that the summands are independent and fill the module.
-
-        Then the combined inclusion matrix is invertible, so its inverse's row
-        blocks are projections that are idempotent and sum to the identity.
-        """
-        name = self.module.provenance
-        try:
-            Basis(Matrix.hstack(self.inclusions))
-        except ValueError as e:
-            raise ValueError(f"summands of {name!r} overlap: {e}") from None
-        filled = sum(incl.cols for incl in self.inclusions)
-        if filled != self.module.dim:
-            raise ValueError(f"summands of {name!r} fill dimension {filled} "
-                             f"of {self.module.dim}")
-
 
 def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
     """Graded generalized-eigenspace decomposition of a degree-0 endomorphism.
 
     Returns per-piece homogeneous column bases if there are at least two
-    pieces, else None.  All endomorphism rings in this workbench split over
-    the base field, so scanning field elements finds every eigenvalue; the
-    scan stops once the pieces found fill M.
+    pieces and they fill M, else None.  Eigenvalues are found by scanning
+    the field, which stops once the pieces found fill M.
     """
     ctx = M.ctx
     n = M.dim
@@ -606,39 +574,23 @@ def _eigen_split(M: ModuleRep, phi: Matrix) -> list[Matrix] | None:
         power *= 2
     pieces = []
     covered = 0
-    prod = None
     for lam in ctx.elements():
         shifted = phi - Matrix.scalar(ctx, n, lam)
         if shifted.rank() == n:
             continue
-        nil = shifted.pow_int(power)
-        per_w = _graded_joint_kernel([nil], M.grading)
+        per_w = _graded_joint_kernel([shifted.pow_int(power)], M.grading)
         cols = [b for _, b in sorted(per_w.items())]
         if cols:
             pieces.append(Matrix.hstack(cols))
             covered += pieces[-1].cols
             if covered == n:
                 break       # the pieces fill M: no later lam is an eigenvalue
-            prod = nil if prod is None else prod @ nil
-    if covered < n and prod is not None:
-        # complement: image of the product of all found nilpotent powers
-        per_w_img = {}
-        for w, idx in M.weight_indices().items():
-            blk = prod.take_cols(idx)
-            R, piv = blk.transpose().rref()
-            if piv:
-                img = Matrix(ctx, R.arr[:len(piv)]).transpose()
-                per_w_img[w] = img
-        cols = [b for _, b in sorted(per_w_img.items())]
-        if cols:
-            pieces.append(Matrix.hstack(cols))
-            covered += pieces[-1].cols
     if covered != n or len(pieces) < 2:
         return None
     return pieces
 
 
-SPLIT_TRIES = 12   # sampled candidates per regular-module node before its head is checked
+SPLIT_TRIES = 12   # random candidates per regular-module node before its End_0 basis
 
 
 def _restrict_stack(stack: list[Matrix], pieces: list[Matrix]) -> list[list[Matrix]]:
@@ -660,71 +612,75 @@ def _restrict_stack(stack: list[Matrix], pieces: list[Matrix]) -> list[list[Matr
     return out
 
 
-def split_indecomposables(M: ModuleRep, seed: int = 0, sampler=None,
-                          simples=None) -> SummandDecomposition:
-    """Recursive Fitting-style splitting along degree-0 endomorphisms.
+def _end0_basis(M: ModuleRep, stack: list[Matrix] | None) -> list[Matrix]:
+    """A basis of End_0(M): the degree-0 Hom space, or the independent maps of a spanning stack."""
+    if stack is None:
+        return list(hom_space(M, M, degree=0).basis)
+    _, pivots = vecs(M.ctx, (M.dim, M.dim), stack).rref(indices=True)
+    return [stack[i] for i in pivots]
 
-    Without a sampler the candidates at each node are the basis of End_0,
-    the degree-0 endomorphisms of the node.  A node that no basis map splits
-    is a leaf when dim End_0 <= 2, and this is exact.  A unital algebra of
-    dimension at most 2 is k[x]/(f).  If f is irreducible or a square,
-    End_0 is local and the node is indecomposable.  Otherwise End_0 is
-    k x k, and its basis map outside k.1 acts on the two summands by two
-    distinct eigenvalues in k, so `_eigen_split` splits the node.  A larger
-    End_0 that no basis map splits raises `Inconclusive`.
 
-    sampler may be an algebra whose weight-zero right multiplications span
-    End_0 of M (a regular module).  Then the candidates are SPLIT_TRIES
-    `random_weight_zero_right_mult` draws over that stack, from an RNG
-    seeded by seed; each split restricts the stack to the new pieces once.
-    A leaf must have a simple head against the list simples.  seed and
-    simples are read only with a sampler.
+def _first_split(M: ModuleRep, candidates) -> list[Matrix] | None:
+    """The pieces of the first candidate that splits M, or None."""
+    return next((pieces for phi in candidates
+                 if (pieces := _eigen_split(M, phi)) is not None), None)
+
+
+def split_indecomposables(M: ModuleRep, sampler=None,
+                          seed: int = 0) -> list[tuple[Matrix, ModuleRep]]:
+    """(inclusion, summand) per indecomposable summand of M, in depth-first order.
+
+    A node splits along the first candidate whose graded generalized
+    eigenspaces (`_eigen_split`) are two or more pieces, and its pieces are
+    visited in order.  The candidates end with a basis of End_0, the node's
+    degree-0 endomorphisms, and a node that none of them splits is a leaf
+    exactly when dim End_0 <= 2.  A unital algebra of dimension at most 2 is
+    k[x]/(f).  If f is irreducible or a square, End_0 is local and the node
+    is indecomposable.  Otherwise End_0 is k x k, and its basis map outside
+    k.1 acts on the two summands by two distinct eigenvalues in k, so it
+    splits the node.  A larger End_0 raises `Inconclusive`.
+
+    End_0 is read from `hom_space(node, node, degree=0)`, unless sampler is
+    an algebra whose weight-zero right multiplications span End_0 of M (its
+    regular module).  Then each node carries that stack restricted to it,
+    since End_0 of a graded summand is pi End_0(parent) iota; its End_0
+    basis is an independent subset of the stack, and SPLIT_TRIES
+    `random_weight_zero_right_mult` draws over the stack, from an RNG seeded
+    by seed, come first.  Raises ValueError unless the summands are
+    independent and fill M.
     """
-    ctx = M.ctx
-    dec = SummandDecomposition(M)
     rng = None if sampler is None else np.random.default_rng(seed)
-
-    def first_split(node, stack):
-        """The pieces of the first candidate that splits node, or None for a certified leaf."""
-        if stack is None:
-            H = hom_space(node, node, degree=0)
-            candidates = H.basis
-        else:
-            candidates = (sampler.random_weight_zero_right_mult(rng, stack)
-                          for _ in range(SPLIT_TRIES))
-        # returning drops the candidates, and with them their hold on stack
-        for phi in candidates:
-            pieces = _eigen_split(node, phi)
-            if pieces is not None:
-                return pieces
-        if stack is None:
-            if H.dim > 2:
-                raise Inconclusive(f"summand of dim {node.dim} has dim End_0 = {H.dim} > 2 "
-                                   f"and no basis map of End_0 splits it")
-        elif not head_is_simple(node, simples):
-            raise Inconclusive(
-                f"summand of dim {node.dim} did not split but its head is not simple")
-        return None
-
-    def recurse(node: ModuleRep, incl: Matrix, stack):
-        pieces = first_split(node, stack)
+    leaves = []
+    todo = [(M, Matrix.identity(M.ctx, M.dim),
+             None if sampler is None else sampler.weight_zero_right_mult_basis())]
+    while todo:
+        node, incl, stack = todo.pop()
+        draws = () if stack is None else \
+            (sampler.random_weight_zero_right_mult(rng, stack) for _ in range(SPLIT_TRIES))
+        pieces = _first_split(node, draws)
         if pieces is None:
-            dec.add(incl, node)
-            return
+            end0 = _end0_basis(node, stack)
+            # End_0 = k holds only scalars, and a scalar map splits nothing
+            pieces = _first_split(node, end0) if len(end0) > 1 else None
+            if pieces is None:
+                if len(end0) > 2:
+                    raise Inconclusive(f"summand of {M.provenance!r} of dim {node.dim} has "
+                                       f"dim End_0 = {len(end0)} > 2 and no candidate splits it")
+                leaves.append((incl, node))
+                continue
         stacks = [None] * len(pieces) if stack is None else _restrict_stack(stack, pieces)
-        del stack       # the pieces' restrictions replace it
-        for basis in pieces:
-            # popped, so a piece's stack is freed once that piece has split
-            recurse(repcore.submodule(node, basis, provenance="summand"), incl @ basis,
-                    stacks.pop(0))
-
-    recurse(M, Matrix.identity(ctx, M.dim),
-            None if sampler is None else sampler.weight_zero_right_mult_basis())
-    # recurse refers to itself through its closure; emptying that cell lets
-    # refcounting free the nodes it reached instead of the cyclic collector
-    del recurse
-    dec.finalize()
-    return dec
+        # pushed in reverse, so the first piece is visited next
+        for basis, piece_stack in zip(pieces[::-1], stacks[::-1]):
+            todo.append((repcore.submodule(node, basis, provenance="summand"), incl @ basis,
+                         piece_stack))
+    C = Matrix.hstack([incl for incl, _ in leaves])
+    rank = C.rank()
+    if rank < C.cols:
+        raise ValueError(f"summands of {M.provenance!r} overlap: {C.cols} columns "
+                         f"span dimension {rank}")
+    if C.cols != M.dim:
+        raise ValueError(f"summands of {M.provenance!r} fill dimension {C.cols} of {M.dim}")
+    return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -740,18 +696,15 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, Modu
     from . import smallalg
 
     alg = smallalg.UChiAlgebra(ctx)
-    reg = smallalg.regular_module(alg)
     simples = [(i, repcore.simple_restricted(ctx, i)) for i in range(ctx.p)]
-
-    dec = split_indecomposables(reg, seed=seed, sampler=alg, simples=simples)
     out: dict[int, ModuleRep] = {}
-    for inc, leaf in zip(dec.inclusions, dec.summands):
+    for _, leaf in split_indecomposables(smallalg.regular_module(alg), sampler=alg, seed=seed):
         _, mults = radical_and_head(leaf, simples)
-        (label, m), = mults.items()
-        if m != 1:
-            raise Inconclusive("regular summand with non-simple head")
-        if label not in out:
-            out[label] = leaf
+        if sum(mults.values()) != 1:
+            raise Inconclusive(f"regular summand of dim {leaf.dim} has head {mults}, "
+                               "not one simple")
+        (label,) = mults
+        out.setdefault(label, leaf)
     if set(out) != set(range(ctx.p)):
         raise Inconclusive("regular module did not produce all projective covers")
     return MappingProxyType(out)
@@ -773,9 +726,8 @@ def extended_projective(ctx: FieldCtx, i: int) -> ModuleRep:
     St = repcore.simple_restricted(ctx, p - 1, cap=2)
     L = repcore.simple_restricted(ctx, p - 1 - i, cap=2)
     T = repcore.tensor(St, L)
-    dec = split_indecomposables(T)
     top = 2 * p - 2 - i
-    for leaf in dec.summands:
+    for _, leaf in split_indecomposables(T):
         if top in leaf.weights():
             if leaf.dim != 2 * p:
                 raise Inconclusive(f"extended P_{i} has dim {leaf.dim}, expected {2*p}")
@@ -829,14 +781,13 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     chi = 0 when d is None.  Labels are digit tuples (k_0, ..., k_{r-1});
     for generic characters the top digit indexes the Verma Z_{d+c}.  At
     r = 1 the zero-character covers come from splitting the regular module
-    (identified by head; the only use of seed) and the generic ones are the
-    baby Vermas; for r >= 2 they are twisted tensors of the cap-2 extended
-    projectives and the heads are re-verified computationally by the callers.
+    (identified by head; the only use of seed).  Otherwise they are twisted
+    tensors of the cap-2 extended projectives, topped by a baby Verma for
+    generic characters, with cap r + 1, and the heads are re-verified
+    computationally by the callers.
     """
     p = ctx.p
-    if r == 1:
-        if d is not None:
-            return {(c,): Z for c, Z in generic_verma_projectives(ctx, d).items()}
+    if r == 1 and d is None:
         return {(i,): P for i, P in regular_split_projectives(ctx, seed=seed).items()}
     cap = r + 1
     ext = all_extended_projectives(ctx)
@@ -915,7 +866,7 @@ class EndAlgebra:
                 H, Eb = self.homs[(a, b)], self.homs[(b, b)]
                 for f in H.basis:
                     images = [f @ ea for ea in Ea.basis] + [eb @ f for eb in Eb.basis]
-                    X = H.span.coordinates(vecs(ctx, H.shape, images))
+                    X = H.coordinates(images)
                     if X is None:
                         raise ValueError(f"a composite with a map {a} -> {b} left its Hom space")
                     block = np.zeros((H.dim, total, ctx.k), dtype=np.int64)
@@ -964,17 +915,21 @@ def single_eigenvalue(m: Matrix) -> FieldElement:
     raise ValueError("no eigenvalue in the field")
 
 
-def canonical_r1_hom_bases(ctx: FieldCtx, ext: dict[int, ModuleRep]):
+@memo.memoised()
+def canonical_r1_hom_bases(ctx: FieldCtx):
     """Canonical graded bases of all Hom(P_a, P_b) over the first kernel.
 
-    Expects the extended (cap-2) projectives; homs are solved at cap 1.
+    The P_a are the extended (cap-2) projectives; homs are solved at cap 1.
     Returns (bases, ok, unexpected) where bases[(a, b)] maps a graded degree
-    to its basis list: degree 0 of End(P_a) is [id, omega] with omega the
+    to its basis tuple: degree 0 of End(P_a) is (id, omega) with omega the
     normalized nilpotent, the degree +-p pieces hold one normalized element
     each, and anything outside this pattern is reported as unexpected.
+    bases and its values are read-only and unexpected is a tuple: the result
+    is shared by every caller of a memo scope.
     """
     p = ctx.p
-    restricted = {i: repcore.restrict_levels(m, 1) for i, m in ext.items()}
+    restricted = {i: repcore.restrict_levels(m, 1)
+                  for i, m in all_extended_projectives(ctx).items()}
     bases: dict = {}
     ok = True
     unexpected: list[str] = []
@@ -1011,8 +966,8 @@ def canonical_r1_hom_bases(ctx: FieldCtx, ext: dict[int, ModuleRep]):
                 else:
                     ok = False
                     unexpected.append(f"Hom(P_{a},P_{b}) degree {deg} dim {len(mats)}")
-            bases[(a, b)] = canon
-    return bases, ok, unexpected
+            bases[(a, b)] = MappingProxyType({deg: tuple(m) for deg, m in canon.items()})
+    return MappingProxyType(bases), ok, tuple(unexpected)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +995,7 @@ def hom_as_gmodule(P: ModuleRep, Q: ModuleRep, level: int):
     mats = {}
     for name, GP, GQ in (("e", P.E[level], Q.E[level]), ("f", P.F[level], Q.F[level])):
         images = [GQ @ phi - phi @ GP for phi in H.basis]
-        mats[name] = H.span.coordinates(vecs(ctx, H.shape, images))
+        mats[name] = H.coordinates(images)
         if mats[name] is None:
             raise ValueError("adjoint action left the hom space")
     V = ModuleRep(ctx, [mats["e"]], [mats["f"]], np.array(grading, dtype=np.int64),

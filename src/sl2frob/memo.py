@@ -9,9 +9,9 @@ cached, and an exception is never cached.
 
 A hit hands out the stored object, or one that shares its parts, so
 memoised values must be immutable: `Matrix` arrays are read-only, a
-`ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its
-`span` is never grown), `TwistElement` is a frozen dataclass, and the
-projective-cover builders return read-only mappings.
+`ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its span
+is private), `TwistElement` is a frozen dataclass, and the projective-cover
+builders and `canonical_r1_hom_bases` return read-only mappings.
 """
 
 from __future__ import annotations

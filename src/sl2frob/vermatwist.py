@@ -188,7 +188,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                 # top projection: z'_0 block row, z_0 column
                 top = Matrix(ctx, phi.arr[0:V.dim, 0:1])
                 ok_inv = top == v
-                in_space = Hgr.span.coordinates(vec(phi)) is not None
+                in_space = Hgr.coordinates([phi]) is not None
                 checks.append(check(f"transfer_{tag}_{mu}_{mu_p}_{t}",
                                     ok_int and ok_inv and in_space,
                                     intertwiner=ok_int, top_inverse=ok_inv,
@@ -244,11 +244,10 @@ def verma_tensor_split(ctx: FieldCtx, d: FieldElement, mu: int,
     """Z_mu (x) V splits into Vermas with weight-space multiplicities."""
     Z = _graded_verma(ctx, d, mu)
     M = repcore.tensor(Z, V)
-    dec = homology.split_indecomposables(M)
     wd = V.weight_indices()
     found: dict[int, int] = {}
     checks = []
-    for leaf in dec.summands:
+    for _, leaf in homology.split_indecomposables(M):
         top = max(leaf.weights())
         ref = _graded_verma(ctx, d, top)
         iso = homology.is_isomorphic(leaf, ref)
@@ -285,7 +284,7 @@ class WindowedEnd:
         self.p = ctx.p
         self.ext = homology.all_extended_projectives(ctx)
         self.hom, self.classify_ok, self.unexpected = \
-            homology.canonical_r1_hom_bases(ctx, self.ext)
+            homology.canonical_r1_hom_bases(ctx)
         self.twists = {n: twist_closed_form(ctx, d + ctx.el(n % ctx.p)).coeffs
                        for n in range(-radius - 2, radius + 3)}
         # the same coefficients as a (p, k) array, for the stacked twisted sum
@@ -301,7 +300,7 @@ class WindowedEnd:
         """
         p, ext = self.p, self.ext
         return {(a, c, deg): Basis(vecs(self.ctx, (ext[c].dim, ext[a].dim),
-                                        self.hom[(a, c)].get(deg, [])))
+                                        self.hom[(a, c)].get(deg, ())))
                 for a in range(p) for c in range(p) for deg in range(-2 * p, 2 * p + 1, p)}
 
     # -- morphism bookkeeping ------------------------------------------------
@@ -310,10 +309,10 @@ class WindowedEnd:
         return [(mu, lam) for mu in range(-self.radius, self.radius + 1)
                 for lam in range(self.p)]
 
-    def mor_basis(self, src, tgt) -> list[Matrix]:
+    def mor_basis(self, src, tgt) -> tuple[Matrix, ...]:
         (mu, lam), (mu2, lam2) = src, tgt
         deg = self.p * (mu - mu2)
-        return self.hom[(lam, lam2)].get(deg, [])
+        return self.hom[(lam, lam2)].get(deg, ())
 
     # -- the adjoint action and the twisted product --------------------------
 
@@ -541,7 +540,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
             phis = phi[(mu, lam, mu2, lam2)] = [
                 _transfer(ctx, W.twists[mu2], W.transfer_grid(lam, lam2, x)) for x in amats]
             for x, ph in zip(amats, phis):
-                in_space = BH.span.coordinates(vec(ph)) is not None
+                in_space = BH.coordinates([ph]) is not None
                 top = Matrix(ctx, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim])
                 checks.append(check(f"transfer_{mu}_{lam}__{mu2}_{lam2}",
                                     in_space and top == x,
@@ -590,8 +589,8 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
     for mu in range(-radius, radius):
         for la in range(p - 1):
             lb = p - 2 - la
-            ups = W.hom[(la, lb)].get(-p, [])
-            downs = W.hom[(lb, la)].get(p, [])
+            ups = W.hom[(la, lb)].get(-p, ())
+            downs = W.hom[(lb, la)].get(p, ())
             if not ups or not downs:
                 continue
             u, dn = ups[0], downs[0]

@@ -9,7 +9,7 @@ from sl2frob.exactfield import FieldCtx, Matrix, vec
 from sl2frob import memo, repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
-    split_indecomposables, SummandDecomposition,
+    split_indecomposables,
     regular_split_projectives, all_extended_projectives, blocks,
     EndAlgebra, hom_as_gmodule, generic_verma_projectives, Inconclusive, InvariantError,
 )
@@ -247,7 +247,7 @@ def test_split_leaves_no_reference_cycles():
     gc.disable()
     try:
         dec = split_indecomposables(T)
-        assert len(dec.summands) >= 1
+        assert len(dec) >= 1
         del dec
         assert gc.collect() == 0
     finally:
@@ -378,9 +378,8 @@ def test_projective_hom_counts_multiplicities(proj3):
 def test_regular_split_multiplicities():
     alg = UChiAlgebra(F3)
     reg = regular_module(alg)
-    simples = [(i, simple_restricted(F3, i)) for i in range(3)]
     P = regular_split_projectives(F3, seed=0)
-    dec = split_indecomposables(reg, seed=0, sampler=alg, simples=simples)
+    dec = split_indecomposables(reg, sampler=alg, seed=0)
     labels = identify_summands(dec, [(i, P[i]) for i in P])
     assert sorted(Counter(labels).items()) == [(0, 1), (1, 2), (2, 3)]
 
@@ -407,19 +406,64 @@ def test_unsplit_node_with_large_end0_is_inconclusive(monkeypatch):
         split_indecomposables(_copies(simple_restricted(F3, 1), 2))
 
 
+def test_regular_end0_is_read_from_its_restricted_stack():
+    # End_0(reg) is right multiplication by weight-zero elements, and End_0 of
+    # a graded summand is pi End_0(reg) iota
+    alg = UChiAlgebra(F3)
+    reg = regular_module(alg)
+    stack = alg.weight_zero_right_mult_basis()
+    assert len(homology._end0_basis(reg, stack)) == hom_space(reg, reg, degree=0).dim == 9
+    dec = split_indecomposables(reg, sampler=alg, seed=0)
+    C = Matrix.hstack([incl for incl, _ in dec])
+    proj = C.inverse()
+    ends = np.cumsum([0] + [incl.cols for incl, _ in dec])
+    for (incl, leaf), lo, hi in zip(dec, ends, ends[1:]):
+        restricted = [Matrix(F3, proj.arr[lo:hi]) @ W @ incl for W in stack]
+        assert len(homology._end0_basis(leaf, restricted)) == \
+            hom_space(leaf, leaf, degree=0).dim
+
+
+def test_regular_node_that_nothing_splits_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(homology, "_eigen_split", lambda M, phi: None)
+    alg = UChiAlgebra(F3)
+    with pytest.raises(Inconclusive, match=r"'regular\(p=3\)' of dim 27 has dim End_0 = 9 > 2"):
+        split_indecomposables(regular_module(alg), sampler=alg)
+
+
+def test_regular_split_with_scalar_draws_splits_by_its_stack_basis(monkeypatch):
+    # draws that never split leave the End_0 basis to split every node: a
+    # split that stopped at the draws would certify k x k nodes as leaves
+    alg = UChiAlgebra(F3)
+    monkeypatch.setattr(alg, "random_weight_zero_right_mult",
+                        lambda rng, stack: Matrix.identity(F3, stack[0].rows))
+    P = regular_split_projectives(F3, seed=0)
+    dec = split_indecomposables(regular_module(alg), sampler=alg)
+    labels = identify_summands(dec, [(i, P[i]) for i in P])
+    assert sorted(Counter(labels).items()) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_eigen_split_needs_in_field_eigenvalues_that_fill_the_module():
+    # on k^3, 1 (+) [[0, -1], [1, 0]] has the one eigenvalue 1 in F_3, on a line
+    M = repcore.ModuleRep(F3, [Matrix.zeros(F3, 3, 3)], [Matrix.zeros(F3, 3, 3)],
+                          [0, 0, 0], provenance="k^3")
+    phi = Matrix.from_int_rows(F3, [[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+    assert homology._eigen_split(M, phi) is None
+    psi = Matrix.from_int_rows(F3, [[1, 0, 0], [0, 2, 1], [0, 0, 2]])
+    assert [b.cols for b in homology._eigen_split(M, psi)] == [1, 2]
+
+
 def test_split_idempotent_consistency(ext3):
     V = simple_restricted(F3, 1, cap=2)
     M = tensor(ext3[0], V)
     dec = split_indecomposables(M)
-    dec.finalize()  # independent summands that fill M (raises otherwise)
-    assert sum(s.dim for s in dec.summands) == M.dim
+    assert sum(s.dim for _, s in dec) == M.dim
     # the summands' inclusions form an invertible matrix: its row blocks are
     # the projections, idempotent and summing to the identity
-    C = Matrix.hstack(dec.inclusions)
+    C = Matrix.hstack([incl for incl, _ in dec])
     Cinv = C.inverse()
     lo = 0
     total = Matrix.zeros(F3, M.dim, M.dim)
-    for incl in dec.inclusions:
+    for incl, _ in dec:
         idem = incl @ Matrix(F3, Cinv.arr[lo:lo + incl.cols])
         assert idem @ idem == idem
         total = total + idem
@@ -427,20 +471,17 @@ def test_split_idempotent_consistency(ext3):
     assert total == Matrix.identity(F3, M.dim)
 
 
-def test_finalize_rejects_overlapping_or_missing_summands():
-    k = repcore.simple_restricted(F3, 0)
+def test_split_rejects_overlapping_or_missing_summands(monkeypatch):
+    # a faulty eigen split of k + k; its one-dimensional pieces are leaves
     M = repcore.ModuleRep(F3, [Matrix.zeros(F3, 2, 2)], [Matrix.zeros(F3, 2, 2)],
                           [0, 0], provenance="k+k")
     e0, e1 = Matrix.identity(F3, 2).take_cols([0]), Matrix.identity(F3, 2).take_cols([1])
-    overlap = SummandDecomposition(M)
-    for incl in (e0, e0.scale(F3.el(2)), e1):
-        overlap.add(incl, k)
-    with pytest.raises(ValueError, match=r"summands of 'k\+k' overlap"):
-        overlap.finalize()
-    short = SummandDecomposition(M)
-    short.add(e0 + e1, k)
-    with pytest.raises(ValueError, match=r"summands of 'k\+k' fill dimension 1 of 2"):
-        short.finalize()
+    for pieces, message in (([e0, e0.scale(F3.el(2)), e1], r"overlap: 3 columns span dimension 2"),
+                            ([e0 + e1], r"fill dimension 1 of 2")):
+        monkeypatch.setattr(homology, "_eigen_split",
+                            lambda node, phi, pieces=pieces: pieces if node.dim == 2 else None)
+        with pytest.raises(ValueError, match=r"summands of 'k\+k' " + message):
+            split_indecomposables(M)
 
 
 @st.composite
@@ -546,13 +587,13 @@ def test_hom_as_gmodule(ext3):
     # x . id = 0 for the identity endomorphism
     Hend, Vend = hom_as_gmodule(ext3[0], ext3[0], 1)
     ident = Matrix.identity(F3, 6)
-    coords = Hend.span.coordinates(vec(ident))
+    coords = Hend.coordinates([ident])
     img = Matrix(F3, (Vend.E[0] @ coords).arr)
     assert img.is_zero()
 
 
-def test_canonical_bases_classification(ext3):
-    bases, ok, unexpected = homology.canonical_r1_hom_bases(F3, ext3)
+def test_canonical_bases_classification():
+    bases, ok, unexpected = homology.canonical_r1_hom_bases(F3)
     assert ok and not unexpected
     assert [m for m in bases[(0, 0)][0]][0] == Matrix.identity(F3, 6)
     omega = bases[(0, 0)][0][1]
@@ -560,10 +601,23 @@ def test_canonical_bases_classification(ext3):
     assert set(bases[(0, 1)]) == {3, -3}
 
 
+def test_canonical_bases_are_memoised_per_call_and_read_only():
+    with memo.scope():
+        first = homology.canonical_r1_hom_bases(F3)
+        assert homology.canonical_r1_hom_bases(F3) is first
+    assert homology.canonical_r1_hom_bases(F3) is not first
+    bases, _, unexpected = first
+    assert isinstance(bases[(0, 0)][0], tuple) and isinstance(unexpected, tuple)
+    with pytest.raises(TypeError):
+        bases[(0, 0)] = {}
+    with pytest.raises(TypeError):
+        bases[(0, 0)][0] = ()
+
+
 def test_isotypic_pair_splits_by_a_basis_map_of_end0():
     # End_0(L_1 + L_1) = M_2(k); a basis map with two eigenvalues splits it
     dec = split_indecomposables(_copies(simple_restricted(F3, 1), 2))
-    assert [s.dim for s in dec.summands] == [2, 2]
+    assert [s.dim for _, s in dec] == [2, 2]
 
 
 def _rebuilt(M, provenance):
@@ -642,7 +696,7 @@ def test_hom_space_memo_is_exact_up_to_a_common_shift(pair, s, t, degree):
         assert got.basis == want.basis and got.degrees == want.degrees
         # a hit: the stored space itself, or one sharing its maps and span
         assert got.basis is H.basis and (got is H) == (s == 0)
-        assert got.span is H.span
+        assert got._span is H._span
         # shifted by different amounts: a solve of its own
         assert H.rebound(Ms, N.shift_grading(s + t)) is None
         got_t = hom_space(M, Nt, degree=degree)

@@ -7,13 +7,17 @@ variable of the same name keeps a method alive.  Code that only tests reach
 is either a command's business or dead weight, so it fails here.  Likewise every
 parameter of a `def` is read in its body: a parameter that every caller
 passes and nothing reads only misleads.  Lambdas are exempt, since the memo
-passes every argument to its `key` and `reuse` callbacks.
+passes every argument to its `key` and `reuse` callbacks.  Every name the
+benchmark's tracer patches (`perfbench/spans.py`, `TARGETS`) still exists.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sl2frob"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sl2frob"
 
 # kept only as the independent oracle the Hom solver's tests compare against
 ALLOWED = {"hom_space_unblocked"}
@@ -83,3 +87,20 @@ def test_every_definition_is_reached_from_the_package():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def test_every_traced_benchmark_name_resolves():
+    # `perfbench/run.py --trace 1` patches these by name; a missing one
+    # would stop the traced run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, path, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"sl2frob.{module}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []
