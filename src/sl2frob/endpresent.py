@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,26 +38,10 @@ from .reporting import check, report
 
 def perm_matrix(ctx: FieldCtx, dims: list[int], perm: list[int]) -> Matrix:
     """Permutation matrix reordering tensor slots: output slot t = input slot perm[t]."""
-    n = 1
-    for d in dims:
-        n *= d
-    out_dims = [dims[s] for s in perm]
-    idx = np.arange(n)
-    # unpack input multi-index
-    coords = []
-    rem = idx.copy()
-    for d in reversed(dims):
-        coords.append(rem % d)
-        rem //= d
-    coords = coords[::-1]  # coords[s] = input index along slot s
-    strides = [1] * len(dims)
-    for t in range(len(dims) - 2, -1, -1):
-        strides[t] = strides[t + 1] * out_dims[t + 1]
-    out_idx = np.zeros(n, dtype=np.int64)
-    for t, s in enumerate(perm):
-        out_idx += coords[s] * strides[t]
-    M = np.zeros((n, n, ctx.k), dtype=np.int64)
-    M[out_idx, idx, 0] = 1
+    # source[o] is the input index whose slot perm[t] holds slot t of output index o
+    source = np.arange(int(np.prod(dims))).reshape(dims).transpose(perm).reshape(-1)
+    M = np.zeros((source.size, source.size, ctx.k), dtype=np.int64)
+    M[np.arange(source.size), source, 0] = 1
     return Matrix(ctx, M)
 
 
@@ -85,7 +70,11 @@ class EndGenerator:
 
 
 class FixedMaps:
-    """Deterministic choices of all first-kernel structure maps (cap 2)."""
+    """Deterministic choices of all first-kernel structure maps (cap 2).
+
+    `fixed_maps` shares one instance with every caller of a memo scope, so
+    its mappings are read-only and `omega_factor_checks` is a tuple.
+    """
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
@@ -117,6 +106,8 @@ class FixedMaps:
         self.stein = self._solve_stein()            # V^(1) (x) P_{p-1} -> P_0 (x) V
         self.phi_min, self.phi_max = self._solve_phis()
         self.omega_factor_checks = self._omega_factorization()
+        for name in ("ext", "omega", "up", "down", "cross", "split_in", "split_out"):
+            setattr(self, name, MappingProxyType(getattr(self, name)))
 
     # -- solved maps -------------------------------------------------------
 
@@ -216,7 +207,7 @@ class FixedMaps:
         return (homology.normalize_first_entry(phi_min),
                 homology.normalize_first_entry(phi_max))
 
-    def _omega_factorization(self) -> list[tuple[int, bool]]:
+    def _omega_factorization(self) -> tuple[tuple[int, bool], ...]:
         """Omega agrees with the composite P_r ->> L_r -> P_r up to a scalar."""
         out = []
         for r in range(self.p - 1):
@@ -227,7 +218,7 @@ class FixedMaps:
             ok = (pi.dim == 1 and io.dim == 1 and
                   proportionality(io.basis[0] @ pi.basis[0], self.omega[r]) is not None)
             out.append((r, ok))
-        return out
+        return tuple(out)
 
 
 @memo.memoised()

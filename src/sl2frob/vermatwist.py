@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, vecs
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vecs
 from . import memo, repcore, homology
 from .smallalg import binom_mod
 from .reporting import check, report
@@ -195,7 +195,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
                                     in_graded_hom=in_space))
                 images.append(phi)
             if len(images) == vdim:
-                rank = Matrix.hstack([vec(m) for m in images]).rank()
+                rank = vecs(ctx, Hgr.shape, images).rank()
                 checks.append(check(f"bijection_{tag}_{mu}_{mu_p}", rank == vdim,
                                     rank=rank))
     return report("hom-iso", {"window": window, "tag": tag}, checks)
@@ -546,7 +546,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
                                     in_space and top == x,
                                     in_space=in_space, top_recovers=top == x))
             if phis and len(phis) == BH.dim:
-                rank = Matrix.hstack([vec(m) for m in phis]).rank()
+                rank = vecs(ctx, BH.shape, phis).rank()
                 checks.append(check(f"bijective_{mu}_{lam}__{mu2}_{lam2}",
                                     rank == BH.dim, rank=rank))
 

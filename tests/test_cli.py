@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sl2frob import cli, homology, memo, repcore, vermatwist
 from sl2frob.cli import main, run_command, parse_seed
-from sl2frob.exactfield import FieldCtx
+from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob.reporting import check, merge_reports, report
 
 
@@ -70,18 +74,24 @@ def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch,
 
 
 def test_solver_self_check_exits_5(monkeypatch, capsys):
-    # with every relation coordinate read as zero the presented Hom solver
-    # finds maps that do not intertwine; its self-check stops the command
-    present = homology._presentation
+    # a full-space solver that also returns a matrix unit on a free entry
+    # returns a map that does not intertwine; its self-check stops the command
+    solver = homology._blocked_hom_basis
 
-    def forgetful(M):
-        P = present(M)
-        return P._replace(rel_coef=np.zeros_like(P.rel_coef))
+    def with_a_stray_map(M, N, delta, mask=None):
+        maps = solver(M, N, delta, mask)
+        if mask is None:
+            return maps
+        a, b = np.argwhere(mask & (N.grading[:, None] == M.grading[None, :] + delta))[0]
+        stray = np.zeros((N.dim, M.dim, M.ctx.k), dtype=np.int64)
+        stray[a, b, 0] = 1
+        return maps + [Matrix(M.ctx, stray)]
 
-    monkeypatch.setattr(homology, "_presentation", forgetful)
+    monkeypatch.setattr(homology, "_blocked_hom_basis", with_a_stray_map)
     assert main(["center", "--p", "3", "--r", "1"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("error: internal invariant: Hom(") and err.count("\n") == 1
+    assert "does not intertwine" in err
 
 
 def test_failing_checks_exit_1_whatever_their_count(monkeypatch, capsys):
@@ -185,3 +195,17 @@ def test_hat_borel_certifies_the_auto_seed_once(monkeypatch):
     rep = run_command("hat-borel", 5, 2, 1, "auto", 2, 0)
     assert rep["failures"] == 0
     assert len(built) == 5
+
+
+def test_equivalence_and_center_import_no_numpy_ma():
+    # numpy.ma costs memory in every run that imports it, and numpy imports
+    # it lazily on some paths (a plain np.unique does)
+    code = ("import sys\n"
+            "from sl2frob.cli import main\n"
+            "assert main(['equivalence', '--p', '3', '--window', '3']) == 0\n"
+            "assert main(['center', '--p', '3', '--r', '2']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ def test_perm_matrix_roundtrip():
     full = vs[0].kron(vs[1]).kron(vs[2])
     permuted = vs[2].kron(vs[0]).kron(vs[1])
     assert P @ full == permuted
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 2], [3, 1, 2], [2, 2, 3]])
+def test_perm_matrix_permutes_kronecker_factors(dims):
+    # P (a (x) b (x) c) on the simple tensors of basis vectors, which span
+    units = [[Matrix.identity(F3, d).take_cols([i]) for i in range(d)] for d in dims]
+    for perm in itertools.permutations(range(3)):
+        P = EP.perm_matrix(F3, dims, list(perm))
+        for e in itertools.product(*units):
+            a, b, c = (e[s] for s in perm)
+            assert P @ e[0].kron(e[1]).kron(e[2]) == a.kron(b).kron(c), perm
 
 
 def test_proportionality():
@@ -71,6 +84,19 @@ def test_phi_separation(fm3):
 
 def test_omega_factorization(fm3):
     assert all(ok for _, ok in fm3.omega_factor_checks)
+
+
+def test_fixed_maps_are_read_only(fm3):
+    # fixed_maps shares one FixedMaps with every caller of a memo scope
+    for name in ("ext", "omega", "up", "down", "cross", "split_in", "split_out"):
+        table = getattr(fm3, name)
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+    with pytest.raises(TypeError):
+        fm3.bases[(0, 0)] = {}
+    with pytest.raises(TypeError):
+        fm3.omega_factor_checks[0] = (0, False)
 
 
 def test_relations_level1():
