@@ -25,6 +25,7 @@ from .reporting import check, report, merge_reports
 COMMANDS = ["steinberg", "restriction", "hat-borel", "projectives", "twist",
             "hom-iso", "equivalence", "relations", "generation", "center",
             "block-equivalence", "all"]
+PRIMES, EXTENSIONS = (3, 5, 7), (1, 2)      # the --p and --ext values of every path
 
 
 def conventions(ctx: FieldCtx) -> dict:
@@ -77,12 +78,14 @@ def run_command(cmd: str, p: int, ext: int, r: int, d_seed: str,
 
 def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
                     window: int, seed: int) -> dict:
-    if r < 1:
-        raise ValueError(f"--r must be at least 1, got {r}")
-    if window < 1:
-        raise ValueError(f"--window must be at least 1, got {window}")
+    if p not in PRIMES or ext not in EXTENSIONS:
+        raise ValueError(f"--p must be one of {PRIMES} and --ext one of {EXTENSIONS}, "
+                         f"got {p} and {ext}")
+    for flag, value in (("--r", r), ("--window", window)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     prime_ctx = FieldCtx(p, 1)
-    quad_ctx = FieldCtx(p, 2) if ext >= 2 else None
+    quad_ctx = FieldCtx(p, 2) if ext == 2 else None
 
     def generic():
         if quad_ctx is None:
@@ -234,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="sl2frob",
         description="exact verification pipelines for higher Frobenius kernels of SL2")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--p", type=int, default=3, choices=[3, 5, 7])
-    parser.add_argument("--ext", type=int, default=2, choices=[1, 2],
+    parser.add_argument("--p", type=int, default=3, choices=PRIMES)
+    parser.add_argument("--ext", type=int, default=2, choices=EXTENSIONS,
                         help="field extension degree for generic characters")
     parser.add_argument("--r", type=int, default=1, help="kernel level")
     parser.add_argument("--d-seed", default="auto",

@@ -1,49 +1,35 @@
 """Hom/End engine: intertwiners, simplicity tests, splitting, projectives, centers.
 
-One solver, `_blocked_hom_basis`, solves Hom spaces entry-wise, one graded
-degree at a time: the unknowns of a degree-delta intertwiner are the entries
-X[i, j] with deg N_i = deg M_j + delta, and its equations are the
-degree-matched entries of G_N X - X G_M.  A full unblocked Kronecker-product
-solve is kept as an oracle for tests.
+One solver, `_blocked_hom_basis`, solves a Hom space as one sparse system:
+its unknowns are entries X[i, j] of an intertwiner, of degree
+deg N_i - deg M_j, and its equations the entries of G_N X - X G_M, each of
+one degree.  Every one-term equation is dropped with its unknown, which it
+forces to zero, until none is left (LaMacchia and Odlyzko, CRYPTO 1990);
+then each degree is eliminated on its own dense block.  The unblocked
+Kronecker-product solve is a test oracle.
 
 A full space is first tested for zero.  An intertwiner phi: M -> N has
 phi W_M = W_N phi for every word W in the level actions, so where
 W_M = diag(m) and W_N = diag(n), (n_a - m_b) phi[a, b] = 0.  The words
 H_j = [E_j, F_j] and C_j = 4 F_j E_j + H_j^2 + 2 H_j (j < cap) that are
 diagonal on both leave a mask of entries free, with no hypothesis on the
-grading or the central character.  If the mask is empty, Hom(M, N) = 0.
-Otherwise each degree that holds a free entry is solved on the free
-entries only, which gives the same RREF basis as a solve on all of them,
-and a failed intertwining self-check of the maps raises `InvariantError`.
-One degree (`degree=d`) is solved on all its degree-matched entries.
+grading or the central character.  If the mask is empty, Hom(M, N) = 0;
+else the free entries give the same RREF basis as all entries, and a
+failed intertwining self-check raises `InvariantError`.  One degree
+(`degree=d`) is solved on all its entries.
 
-Splitting into indecomposables uses degree-0 endomorphisms only: their
-generalized eigenspaces are graded, and an eigenvalue scan over the (small)
-field finds them.  One depth-first worklist splits every module.  The
-candidates at a node end with a basis of End_0, its degree-0
-endomorphisms, and a node that none of them splits is a leaf, exactly, when
-dim End_0 <= 2: such an algebra is local or k x k, and a basis map splits
-k x k.  A larger End_0 raises `Inconclusive`.  End_0 is the degree-0 Hom
-space of the node, except in the regular module, whose End_0 is the stack
-of weight-zero right multiplications restricted to the node; only there do
-random draws over the stack come first.
-
-Coordinates in a basis and growing spans (a Hom space's coordinates, the
-spin closure, the center, the adjoint action on Hom spaces) go through
-`exactfield.Basis`.
+`split_indecomposables` splits every module with one depth-first worklist,
+along the graded generalized eigenspaces of degree-0 endomorphisms; a node
+none of them splits is a leaf exactly when dim End_0 <= 2, and otherwise
+raises `Inconclusive`.
 
 Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
 projective covers, the extended projectives, their canonical level-one Hom
 bases and the generic-seed certificate are each computed once per distinct
-input.  A Hom space is
-solved once up to a common grading shift: shifting both modules by s keeps
-the level actions and every degree deg N_i - deg M_j, so Hom(M<s>, N<s>)
-is Hom(M, N) map for map and degree for degree.  It is keyed by the
-shift-invariant content digests of M and N, min deg N - min deg M and the
-degree, and reused only if the arguments equal its source and target entry
-for entry up to one common shift, so a digest collision cannot return a
-wrong space.  The word diagonals read absolute degrees, so their key adds
-the minimum degree and they are reused on equal content.
+input.  A Hom space is keyed by the shift-invariant content digests, so it
+is reused up to a common grading shift (`HomSpace.rebound`), and only on
+equal content: a digest collision cannot return a wrong space.  The word
+diagonals read absolute degrees, so their key adds the minimum degree.
 """
 
 from __future__ import annotations
@@ -133,52 +119,73 @@ class HomSpace:
         return unvec(self._span.B @ coeffs, *self.shape)
 
 
-def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int,
-                       mask: np.ndarray | None = None) -> list[Matrix]:
-    """Intertwiners M -> N of graded degree delta, the kernel of X -> G_N X - X G_M.
+def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                   deg: np.ndarray):
+    """(d, cols, K) per degree d: K is the RREF kernel basis on the unknowns
+    cols of degree d; the others vanish in every solution.
 
-    The unknowns are the entries X[i, j] with deg N_i = deg M_j + delta,
-    and with mask[i, j] if a mask is given, ordered by (deg M_j, j, i).
-    For a level action G of shift s the equations are the entries (a, b)
-    with deg N_a = deg M_b + delta + s; unknown (i, j) enters row (a, j)
-    with G_N[a, i] and row (i, b) with -G_M[j, b].  The two writes never
-    meet a cell twice because s != 0.
-
-    The basis is the RREF kernel basis, which only the kernel and the order
-    of the unknowns fix.  An entry off the mask must be zero in every
-    intertwiner, so it is a pivot column with no free part, and leaving it
-    out of the unknowns changes no basis map.
+    Entry t is val[t] at (row[t], col[t]), sorted by row.  Unknown degrees
+    deg are nondecreasing, and each row meets one degree, in order.  A
+    one-term row forces its unknown to zero, a pivot column with no free
+    part, so dropping both until none is left keeps the kernel basis.
     """
-    ctx, p = M.ctx, M.ctx.p
-    gM, gN = M.grading, N.grading
-    free = gN[:, None] == gM[None, :] + delta
-    if mask is not None:
-        free &= mask
+    row = np.cumsum(np.diff(row, prepend=row[:1]) != 0)  # rows numbered 0, 1, ...
+    live = np.ones(deg.size, dtype=bool)
+    while (one := np.bincount(row)[row] == 1).any():
+        live[col[one]] = False
+        keep = live[col]
+        row, col, val = row[keep], col[keep], val[keep]
+    row, cols = np.cumsum(np.diff(row, prepend=row[:1]) != 0), np.flatnonzero(live)
+    pos, dc, dt = np.cumsum(live) - 1, deg[cols], deg[col]
+    for d in sorted(set(dc.tolist())):
+        (c0, c1), (t0, t1) = (np.searchsorted(x, [d, d + 1]) for x in (dc, dt))
+        r = row[t0:t1]
+        A = np.zeros((r[-1] - r[0] + 1 if r.size else 0, c1 - c0, ctx.k), dtype=np.int64)
+        A[r - r[:1], pos[col[t0:t1]] - c0] = val[t0:t1]
+        yield d, cols[c0:c1], Matrix(ctx, A).kernel().arr
+
+
+def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int | None = None,
+                       mask: np.ndarray | None = None) -> tuple[list[Matrix], list[int]]:
+    """(maps, degrees) of the intertwiners M -> N, solved by `_sparse_kernel`.
+
+    Unknowns: the entries X[i, j] on the mask (all if None), of degree
+    deg N_i - deg M_j = delta if given, in (degree, deg M_j, j, i) order.
+    In G_N X - X G_M, unknown (i, j) enters cell (a, j) with G_N[a, i] and
+    (i, b) with -G_M[j, b] for each level action G; the grading is checked
+    there.  Entries off the mask vanish in every intertwiner.
+    """
+    ctx, p, gM, gN = M.ctx, M.ctx.p, M.grading, N.grading
+    free = np.ones((N.dim, M.dim), dtype=bool) if mask is None else mask
+    if delta is not None:
+        free = free & (gN[:, None] == gM[None, :] + delta)
     I, J = np.nonzero(free)
     if not I.size:
-        return []
-    order = np.lexsort((I, J, gM[J]))
-    I, J = I[order], J[order]
-    systems = []
-    for j in range(M.cap):
-        for GM, GN, shift in ((M.E[j], N.E[j], 2 * p**j), (M.F[j], N.F[j], -2 * p**j)):
-            matched = gN[:, None] == gM[None, :] + delta + shift
-            row_of = np.full(matched.shape, -1)
-            row_of[matched] = np.arange(np.count_nonzero(matched))
-            a, u = np.nonzero(GN.arr[:, I].any(axis=-1))    # G_N[a, I_u] != 0
-            v, b = np.nonzero(GM.arr[J].any(axis=-1))       # G_M[J_v, b] != 0
-            rows_N, rows_M = row_of[a, J[u]], row_of[I[v], b]
-            if (rows_N < 0).any() or (rows_M < 0).any():
-                raise ValueError(f"level-{j} action of {M.provenance!r} or {N.provenance!r} "
-                                 "does not respect the grading")
-            eqs = np.zeros((np.count_nonzero(matched), I.size, ctx.k), dtype=np.int64)
-            eqs[rows_N, u] += GN.arr[a, I[u]]
-            eqs[rows_M, v] -= GM.arr[J[v], b]
-            systems.append(eqs[eqs.any(axis=(1, 2))])
-    ker = Matrix(ctx, np.concatenate(systems)).kernel()
-    out = np.zeros((ker.cols, N.dim, M.dim, ctx.k), dtype=np.int64)
-    out[:, I, J] = ker.arr.transpose(1, 0, 2)
-    return [Matrix(ctx, phi) for phi in out]
+        return [], []
+    deg = gN[I] - gM[J]
+    order = np.lexsort((I, J, gM[J], deg))
+    I, J, deg = I[order], J[order], deg[order]
+    GM, GN = (np.stack([G.arr for G in X.E + X.F]) for X in (M, N))
+    s = 2 * p ** np.arange(M.cap)
+    s = np.concatenate([s, -s])  # shifts of the actions M.E + M.F
+    g, a, u = np.nonzero(GN.any(axis=-1)[:, :, I])  # G_N[a, I_u] != 0
+    h, v, b = np.nonzero(GM.any(axis=-1)[:, J])     # G_M[J_v, b] != 0
+    val = np.concatenate([GN[g, a, I[u]], -GM[h, J[v], b] % p])
+    g, col = np.concatenate([g, h]), np.concatenate([u, v])
+    A, B = np.concatenate([a, I[v]]), np.concatenate([J[u], b])
+    bad = g[gN[A] - gM[B] != deg[col] + s[g]]
+    if bad.size:
+        raise ValueError(f"level-{bad.min() % M.cap} action of {M.provenance!r} or "
+                         f"{N.provenance!r} does not respect the grading")
+    key = (((deg[col] - deg[0]) * s.size + g) * N.dim + A) * M.dim + B  # degree first
+    order = np.argsort(key, kind="stable")
+    maps, degrees = [], []
+    for d, cols, K in _sparse_kernel(ctx, key[order], col[order], val[order], deg):
+        out = np.zeros((K.shape[1], N.dim, M.dim, ctx.k), dtype=np.int64)
+        out[:, I[cols], J[cols]] = K.transpose(1, 0, 2)
+        maps += [Matrix(ctx, phi) for phi in out]
+        degrees += [d] * K.shape[1]
+    return maps, degrees
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -226,26 +233,18 @@ def _word_mask(M: ModuleRep, N: ModuleRep) -> np.ndarray:
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
     """All intertwiners M -> N (or only those of one graded degree).
 
-    The full space is zero when the word diagonals leave no entry free, and
-    otherwise solved by `_blocked_hom_basis` one degree at a time, on the
-    entries the word mask leaves free, and self-checked.  One degree is
-    solved on all its degree-matched entries.
+    The full space is zero if the word mask is empty, else one self-checked
+    `_blocked_hom_basis` call on the mask: one sparse system, peeled of its
+    one-term equations, then eliminated one degree block at a time.
     """
     if M.ctx != N.ctx:
         raise ValueError("mixed field contexts")
     if M.cap != N.cap:
         raise ValueError("level caps differ")
     if degree is not None:
-        basis = _blocked_hom_basis(M, N, degree)
-        return HomSpace(M, N, basis, [degree] * len(basis))
+        return HomSpace(M, N, *_blocked_hom_basis(M, N, degree))
     mask = _word_mask(M, N)
-    a, b = np.nonzero(mask)
-    basis, degrees = [], []
-    # sorted(set(...)), not np.unique, which imports numpy.ma
-    for delta in sorted(set((N.grading[a] - M.grading[b]).tolist())):
-        maps = _blocked_hom_basis(M, N, delta, mask)
-        basis += maps
-        degrees += [delta] * len(maps)
+    basis, degrees = _blocked_hom_basis(M, N, None, mask) if mask.any() else ([], [])
     if basis:
         ctx, maps = M.ctx, np.stack([phi.arr for phi in basis])
         for g, (GM, GN) in enumerate(zip(M.E + M.F, N.E + N.F)):
@@ -258,15 +257,10 @@ def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace
 def hom_space_unblocked(M: ModuleRep, N: ModuleRep) -> list[Matrix]:
     """Oracle: the same space solved as one dense system, ignoring the grading."""
     ctx = M.ctx
-    rows = []
-    In = Matrix.identity(ctx, N.dim)
-    Im = Matrix.identity(ctx, M.dim)
-    for j in range(M.cap):
-        for GM, GN in ((M.E[j], N.E[j]), (M.F[j], N.F[j])):
-            rows.append(GM.transpose().kron(In) - Im.kron(GN))
-    ker = Matrix.vstack(rows).kernel()
-    return [unvec(Matrix(ctx, ker.arr[:, t:t + 1]), N.dim, M.dim)
-            for t in range(ker.cols)]
+    In, Im = Matrix.identity(ctx, N.dim), Matrix.identity(ctx, M.dim)
+    ker = Matrix.vstack([GM.transpose().kron(In) - Im.kron(GN)
+                         for GM, GN in zip(M.E + M.F, N.E + N.F)]).kernel()
+    return [unvec(Matrix(ctx, ker.arr[:, t:t + 1]), N.dim, M.dim) for t in range(ker.cols)]
 
 
 def is_isomorphic(M: ModuleRep, N: ModuleRep) -> Matrix | None:
@@ -727,11 +721,13 @@ class EndAlgebra:
         return out
 
     def element_is_central(self, elem: dict) -> bool:
-        for a in self.labels:
-            for b in self.labels:
-                for f in self.homs[(a, b)].basis:
-                    if not (f @ elem[a] - elem[b] @ f).is_zero():
-                        return False
+        ctx = self.ctx
+        for (a, b), H in self.homs.items():
+            if H.dim:
+                maps = np.stack([f.arr for f in H.basis])
+                if ((ctx.arr_matmul(maps, elem[a].arr)
+                     - ctx.arr_matmul(elem[b].arr, maps)) % ctx.p).any():
+                    return False
         return True
 
 

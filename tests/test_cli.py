@@ -51,6 +51,17 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize("cmd, p, ext", [
+    ("center", 11, 1), ("twist", 3, 3), ("steinberg", 2, 1), ("twist", 5, 0),
+], ids=["p11", "ext3", "p2", "ext0"])
+def test_run_command_rejects_what_main_rejects(cmd, p, ext, capsys):
+    # both paths read the allowed values from one place
+    with pytest.raises(ValueError, match=r"--p must be one of \(3, 5, 7\) and --ext one of"):
+        run_command(cmd, p, ext, 1, "auto", 1, 0)
+    assert main([cmd, "--p", str(p), "--ext", str(ext)]) == 2
+    capsys.readouterr()
+
+
 def test_non_generic_seed_exit_code(capsys):
     code = main(["twist", "--p", "3", "--d-seed", "1,0"])
     capsys.readouterr()
@@ -78,14 +89,14 @@ def test_solver_self_check_exits_5(monkeypatch, capsys):
     # returns a map that does not intertwine; its self-check stops the command
     solver = homology._blocked_hom_basis
 
-    def with_a_stray_map(M, N, delta, mask=None):
-        maps = solver(M, N, delta, mask)
+    def with_a_stray_map(M, N, delta=None, mask=None):
+        maps, degrees = solver(M, N, delta, mask)
         if mask is None:
-            return maps
-        a, b = np.argwhere(mask & (N.grading[:, None] == M.grading[None, :] + delta))[0]
+            return maps, degrees
+        a, b = np.argwhere(mask)[0]
         stray = np.zeros((N.dim, M.dim, M.ctx.k), dtype=np.int64)
         stray[a, b, 0] = 1
-        return maps + [Matrix(M.ctx, stray)]
+        return maps + [Matrix(M.ctx, stray)], degrees + [int(N.grading[a] - M.grading[b])]
 
     monkeypatch.setattr(homology, "_blocked_hom_basis", with_a_stray_map)
     assert main(["center", "--p", "3", "--r", "1"]) == 5

@@ -148,7 +148,7 @@ def test_masked_full_space_matches_unmasked_degrees_on_cap3_projectives(cap3_pro
         assert list(H.degrees) == sorted(H.degrees)
         for d in sorted({int(wn) - int(wm) for wn in N.weights() for wm in M.weights()}):
             got = [phi for phi, deg in zip(H.basis, H.degrees) if deg == d]
-            assert got == homology._blocked_hom_basis(M, N, d), (a, b, d)
+            assert got == list(hom_space(M, N, degree=d).basis), (a, b, d)
 
 
 def _assert_word_mask_sound(M, N):
@@ -223,6 +223,41 @@ def test_ungraded_action_is_rejected():
     bad = repcore.ModuleRep(F3, [Matrix(F3, E0)], L2.F, L2.grading, provenance="bad")
     with pytest.raises(ValueError, match="'bad' or 'L_2' does not respect the grading"):
         hom_space(bad, L2)
+    # one degree too: its unknown X[0, 0] meets the bad entry
+    with pytest.raises(ValueError, match="level-0 action of 'bad' or 'L_2' does not respect "
+                                         "the grading"):
+        hom_space(bad, L2, degree=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F3, F9]), st.data())
+def test_peeled_sparse_kernel_matches_the_dense_kernel_property(ctx, data):
+    # a sparse system, block-diagonal by degree, with planted one-term rows:
+    # the peel drops them with their unknowns, and the per-degree kernels,
+    # scattered back to all columns, are the RREF kernel basis of the whole
+    deg = np.array(sorted(data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=12))))
+    planted = data.draw(st.lists(st.sampled_from(range(deg.size)), max_size=4))
+    rows = [(deg[c], [c]) for c in planted]
+    for _ in range(data.draw(st.integers(0, 12))):
+        own = np.flatnonzero(deg == data.draw(st.sampled_from(deg.tolist()))).tolist()
+        rows.append((deg[own[0]], data.draw(st.lists(st.sampled_from(own), min_size=1,
+                                                     max_size=3, unique=True))))
+    rows.sort(key=lambda row: row[0])                   # rows sorted by degree
+    A = np.zeros((len(rows), deg.size), dtype=np.int64)
+    for i, (_, support) in enumerate(rows):
+        A[i, support] = data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=len(support),
+                                           max_size=len(support)))
+    r, c = np.nonzero(A)
+    got, seen = [], []
+    for d, cols, K in homology._sparse_kernel(ctx, r, c, ctx.arr_from_index(A[r, c]), deg):
+        assert (deg[cols] == d).all()
+        full = np.zeros((deg.size, K.shape[1], ctx.k), dtype=np.int64)
+        full[cols] = K
+        got.append(full)
+        seen.append(d)
+    assert seen == sorted(set(seen))
+    want = Matrix(ctx, ctx.arr_from_index(A)).kernel().arr
+    assert np.array_equal(np.concatenate(got, axis=1) if got else want[:, :0], want)
 
 
 def test_split_leaves_no_reference_cycles():
