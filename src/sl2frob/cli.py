@@ -8,7 +8,8 @@ picks the rest: 2 a usage error, 3 a non-generic weight seed
 (`homology.NonGenericSeed`), 4 an undecided certificate
 (`homology.Inconclusive`; stderr says `error: inconclusive: ...`), 5 a
 failed self-check of the solver (`homology.InvariantError`; stderr says
-`error: internal invariant: ...`).
+`error: internal invariant: ...`).  After its `error:` line, exits 2 to 5
+print one JSON line {"exit": code, "kind": exception name, "message": ...}.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ COMMANDS = ["steinberg", "restriction", "hat-borel", "projectives", "twist",
             "hom-iso", "equivalence", "relations", "generation", "center",
             "block-equivalence", "all"]
 PRIMES, EXTENSIONS = (3, 5, 7), (1, 2)      # the --p and --ext values of every path
+# (exception type, exit code, prefix of the `error:` line); the first match wins
+ERRORS = ((homology.NonGenericSeed, 3, ""), (ValueError, 2, ""),
+          (homology.Inconclusive, 4, "inconclusive: "),
+          (homology.InvariantError, 5, "internal invariant: "))
 
 
 def conventions(ctx: FieldCtx) -> dict:
@@ -250,26 +255,23 @@ def main(argv: list[str] | None = None) -> int:
                              "zero-character covers; other reports only record it")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
+
+    def usage_error(message):
+        parser.print_usage(sys.stderr)
+        raise ValueError(message)
+
+    parser.error = usage_error
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
-
-    try:
         rep = run_command(args.command, args.p, args.ext, args.r,
                           args.d_seed, args.window, args.seed)
-    except homology.NonGenericSeed as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except homology.Inconclusive as e:
-        print(f"error: inconclusive: {e}", file=sys.stderr)
-        return 4
-    except homology.InvariantError as e:
-        print(f"error: internal invariant: {e}", file=sys.stderr)
-        return 5
+    except tuple(kind for kind, _, _ in ERRORS) as e:
+        code, prefix = next((code, prefix) for kind, code, prefix in ERRORS
+                            if isinstance(e, kind))
+        print(f"error: {prefix}{e}", file=sys.stderr)
+        print(json.dumps({"exit": code, "kind": type(e).__name__, "message": str(e)}),
+              file=sys.stderr)
+        return code
 
     text = json.dumps(rep, indent=1, sort_keys=True) + "\n" \
         if args.format == "json" else to_csv(rep)

@@ -21,9 +21,10 @@ every reduced basis deterministic and therefore serializable for golden
 tests.  A `Matrix` array is read-only once constructed: build a numpy array,
 then wrap it.
 
-`Basis` is the one path for coordinates in a basis and for growing a span
-(echelonised spinning; Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, ch. 7); `solve` stays as the reference tests compare it to.
+`Basis` is the one path for coordinates in a basis, and `Basis.add` grows a
+span one vector at a time; `homology.spin` grows one by rounds of `rref`
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 7).
+`solve` stays as the reference tests compare it to.
 """
 
 from __future__ import annotations
@@ -476,7 +477,7 @@ class Matrix:
         c = self.cols
         is_free = np.ones(c, dtype=bool)
         is_free[pivots] = False
-        free = np.flatnonzero(is_free)
+        free = is_free.nonzero()[0]
         K = np.zeros((c, free.size), dtype=np.int64)
         K[free, np.arange(free.size)] = 1
         K[pivots] = ctx._tables()[1][0, R[:len(pivots), free]]   # 0 - R
@@ -519,7 +520,7 @@ def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
     for col in range(c):
         if row >= r:
             break
-        nz = np.flatnonzero(A[row:, col])
+        nz = A[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
@@ -527,7 +528,7 @@ def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
             A[[row, pr]] = A[[pr, row]]
         # the pivot row is zero left of col, so every update starts there
         A[row, col:] = mul[inv[A[row, col]], A[row, col:]]
-        others = np.flatnonzero(A[:, col])
+        others = A[:, col].nonzero()[0]
         others = others[others != row]
         if others.size:
             A[others, col:] = sub[A[others, col:], mul[A[others, col][:, None], A[row, col:]]]

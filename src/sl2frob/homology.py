@@ -29,7 +29,8 @@ bases and the generic-seed certificate are each computed once per distinct
 input.  A Hom space is keyed by the shift-invariant content digests, so it
 is reused up to a common grading shift (`HomSpace.rebound`), and only on
 equal content: a digest collision cannot return a wrong space.  The word
-diagonals read absolute degrees, so their key adds the minimum degree.
+diagonals, ker E per degree and the `is_simple` verdict of a module are
+keyed by its digest and minimum degree, and reused only on equal content.
 """
 
 from __future__ import annotations
@@ -193,8 +194,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@memo.memoised(key=lambda M: (M.content_digest(), M.min_degree),
-               reuse=lambda D, M: D if D[0].same_content(M) else None)
+# a tuple (M, ...) read at M's absolute degrees, reused only on equal content
+_BY_CONTENT = dict(key=lambda M: (M.content_digest(), M.min_degree),
+                   reuse=lambda D, M: D if D[0].same_content(M) else None)
+
+
+@memo.memoised(**_BY_CONTENT)
 def _word_diagonals(M: ModuleRep) -> tuple:
     """(M, D, diagonal, ungraded): row w of D holds, as element indices, the
     diagonal of the w-th word of H_0, C_0, H_1, C_1, ..., valid where
@@ -284,23 +289,25 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> Matrix | None:
 def spin(M: ModuleRep, v: Matrix) -> Matrix:
     """RREF column basis of the submodule generated by v (closed under every E_j, F_j).
 
-    Level by level, each image G u of a new vector u joins the span unless
-    it lies in it.
+    Spun by rounds on the span's RREF rows (element indices): the images of
+    the rows with the pivots the last round added, under every level action,
+    are one stacked product and join the span in one elimination, until a
+    round adds no pivot or the span is M.  Those rows complement the old
+    span and every other row moved by them, so their images close it.
     """
     if v.is_zero():
         raise ValueError("cannot spin the zero vector")
-    ctx = M.ctx
+    ctx, n = M.ctx, M.dim
     ops = np.stack([G.arr for G in M.E + M.F])
-    span = Basis(v)
-    frontier = [0]
-    while frontier:
-        grown = []
-        for u in frontier:
-            for image in ctx.arr_matmul(ops, span.B.arr[:, u:u + 1]):
-                if span.add(Matrix(ctx, image)):
-                    grown.append(span.B.cols - 1)
-        frontier = grown
-    return span.R.transpose()
+    R, pivots, todo = np.zeros((0, n), dtype=np.int64), [], np.swapaxes(v.arr, 0, 1)
+    while True:
+        A, grown = Matrix(ctx, np.concatenate([ctx.arr_from_index(R), todo])).rref(indices=True)
+        new = A[[i for i, c in enumerate(grown) if c not in pivots]]
+        R, pivots = A[:len(grown)], grown
+        if not new.size or len(pivots) == n:
+            return Matrix(ctx, ctx.arr_from_index(R.T))
+        images = ctx.arr_matmul(ops, ctx.arr_from_index(new.T)).transpose(0, 2, 1, 3)
+        todo = images[images.any(axis=(2, 3))]
 
 
 def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, Matrix]:
@@ -309,13 +316,18 @@ def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, M
     out = {}
     for w in sorted(set(int(x) for x in grading)):
         idx = np.nonzero(grading == w)[0]
-        stacked = Matrix.vstack([m.take_cols(idx) for m in mats])
-        ker = stacked.kernel()
+        ker = Matrix(ctx, np.concatenate([m.arr[:, idx] for m in mats])).kernel()
         if ker.cols:
             emb = np.zeros((grading.shape[0], ker.cols, ctx.k), dtype=np.int64)
             emb[idx] = ker.arr
             out[w] = Matrix(ctx, emb)
     return out
+
+
+@memo.memoised(**_BY_CONTENT)
+def _highest_weights(M: ModuleRep) -> tuple:
+    """(M, J): J maps each degree to a basis of ker E (all E_j) there; read-only."""
+    return M, MappingProxyType(_graded_joint_kernel(M.E, M.grading))
 
 
 def is_simple(M: ModuleRep) -> bool | str:
@@ -329,35 +341,40 @@ def is_simple(M: ModuleRep) -> bool | str:
     requires the degrees of J to be separated (a single degree, or degree
     span below 2p^cap, which rules out mixed-degree kernel vectors hiding
     in a proper submodule); otherwise the verdict is 'inconclusive'.
+    Within a memo scope the verdict is computed once per module content.
     """
+    return _simplicity(M)[1]
+
+
+@memo.memoised(**_BY_CONTENT)
+def _simplicity(M: ModuleRep) -> tuple:
+    """(M, the `is_simple` verdict)."""
     ctx = M.ctx
     if M.dim == 0:
-        return False
-    J = _graded_joint_kernel(M.E, M.grading)
+        return M, False
+    J = _highest_weights(M)[1]
     if not J:
-        return "inconclusive"
+        return M, "inconclusive"
     untestable = False
     for _, basis in J.items():
         m = basis.cols
         if m == 1:
             seeds = [basis]
         elif m == 2 and ctx.q <= 25:
-            seeds = [basis.take_cols([1])]
             b0, b1 = basis.take_cols([0]), basis.take_cols([1])
-            for t in ctx.elements():
-                seeds.append(b0 + b1.scale(t))
+            seeds = [b1] + [b0 + b1.scale(t) for t in ctx.elements()]
         else:
             untestable = True
             continue
         for s in seeds:
             if spin(M, s).cols < M.dim:
-                return False
+                return M, False
     if untestable:
-        return "inconclusive"
+        return M, "inconclusive"
     degs = sorted(J)
     if len(degs) > 1 and degs[-1] - degs[0] >= 2 * ctx.p**M.cap:
-        return "inconclusive"
-    return True
+        return M, "inconclusive"
+    return M, True
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +606,7 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
         Z = repcore.baby_verma(ctx, d + ctx.el(c))
         if is_simple(Z) is not True:
             raise NonGenericSeed(f"non-generic seed: Z(d+{c}) is not simple")
-        J = _graded_joint_kernel(Z.E, Z.grading)
+        J = _highest_weights(Z)[1]
         if sum(b.cols for b in J.values()) != 1:
             raise NonGenericSeed(f"non-generic seed: ker E_0 of Z(d+{c}) is not one line")
         (v,) = J.values()

@@ -194,12 +194,11 @@ def baby_verma(ctx: FieldCtx, d: FieldElement, shift: int = 0, cap: int = 1) -> 
     is not an integer and the grading is an independent datum.
     """
     p = ctx.p
-    E0 = np.zeros((p, p, ctx.k), dtype=np.int64)
-    F0 = np.zeros((p, p, ctx.k), dtype=np.int64)
-    for k in range(1, p):
-        E0[k - 1, k] = (ctx.el(k) * (d - ctx.el(k - 1)))._arr()
-        F0[k, k - 1, 0] = 1
-    grading = np.array([shift - 2 * k for k in range(p)], dtype=np.int64)
+    k = np.arange(1, p)
+    E0, F0 = np.zeros((2, p, p, ctx.k), dtype=np.int64)
+    E0[k - 1, k] = ctx.arr_mul(ctx.arr_from_index(k), d._arr() - ctx.arr_from_index(k - 1))
+    F0[k, k - 1, 0] = 1
+    grading = shift - 2 * np.arange(p)
     s = d.frobenius() - d
     zeros = Matrix.zeros(ctx, p, p)
     E = [Matrix(ctx, E0)] + [zeros] * (cap - 1)

@@ -72,33 +72,39 @@ def twist_closed_form(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     return TwistElement(d, tuple(coeffs))
 
 
+def _invariants(T: repcore.ModuleRep) -> Matrix:
+    """RREF basis of the vectors E_0 and F_0 both kill.  Such a v has H v = C v = 0,
+    so it vanishes where a diagonal word of `homology._word_diagonals(T)` is
+    nonzero; the other columns are solved and scattered back, as in the word mask."""
+    _, D, diagonal, _ = homology._word_diagonals(T)
+    free = np.flatnonzero(~D[diagonal].any(axis=0))
+    ker = Matrix(T.ctx, np.concatenate([T.E[0].arr, T.F[0].arr])[:, free]).kernel()
+    out = np.zeros((T.dim, ker.cols, T.ctx.k), dtype=np.int64)
+    out[free] = ker.arr
+    return Matrix(T.ctx, out)
+
+
 def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     """Independent construction: solve for the invariant vector in Z* (x) Z.
 
-    Stacks the level-0 actions of e and f on dual(Z) (x) Z, takes the exact
-    kernel (must be one-dimensional), and reads the coefficients off the
-    vectors e^k 1* (x) f^k 1, normalized by A_0 = 1.
+    Takes the exact `_invariants` of e and f on dual(Z) (x) Z (one line, else
+    NonGenericSeed) and reads the coefficients off the vectors
+    e^k 1* (x) f^k 1, normalized by A_0 = 1.
     """
     p = ctx.p
     Z = repcore.baby_verma(ctx, d)
-    T = repcore.tensor(repcore.dual(Z), Z)
-    stacked = Matrix.vstack([T.E[0], T.F[0]])
-    ker = stacked.kernel()
+    D = repcore.dual(Z)
+    ker = _invariants(repcore.tensor(D, Z))
     if ker.cols != 1:
         raise homology.NonGenericSeed(f"invariant space has dimension {ker.cols}, not 1 "
                                       "(non-generic seed or wrong orientation)")
-    inv_vec = Matrix(ctx, ker.arr[:, 0:1])
     # the vectors e^k 1^* (x) f^k 1 in the tensor basis
-    D = repcore.dual(Z)
-    cols = []
     unit = Matrix.identity(ctx, p)
     estar = unit.take_cols([0])  # 1^* = dual of the highest vector: lowest weight in Z*
     e_powers = D.divided_power("e", 1).powers(p - 1)
-    for k in range(p):
-        left = e_powers[k] @ estar if k else estar
-        right = unit.take_cols([k])  # f^k 1 in the Verma basis
-        cols.append(left.kron(right))
-    sol = Basis(Matrix.hstack(cols)).coordinates(inv_vec)
+    # column k of the unit is f^k 1 in the Verma basis
+    cols = [(e_powers[k] @ estar if k else estar).kron(unit.take_cols([k])) for k in range(p)]
+    sol = Basis(Matrix.hstack(cols)).coordinates(ker)
     if sol is None:
         raise ValueError("invariant vector not supported on e^k 1* (x) f^k 1")
     a0 = sol.entry(0, 0)

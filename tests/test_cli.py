@@ -31,8 +31,33 @@ def test_center_command_csv(capsys):
     assert out.strip().endswith("summary,failures,0")
 
 
-def test_usage_error():
+def _error_record(err: str) -> dict:
+    """The JSON record on the last stderr line, which follows the `error:` line."""
+    *_, line, record = err.splitlines()
+    assert line.startswith("error: ")
+    return json.loads(record)
+
+
+def test_usage_error(capsys):
     assert main(["no-such-command"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sl2frob")
+    assert _error_record(err)["message"].startswith(
+        "argument command: invalid choice: 'no-such-command'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["twist", "--p", "4"], "argument --p: invalid choice: 4"),
+    (["twist", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+], ids=["p", "flag"])
+def test_argparse_rejections_print_usage_then_the_error_record(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    record = _error_record(err)
+    assert record["message"].startswith(message)
+    assert record == {"exit": 2, "kind": "ValueError", "message": record["message"]}
+    assert err.startswith("usage: sl2frob")
+    assert err.endswith(f"\nerror: {record['message']}\n{json.dumps(record)}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,8 +89,10 @@ def test_run_command_rejects_what_main_rejects(cmd, p, ext, capsys):
 
 def test_non_generic_seed_exit_code(capsys):
     code = main(["twist", "--p", "3", "--d-seed", "1,0"])
-    capsys.readouterr()
     assert code == 3
+    assert _error_record(capsys.readouterr().err) == {
+        "exit": 3, "kind": "NonGenericSeed",
+        "message": "non-generic weight seed 1: it lies in the prime field"}
 
 
 @pytest.mark.parametrize("error, code, message", [
@@ -81,7 +108,9 @@ def test_exit_code_follows_the_exception_type(error, code, message, monkeypatch,
 
     monkeypatch.setattr(vermatwist, "twist_oracle", fail)
     assert main(["twist", "--p", "3"]) == code
-    assert capsys.readouterr().err == message + "\n"
+    # the `error:` line, then one JSON record of the same failure
+    record = {"exit": code, "kind": type(error).__name__, "message": str(error)}
+    assert capsys.readouterr().err == message + "\n" + json.dumps(record) + "\n"
 
 
 def test_solver_self_check_exits_5(monkeypatch, capsys):
@@ -101,8 +130,11 @@ def test_solver_self_check_exits_5(monkeypatch, capsys):
     monkeypatch.setattr(homology, "_blocked_hom_basis", with_a_stray_map)
     assert main(["center", "--p", "3", "--r", "1"]) == 5
     err = capsys.readouterr().err
-    assert err.startswith("error: internal invariant: Hom(") and err.count("\n") == 1
+    assert err.startswith("error: internal invariant: Hom(") and err.count("\n") == 2
     assert "does not intertwine" in err
+    line = err.splitlines()[0]
+    assert _error_record(err) == {"exit": 5, "kind": "InvariantError",
+                                  "message": line.removeprefix("error: internal invariant: ")}
 
 
 def test_failing_checks_exit_1_whatever_their_count(monkeypatch, capsys):

@@ -216,6 +216,25 @@ def test_steinberg_distinctness_solves_no_hom_space(monkeypatch, ctx, d):
     assert solved == []
 
 
+def test_steinberg_certifies_each_generic_verma_once(monkeypatch):
+    # generic_verma_projectives and verify_steinberg's own simplicity checks
+    # meet the same five Vermas: each is spun, and its ker E solved, once
+    spun, kernels = [], []
+    spin_, kernel = homology.spin, homology._graded_joint_kernel
+    monkeypatch.setattr(homology, "spin", lambda M, v: spun.append(M) or spin_(M, v))
+    monkeypatch.setattr(homology, "_graded_joint_kernel",
+                        lambda mats, grading: kernels.append(mats) or kernel(mats, grading))
+    d = F25.el(1, 1)
+    with memo.scope():
+        rep = verify_steinberg(F25, 1, d)
+    assert rep["failures"] == 0 and len(rep["checks"]) == 15
+    assert len(spun) == 5 and len(kernels) == 5
+    # E_0[0, 1] = 1 (d' - 1 + 1) = d' on Z(d'): one spin per Verma Z(d + c)
+    tops = {M.E[0].entry(0, 1) for M in spun}
+    assert tops == {d + F25.el(c) for c in range(5)}
+    assert [mats[0] for mats in kernels] == [M.E[0] for M in spun]
+
+
 def test_ungraded_action_is_rejected():
     L2 = simple_restricted(F3, 2)
     E0 = L2.E[0].arr.copy()

@@ -56,6 +56,24 @@ def test_baby_verma_straightening_oracle():
         assert Matrix(F9, col.reshape(1, 1, 2)).entry(0, 0) == coeff
 
 
+@pytest.mark.parametrize("ctx", [F5, F9, FieldCtx(5, 2)], ids=["F5", "F9", "F25"])
+def test_baby_verma_entries_at_every_weight(ctx):
+    # E_0 holds k (d - k + 1) on its superdiagonal, computed element by element
+    # here; F_0, the grading and the p-character are those of the basis f^k v
+    p = ctx.p
+    for d in ctx.elements():
+        for shift, cap in ((0, 1), (3, 2)):
+            Z = baby_verma(ctx, d, shift=shift, cap=cap)
+            for i in range(p):
+                for j in range(p):
+                    e = ctx.el(j) * (d - ctx.el(j - 1)) if j == i + 1 else ctx.zero()
+                    assert Z.E[0].entry(i, j) == e
+                    assert Z.F[0].entry(i, j) == (ctx.one() if i == j + 1 else ctx.zero())
+            assert Z.grading.tolist() == [shift - 2 * k for k in range(p)]
+            assert Z.pchar_scalars == (d.frobenius() - d,) + (ctx.zero(),) * (cap - 1)
+            assert all(G.is_zero() for G in Z.E[1:] + Z.F[1:])
+
+
 def test_twist_shapes():
     L1 = simple_restricted(F3, 1)
     T = frobenius_twist(L1, 1)

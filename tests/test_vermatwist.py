@@ -63,6 +63,20 @@ def test_oracle_invariance_equation():
     assert (T.E[0] @ vec).is_zero() and (T.F[0] @ vec).is_zero()
 
 
+@pytest.mark.parametrize("ctx", [F9, F25], ids=["F9", "F25"])
+def test_masked_invariants_match_the_kernel_on_the_whole_tensor(ctx):
+    # every d, prime-field d included
+    seen = set()
+    for d in ctx.elements():
+        Z = repcore.baby_verma(ctx, d)
+        T = repcore.tensor(repcore.dual(Z), Z)
+        full = Matrix.vstack([T.E[0], T.F[0]]).kernel()
+        masked = VT._invariants(T)
+        assert masked.cols == full.cols and masked == full
+        seen.add(d.in_prime_field())
+    assert seen == {True, False}
+
+
 def test_oracle_rejects_non_generic():
     with pytest.raises(ValueError):
         VT.twist_oracle(F9, F9.one())
