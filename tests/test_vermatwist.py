@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sl2frob.exactfield import FieldCtx, Matrix, vec
+from sl2frob.exactfield import FieldCtx, Matrix, vec, vecs
 from sl2frob import repcore, homology, vermatwist as VT
+from sl2frob.reporting import check
 
 
 F9 = FieldCtx(3, 2)
@@ -63,23 +64,18 @@ def test_oracle_invariance_equation():
     assert (T.E[0] @ vec).is_zero() and (T.F[0] @ vec).is_zero()
 
 
-@pytest.mark.parametrize("ctx", [F9, F25], ids=["F9", "F25"])
-def test_masked_invariants_match_the_kernel_on_the_whole_tensor(ctx):
-    # every d, prime-field d included
-    seen = set()
-    for d in ctx.elements():
-        Z = repcore.baby_verma(ctx, d)
-        T = repcore.tensor(repcore.dual(Z), Z)
-        full = Matrix.vstack([T.E[0], T.F[0]]).kernel()
-        masked = VT._invariants(T)
-        assert masked.cols == full.cols and masked == full
-        seen.add(d.in_prime_field())
-    assert seen == {True, False}
+def test_oracle_rejects_non_generic(monkeypatch):
+    # every d in F_p, for F_9 and F_25, is rejected before Z* (x) Z is built
+    def no_tensor(*args):
+        raise AssertionError("the oracle built Z* (x) Z for a prime-field d")
 
-
-def test_oracle_rejects_non_generic():
-    with pytest.raises(ValueError):
-        VT.twist_oracle(F9, F9.one())
+    monkeypatch.setattr(repcore, "tensor", no_tensor)
+    for ctx in (F9, F25):
+        prime = [d for d in ctx.elements() if d.in_prime_field()]
+        assert len(prime) == ctx.p
+        for d in prime:
+            with pytest.raises(homology.NonGenericSeed):
+                VT.twist_oracle(ctx, d)
 
 
 def test_hom_transfer_window():
@@ -239,11 +235,13 @@ def test_table_associativity_matches_direct_composition(d, radius):
                                 direct[(mu, la, mu2, lb, mu3, lc, mu4, ld, xi, gi, hi)] = (
                                     W.compose_twisted(h, gx, la, lc, ld, mu3),
                                     W.compose_twisted(hg, x, la, lb, ld, mu2))
+    # the table holds the first member of each shift class, and every member
+    # of the class has its sides
     table = {t: (left, right)
              for t, left, right in VT._associativity_sides(W, VT._basis_products(W))}
-    assert direct and table.keys() == direct.keys()
-    for t, (left, right) in table.items():
-        assert left == direct[t][0] and right == direct[t][1], t
+    assert direct and table.keys() == {W.rep(t, 4) for t in direct}
+    for t, (left, right) in direct.items():
+        assert table[W.rep(t, 4)][0] == left and table[W.rep(t, 4)][1] == right, t
 
 
 def _alter_one_product(monkeypatch, x_at, g_at, mu_mid, new):
@@ -317,3 +315,217 @@ def test_product_off_its_span_fails_every_triple_through_it(monkeypatch, key, x_
     assert through_gx and through_hg
     failed = _failed(VT.verify_equivalence(F9, D, radius=1))
     assert {"rescaled_structure_constants", "twisted_associativity"} <= failed
+
+
+# ---------------------------------------------------------------------------
+# shift classes: at radius >= 2 the window holds objects mu and mu + p, whose
+# quantities are computed once and shared; each is checked here against a
+# recomputation for every member
+# ---------------------------------------------------------------------------
+
+SHIFTED = [(D, 2), (D, 3), (D + F9.one(), 2), (D + F9.one(), 3)]
+SHIFTED_IDS = ["d0_r2", "d0_r3", "d1_r2", "d1_r3"]
+
+
+def _direct_bside(W):
+    """Z_mu^(1) (x) P_lam built afresh for every object."""
+    return {(mu, lam): repcore.tensor(
+        repcore.frobenius_twist(repcore.baby_verma(F9, W.d + F9.el(mu % 3)), 1)
+        .shift_grading(3 * mu), W.ext[lam]) for mu, lam in W.objects()}
+
+
+def _pair_checks(rep):
+    return [c for c in rep["checks"] if "__" in c["name"]]
+
+
+@pytest.mark.parametrize("d, radius", SHIFTED, ids=SHIFTED_IDS)
+def test_transfers_and_verdicts_match_per_pair_recomputation(d, radius):
+    # the (a) + (c) checks of every object pair, recomputed from fresh modules,
+    # and each pair's transfers equal to those of the first member of its class
+    W = VT.WindowedEnd(F9, d, radius)
+    bside = _direct_bside(W)
+    want, copies = [], 0
+    for (mu, lam) in W.objects():
+        for (mu2, lam2) in W.objects():
+            if abs(mu - mu2) > 2:
+                continue
+            where = f"{mu}_{lam}__{mu2}_{lam2}"
+            amats = W.mor_basis((mu, lam), (mu2, lam2))
+            BH = homology.hom_space(bside[(mu, lam)], bside[(mu2, lam2)], degree=0)
+            want.append(check(f"dim_{where}", len(amats) == BH.dim,
+                              graded_end=len(amats), next_kernel=BH.dim))
+            phis = [VT._transfer(F9, W.twists[mu2], W.transfer_grid(lam, lam2, x))
+                    for x in amats]
+            rmu, _, rmu2, _ = W.rep((mu, lam, mu2, lam2), 2)
+            assert phis == [VT._transfer(F9, W.twists[rmu2], W.transfer_grid(lam, lam2, x))
+                            for x in W.mor_basis((rmu, lam), (rmu2, lam2))], where
+            copies += rmu != mu
+            for x, ph in zip(amats, phis):
+                in_space = BH.coordinates([ph]) is not None
+                top = Matrix(F9, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim]) == x
+                want.append(check(f"transfer_{where}", in_space and top,
+                                  in_space=in_space, top_recovers=top))
+            if phis and len(phis) == BH.dim:
+                rank = vecs(F9, BH.shape, phis).rank()
+                want.append(check(f"bijective_{where}", rank == BH.dim, rank=rank))
+    rep = VT.verify_equivalence(F9, d, radius=radius)
+    assert copies and rep["failures"] == 0
+    assert _pair_checks(rep) == want
+
+
+def _direct_hom_iso_checks(d, V, window, tag):
+    """hom_iso_report's checks, recomputed for every pair (mu, mu')."""
+    checks, wd = [], V.weight_indices()
+    Z = {mu: repcore.baby_verma(F9, d + F9.el(mu % 3), shift=mu)
+         for mu in range(-window, window + 1)}
+    for mu, Zs in Z.items():
+        for mu_p in Z:
+            TV = repcore.tensor(Z[mu_p], V)
+            Hgr = homology.hom_space(Zs, TV, degree=0)
+            idx = wd.get(mu - mu_p, [])
+            checks.append(check(f"dim_{tag}_{mu}_{mu_p}", Hgr.dim == len(idx),
+                                hom_dim=Hgr.dim, weight_dim=len(idx)))
+            images = []
+            for t in idx:
+                v = Matrix.identity(F9, V.dim).take_cols([t])
+                phi = VT.verma_map(F9, d, V, mu_p, v)
+                ok_int = all((phi @ g1 - g2 @ phi).is_zero()
+                             for g1, g2 in ((Zs.E[0], TV.E[0]), (Zs.F[0], TV.F[0])))
+                ok_inv = Matrix(F9, phi.arr[0:V.dim, 0:1]) == v
+                in_space = Hgr.coordinates([phi]) is not None
+                checks.append(check(f"transfer_{tag}_{mu}_{mu_p}_{t}",
+                                    ok_int and ok_inv and in_space, intertwiner=ok_int,
+                                    top_inverse=ok_inv, in_graded_hom=in_space))
+                images.append(phi)
+            if images:
+                rank = vecs(F9, Hgr.shape, images).rank()
+                checks.append(check(f"bijection_{tag}_{mu}_{mu_p}", rank == len(idx),
+                                    rank=rank))
+    return checks
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("d", [D, D + F9.one()], ids=["d0", "d1"])
+def test_hom_iso_verdicts_match_per_pair_recomputation(d, window):
+    ext = homology.all_extended_projectives(F9)
+    modules = [("L1", repcore.simple_restricted(F9, 1)),
+               ("homP0P1", homology.hom_as_gmodule(ext[0], ext[1], 1)[1])]
+    for tag, V in modules:
+        rep = VT.hom_iso_report(F9, d, V, window, tag=tag)
+        assert rep["failures"] == 0
+        assert rep["checks"] == _direct_hom_iso_checks(d, V, window, tag), tag
+
+
+@pytest.mark.parametrize("d, radius", SHIFTED, ids=SHIFTED_IDS)
+def test_product_table_matches_fresh_compose_twisted(d, radius):
+    W = VT.WindowedEnd(F9, d, radius)
+    prods = VT._basis_products(W)
+    fresh = VT.WindowedEnd(F9, d, radius)
+    for key, (twisted, X) in prods.items():
+        mu, la, mu2, lb, mu3, lc, xi, gi = key
+        x = fresh.mor_basis((mu, la), (mu2, lb))[xi]
+        g = fresh.mor_basis((mu2, lb), (mu3, lc))[gi]
+        want = fresh.compose_twisted(g, x, la, lb, lc, mu2)
+        assert twisted == want, key
+        want_X = fresh.pieces[(la, lc, 3 * (mu - mu3))].coordinates(
+            vecs(F9, want.shape, [g @ x, want]))
+        assert want_X is not None and X == want_X, key
+    assert any(W.rep(key, 3) != key for key in prods)
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+def test_bside_copies_are_p2_shifts(radius):
+    W = VT.WindowedEnd(F9, D, radius)
+    bside = VT._build_bside(F9, D, W)
+    direct = _direct_bside(W)
+    copies = [(mu, lam) for mu, lam in W.objects() if mu - 3 >= -radius]
+    assert len(copies) == 3 * (2 * radius + 1 - 3)
+    for mu, lam in copies:
+        M, src = bside[(mu, lam)], bside[(mu - 3, lam)]
+        assert M.shift_from(src) == 9
+        assert all(a is b for a, b in zip(M.E + M.F, src.E + src.F))
+    assert all(bside[o].same_content(direct[o]) for o in W.objects())
+
+
+def test_radius_3_window_is_computed_once_per_shift_class(monkeypatch):
+    calls = []
+    original = VT.WindowedEnd.compose_twisted
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(VT.WindowedEnd, "compose_twisted", counted)
+    W = VT.WindowedEnd(F9, D, 3)
+    prods = VT._basis_products(W)
+    assert len(prods) == 203 and len(calls) == 99
+    assert len({W.rep(key, 3) for key in prods}) == 99
+    assert len(list(VT._associativity_sides(W, prods))) == 387
+
+
+def test_radius_3_transfers_once_per_shift_class(monkeypatch):
+    # 261 object pairs in 135 classes; _transfer runs once per basis
+    # morphism of the first pair of each class
+    W = VT.WindowedEnd(F9, D, 3)
+    pairs = [(mu, lam, mu2, lam2) for mu, lam in W.objects() for mu2, lam2 in W.objects()
+             if abs(mu - mu2) <= 2]
+    assert len(pairs) == 261 and len({W.rep(pair, 2) for pair in pairs}) == 135
+    n_basis = lambda pair: len(W.mor_basis(pair[:2], pair[2:]))
+    calls = []
+    original = VT._transfer
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(VT, "_transfer", counted)
+    rep = VT.verify_equivalence(F9, D, radius=3)
+    assert rep["failures"] == 0 and len(_pair_checks(rep)) > 261
+    assert len(calls) == sum(n_basis(pair) for pair in pairs if W.rep(pair, 2) == pair)
+    assert len(calls) < sum(n_basis(pair) for pair in pairs)
+
+
+def test_altered_representative_product_fails_its_shifted_copies(monkeypatch):
+    # up o id through mu = -2 is the first of its class at radius 2, and the
+    # pair through mu = 1 shares it
+    _alter_one_product(monkeypatch, (0, 0, 0, 0), (0, 1, -3, 0), -2,
+                       lambda W, out: out.scale(F9.el(2)))
+    rep = VT.verify_equivalence(F9, D, radius=2)
+    sigma = next(c for c in rep["checks"] if c["name"] == "rescaled_structure_constants")
+    assert sigma["status"] == "fail"
+    assert sigma["details"]["failures"] == [(-2, 0, -2, 0, -1, 1, 0), (1, 0, 1, 0, 2, 1, 0)]
+    assert {"transfer_intertwines_twisted_product", "twisted_associativity"} <= _failed(rep)
+
+
+def test_altered_transfer_fails_only_its_shift_class_in_hom_iso(monkeypatch):
+    # doubling the transfers into Z_{-2} breaks the top inverse; a pair
+    # (mu, -2) is the first of its class, so it fails with its shifted copy
+    # (mu + 3, 1) when that lies in the window, and no other pair fails
+    original = VT.verma_map
+
+    def altered(ctx, d, V, mu_p, v, *args):
+        out = original(ctx, d, V, mu_p, v, *args)
+        return out.scale(F9.el(2)) if mu_p == -2 else out
+
+    monkeypatch.setattr(VT, "verma_map", altered)
+    rep = VT.hom_iso_report(F9, D, repcore.simple_restricted(F9, 1), 2, tag="L1")
+    transfers = [c["name"].split("_") for c in rep["checks"] if c["name"].startswith("transfer_")]
+    assert _failed(rep) == {"_".join(n) for n in transfers if int(n[3]) == -2
+                            or (int(n[3]) == 1 and int(n[2]) - 3 >= -2)}
+    assert len(_failed(rep)) < len(transfers)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_hom_iso_builds_one_tensor_per_degree_class(monkeypatch, window):
+    # Z_mu (x) V for the 2 window + 1 degrees, at most p = 3 of them built
+    built = []
+    original = repcore.tensor
+
+    def counted(M, N):
+        built.append(int(M.grading[0]))
+        return original(M, N)
+
+    monkeypatch.setattr(repcore, "tensor", counted)
+    rep = VT.hom_iso_report(F9, D, repcore.simple_restricted(F9, 1), window, tag="L1")
+    assert rep["failures"] == 0
+    assert built == list(range(-window, min(window, 2 - window) + 1))
