@@ -1,12 +1,13 @@
 """Hom/End engine: intertwiners, simplicity tests, splitting, projectives, centers.
 
-One solver, `_blocked_hom_basis`, solves a Hom space as one sparse system:
-its unknowns are entries X[i, j] of an intertwiner, of degree
-deg N_i - deg M_j, and its equations the entries of G_N X - X G_M, each of
-one degree.  Every one-term equation is dropped with its unknown, which it
-forces to zero, until none is left (LaMacchia and Odlyzko, CRYPTO 1990);
-then each degree is eliminated on its own dense block.  The unblocked
-Kronecker-product solve is a test oracle.
+One solver, `_blocked_hom_basis`, solves a batch of Hom spaces (pairs
+M -> N) as one sparse system: its unknowns are entries X[i, j] of an
+intertwiner, of degree deg N_i - deg M_j, and its equations the entries of
+G_N X - X G_M, each of one pair and degree.  Every one-term equation is
+dropped with its unknown, which it forces to zero, until none is left
+(LaMacchia and Odlyzko, CRYPTO 1990); then each (pair, degree) block is
+eliminated on its own.  `hom_space` is a batch of one `hom_spaces`.  The
+unblocked Kronecker-product solve is a test oracle.
 
 A full space is first tested for zero.  An intertwiner phi: M -> N has
 phi W_M = W_N phi for every word W in the level actions, so where
@@ -146,47 +147,62 @@ def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndar
         yield d, cols[c0:c1], Matrix(ctx, A).kernel().arr
 
 
-def _blocked_hom_basis(M: ModuleRep, N: ModuleRep, delta: int | None = None,
-                       mask: np.ndarray | None = None) -> tuple[list[Matrix], list[int]]:
-    """(maps, degrees) of the intertwiners M -> N, solved by `_sparse_kernel`.
+def _blocked_hom_basis(pairs: list, delta: int | None = None,
+                       masks: list | None = None) -> list[tuple[list[Matrix], list[int]]]:
+    """(maps, degrees) of the intertwiners M -> N per pair (M, N), all solved
+    by one `_sparse_kernel` call on blocks that share no unknown or equation.
 
-    Unknowns: the entries X[i, j] on the mask (all if None), of degree
-    deg N_i - deg M_j = delta if given, in (degree, deg M_j, j, i) order.
-    In G_N X - X G_M, unknown (i, j) enters cell (a, j) with G_N[a, i] and
-    (i, b) with -G_M[j, b] for each level action G; the grading is checked
-    there.  Entries off the mask vanish in every intertwiner.
+    Unknowns of a pair: the entries X[i, j] on its mask (all if None), of
+    degree deg N_i - deg M_j = delta if given, in (degree, deg M_j, j, i)
+    order.  In G_N X - X G_M, unknown (i, j) enters cell (a, j) with
+    G_N[a, i] and (i, b) with -G_M[j, b] for each level action G; the grading
+    is checked there.  Entries off the mask vanish in every intertwiner.
     """
-    ctx, p, gM, gN = M.ctx, M.ctx.p, M.grading, N.grading
-    free = np.ones((N.dim, M.dim), dtype=bool) if mask is None else mask
-    if delta is not None:
-        free = free & (gN[:, None] == gM[None, :] + delta)
-    I, J = np.nonzero(free)
-    if not I.size:
-        return [], []
-    deg = gN[I] - gM[J]
-    order = np.lexsort((I, J, gM[J], deg))
-    I, J, deg = I[order], J[order], deg[order]
-    GM, GN = (np.stack([G.arr for G in X.E + X.F]) for X in (M, N))
-    s = 2 * p ** np.arange(M.cap)
-    s = np.concatenate([s, -s])  # shifts of the actions M.E + M.F
-    g, a, u = np.nonzero(GN.any(axis=-1)[:, :, I])  # G_N[a, I_u] != 0
-    h, v, b = np.nonzero(GM.any(axis=-1)[:, J])     # G_M[J_v, b] != 0
-    val = np.concatenate([GN[g, a, I[u]], -GM[h, J[v], b] % p])
-    g, col = np.concatenate([g, h]), np.concatenate([u, v])
-    A, B = np.concatenate([a, I[v]]), np.concatenate([J[u], b])
-    bad = g[gN[A] - gM[B] != deg[col] + s[g]]
-    if bad.size:
-        raise ValueError(f"level-{bad.min() % M.cap} action of {M.provenance!r} or "
-                         f"{N.provenance!r} does not respect the grading")
-    key = (((deg[col] - deg[0]) * s.size + g) * N.dim + A) * M.dim + B  # degree first
+    # each module's stacked level actions and their support, once
+    acts = {id(X): (G, G.any(axis=-1)) for X in {id(X): X for pair in pairs for X in pair}.values()
+            for G in [np.stack([m.arr for m in X.E + X.F])]}
+    parts, n_cols, n_rows = [], 0, 0
+    for t, (M, N) in enumerate(pairs):
+        ctx, p, gM, gN = M.ctx, M.ctx.p, M.grading, N.grading
+        free = np.ones((N.dim, M.dim), dtype=bool) if delta is None else \
+            gN[:, None] == gM[None, :] + delta
+        if masks is not None and masks[t] is not None:
+            free &= masks[t]
+        I, J = np.nonzero(free)
+        if not I.size:
+            continue
+        deg = gN[I] - gM[J]
+        order = np.lexsort((I, J, gM[J], deg))
+        I, J, deg = I[order], J[order], deg[order]
+        (GM, nzM), (GN, nzN) = acts[id(M)], acts[id(N)]
+        s = (np.array([[2], [-2]]) * p ** np.arange(M.cap)).ravel()  # shifts of M.E + M.F
+        g, a, u = np.nonzero(nzN[:, :, I])  # G_N[a, I_u] != 0
+        h, v, b = np.nonzero(nzM[:, J])     # G_M[J_v, b] != 0
+        val = np.concatenate([GN[g, a, I[u]], -GM[h, J[v], b] % p])
+        g, col = np.concatenate([g, h]), np.concatenate([u, v])
+        A, B = np.concatenate([a, I[v]]), np.concatenate([J[u], b])
+        bad = g[gN[A] - gM[B] != deg[col] + s[g]]
+        if bad.size:
+            raise ValueError(f"level-{bad.min() % M.cap} action of {M.provenance!r} or "
+                             f"{N.provenance!r} does not respect the grading")
+        # (pair, degree) blocks labelled in order, and rows keyed block first
+        blk = n_rows + deg - deg[0]
+        key = n_rows + (((deg[col] - deg[0]) * s.size + g) * N.dim + A) * M.dim + B
+        parts.append((np.full(I.size, t), I, J, deg, blk, key, col + n_cols, val))
+        n_cols, n_rows = n_cols + I.size, n_rows + (deg[-1] - deg[0] + 1) * s.size * N.dim * M.dim
+    out = [([], []) for _ in pairs]
+    if not parts:
+        return out
+    pair, I, J, deg, blk, key, col, val = (np.concatenate(x) for x in zip(*parts))
     order = np.argsort(key, kind="stable")
-    maps, degrees = [], []
-    for d, cols, K in _sparse_kernel(ctx, key[order], col[order], val[order], deg):
-        out = np.zeros((K.shape[1], N.dim, M.dim, ctx.k), dtype=np.int64)
-        out[:, I[cols], J[cols]] = K.transpose(1, 0, 2)
-        maps += [Matrix(ctx, phi) for phi in out]
+    for _, cols, K in _sparse_kernel(ctx, key[order], col[order], val[order], blk):
+        t, d = pair[cols[0]], int(deg[cols[0]])
+        (M, N), (maps, degrees) = pairs[t], out[t]
+        phis = np.zeros((K.shape[1], N.dim, M.dim, ctx.k), dtype=np.int64)
+        phis[:, I[cols], J[cols]] = K.transpose(1, 0, 2)
+        maps += [Matrix(ctx, phi) for phi in phis]
         degrees += [d] * K.shape[1]
-    return maps, degrees
+    return out
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -231,32 +247,46 @@ def _word_mask(M: ModuleRep, N: ModuleRep) -> np.ndarray:
     return (DN[both][:, :, None] == DM[both][:, None, :]).all(axis=0)
 
 
-@memo.memoised(
-    key=lambda M, N, degree: (M.content_digest(), N.content_digest(),
-                              N.min_degree - M.min_degree, degree),
-    reuse=lambda H, M, N, degree: H.rebound(M, N))
 def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace:
     """All intertwiners M -> N (or only those of one graded degree).
 
-    The full space is zero if the word mask is empty, else one self-checked
-    `_blocked_hom_basis` call on the mask: one sparse system, peeled of its
-    one-term equations, then eliminated one degree block at a time.
-    """
-    if M.ctx != N.ctx:
+    A batch of one `hom_spaces`: the full space is zero if the word mask is
+    empty, else solved on the mask and self-checked; one degree is solved on
+    all its entries."""
+    return hom_spaces([(M, N)], degree)[0]
+
+
+def hom_spaces(pairs: list, degree: int | None = None) -> list[HomSpace]:
+    """`hom_space(M, N, degree)` per pair (M, N), with one solver call for all; in a
+    memo scope a space is reused up to a common grading shift (`HomSpace.rebound`)."""
+    return memo.batch(_solve_hom_spaces, [(M, N, degree) for M, N in pairs],
+                      key=lambda x: (x[0].content_digest(), x[1].content_digest(),
+                                     x[1].min_degree - x[0].min_degree, x[2]),
+                      reuse=lambda H, x: H.rebound(x[0], x[1]))
+
+
+def _solve_hom_spaces(items: list) -> list[HomSpace]:
+    """The HomSpace of each (M, N, degree) item, all of one degree, from one
+    `_blocked_hom_basis` call on those a word mask does not prove zero."""
+    if any(not M.ctx == N.ctx == items[0][0].ctx for M, N, _ in items):
         raise ValueError("mixed field contexts")
-    if M.cap != N.cap:
+    if any(M.cap != N.cap for M, N, _ in items):
         raise ValueError("level caps differ")
-    if degree is not None:
-        return HomSpace(M, N, *_blocked_hom_basis(M, N, degree))
-    mask = _word_mask(M, N)
-    basis, degrees = _blocked_hom_basis(M, N, None, mask) if mask.any() else ([], [])
-    if basis:
-        ctx, maps = M.ctx, np.stack([phi.arr for phi in basis])
-        for g, (GM, GN) in enumerate(zip(M.E + M.F, N.E + N.F)):
-            if ((ctx.arr_matmul(GN.arr, maps) - ctx.arr_matmul(maps, GM.arr)) % ctx.p).any():
-                raise InvariantError(f"Hom({M.provenance!r}, {N.provenance!r}): a solved map "
-                                     f"does not intertwine level action {g}")
-    return HomSpace(M, N, basis, degrees)
+    masks = [None if degree is not None else _word_mask(M, N) for M, N, degree in items]
+    todo = [t for t, mask in enumerate(masks) if mask is None or mask.any()]
+    solved = dict(zip(todo, _blocked_hom_basis([items[t][:2] for t in todo], items[0][2],
+                                               [masks[t] for t in todo]) if todo else []))
+    out = []
+    for t, (M, N, degree) in enumerate(items):
+        basis, degrees = solved.get(t, ([], []))
+        if basis and degree is None:
+            ctx, maps = M.ctx, np.stack([phi.arr for phi in basis])
+            for g, (GM, GN) in enumerate(zip(M.E + M.F, N.E + N.F)):
+                if ((ctx.arr_matmul(GN.arr, maps) - ctx.arr_matmul(maps, GM.arr)) % ctx.p).any():
+                    raise InvariantError(f"Hom({M.provenance!r}, {N.provenance!r}): a solved "
+                                         f"map does not intertwine level action {g}")
+        out.append(HomSpace(M, N, basis, degrees))
+    return out
 
 
 def hom_space_unblocked(M: ModuleRep, N: ModuleRep) -> list[Matrix]:

@@ -5,7 +5,8 @@ with `memoised` returns the value it computed earlier in the scope for the
 same key instead of running again.  A nested scope (the sub-commands of
 `all`) reuses the open one, and the store is dropped when the outermost
 scope exits, normally or by an exception.  Outside a scope nothing is
-cached, and an exception is never cached.
+cached, and an exception is never cached.  `batch` does the same for a list
+of inputs, computing all misses in one call.
 
 A hit hands out the stored object, or one that shares its parts, so
 memoised values must be immutable: `Matrix` arrays are read-only, a
@@ -73,3 +74,31 @@ def memoised(key=None, reuse=None):
         return wrapper
 
     return decorate
+
+
+def batch(fn, items: list, key, reuse) -> list:
+    """fn(items), one value per item, memoised item by item in the open scope.
+
+    Item x is looked up under (fn, key(x)) and handed out through
+    reuse(value, x), as in `memoised`.  The first miss of each key goes to one
+    fn call, and the other misses are looked up again after it, so a repeat
+    within the batch reuses its value.  Outside a scope fn gets every item.
+    """
+    store = _store.get()
+    if store is None:
+        return fn(items)
+    keys = [key(x) for x in items]
+    out = [next((v for v in (reuse(s, x) for s in store.get((fn, k), ())) if v is not None),
+                None) for x, k in zip(items, keys)]
+    first: dict = {}    # key -> its first miss
+    for i, k in enumerate(keys):
+        if out[i] is None:
+            first.setdefault(k, i)
+    if first:
+        for (k, i), value in zip(first.items(), fn([items[i] for i in first.values()])):
+            store.setdefault((fn, k), []).append(value)
+            out[i] = value
+        rest = [i for i, v in enumerate(out) if v is None]
+        for i, value in zip(rest, batch(fn, [items[i] for i in rest], key, reuse)):
+            out[i] = value
+    return out

@@ -20,8 +20,11 @@ class (objects mu and mu + p differ by a grading shift); the twisted product
 is bilinear, so associativity is read from that table in certified coordinates.
 Each morphism's ad_e and ad_f ladders [m, ad m, ..., ad^(p-1) m] are built
 once per window, so a twisted product is one stacked product of two ladders
-and one A-weighted sum.  Twist elements and graded Vermas are memoised
-within a `run_command` call.
+and one A-weighted sum.  A certificate solves its degree-0 Hom spaces in
+one `homology.hom_spaces` call, tests each class's transfers for membership
+in one `coordinates` call, compares the rescaled structure constants on
+element indices and stacks the transfer-intertwining products per shape.
+Twist elements and graded Vermas are memoised within a `run_command` call.
 """
 
 from __future__ import annotations
@@ -174,28 +177,28 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     ZV: dict = {}
     for mu in Z:
         ZV[mu] = ZV[mu - p].shift_grading(p) if mu - p in ZV else repcore.tensor(Z[mu], V)
+    # one pair per class: their degree-0 spaces are the same maps
+    pairs = {(mu_p % p, mu - mu_p): (Z[mu], ZV[mu_p]) for mu in Z for mu_p in ZV}
+    spaces = dict(zip(pairs, homology.hom_spaces(list(pairs.values()), degree=0)))
     for mu, Zs in Z.items():
         for mu_p, TV in ZV.items():
             cls, idx = (mu_p % p, mu - mu_p), wd.get(mu - mu_p, [])
             if cls not in verdicts:
-                Hgr = homology.hom_space(Zs, TV, degree=0)
-                vdim = len(idx)
+                Hgr, vdim = spaces[cls], len(idx)
                 out = verdicts[cls] = [
                     ("dim", "", Hgr.dim == vdim, dict(hom_dim=Hgr.dim, weight_dim=vdim))]
-                images = []
-                for t in idx:
-                    v = unit.take_cols([t])
-                    phi = verma_map(ctx, d, V, mu_p, v, stacks)
+                images = [verma_map(ctx, d, V, mu_p, unit.take_cols([t]), stacks) for t in idx]
+                all_in = bool(images) and Hgr.coordinates(images) is not None
+                for t, phi in zip(idx, images):
                     ok_int = all(
                         (phi @ g1 - g2 @ phi).is_zero()
                         for g1, g2 in ((Zs.E[0], TV.E[0]), (Zs.F[0], TV.F[0])))
                     # top projection: z'_0 block row, z_0 column
-                    ok_inv = Matrix(ctx, phi.arr[0:V.dim, 0:1]) == v
-                    in_space = Hgr.coordinates([phi]) is not None
+                    ok_inv = Matrix(ctx, phi.arr[0:V.dim, 0:1]) == unit.take_cols([t])
+                    in_space = all_in or Hgr.coordinates([phi]) is not None
                     out.append(("transfer", f"_{t}", ok_int and ok_inv and in_space,
                                 dict(intertwiner=ok_int, top_inverse=ok_inv,
                                      in_graded_hom=in_space)))
-                    images.append(phi)
                 if images:
                     rank = vecs(ctx, Hgr.shape, images).rank()
                     out.append(("bijection", "", rank == vdim, dict(rank=rank)))
@@ -426,15 +429,6 @@ def _build_bside(ctx: FieldCtx, d: FieldElement, W: WindowedEnd) -> dict:
     return out
 
 
-def _combine(X: Matrix, col: int, mats: list[Matrix], shape: tuple[int, int]) -> Matrix:
-    """sum_b X[b, col] mats[b], a zero matrix of the given shape when mats is empty."""
-    ctx = X.ctx
-    if not mats:
-        return Matrix.zeros(ctx, *shape)
-    stacked = np.stack([m.arr for m in mats])
-    return Matrix(ctx, ctx.arr_mul(stacked, X.arr[:, col, None, None]).sum(axis=0))
-
-
 def _basis_products(W: WindowedEnd) -> dict:
     """The twisted product of every composable pair of canonical basis morphisms.
 
@@ -545,31 +539,32 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
 
     # (a) + (c): dimensions and the transfer Z_mu^(1) (x) P_a -> Z_mu'^(1) (x) P_b
     # (e, f acting on x by the level-1 adjoint action), per object pair with |shift| <= 2;
-    # the transfers and verdicts of a pair are computed once per shift class
+    # the Hom spaces, transfers and verdicts of a pair are computed once per shift class
+    pairs = [o + o2 for o in objs for o2 in objs if abs(o[0] - o2[0]) <= 2]
+    reps = {W.rep(pair, 2): (bside[pair[:2]], bside[pair[2:]]) for pair in pairs}
+    spaces = dict(zip(reps, homology.hom_spaces(list(reps.values()), degree=0)))
     phi, verdicts = {}, {}
-    for (mu, lam) in objs:
-        for (mu2, lam2) in objs:
-            if abs(mu - mu2) > 2:
-                continue
-            rep = W.rep((mu, lam, mu2, lam2), 2)
-            if rep not in verdicts:
-                amats = W.mor_basis((mu, lam), (mu2, lam2))
-                BH = homology.hom_space(bside[(mu, lam)], bside[(mu2, lam2)], degree=0)
-                out = verdicts[rep] = [("dim", len(amats) == BH.dim,
-                                        dict(graded_end=len(amats), next_kernel=BH.dim))]
-                phis = phi[rep] = [
-                    _transfer(ctx, W.twists[mu2], W.transfer_grid(lam, lam2, x)) for x in amats]
-                for x, ph in zip(amats, phis):
-                    in_space = BH.coordinates([ph]) is not None
-                    top = Matrix(ctx, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim]) == x
-                    out.append(("transfer", in_space and top,
-                                dict(in_space=in_space, top_recovers=top)))
-                if phis and len(phis) == BH.dim:
-                    rank = vecs(ctx, BH.shape, phis).rank()
-                    out.append(("bijective", rank == BH.dim, dict(rank=rank)))
-            phi[(mu, lam, mu2, lam2)] = phi[rep]
-            checks += [check(f"{kind}_{mu}_{lam}__{mu2}_{lam2}", ok, **details)
-                       for kind, ok, details in verdicts[rep]]
+    for pair in pairs:
+        mu, lam, mu2, lam2 = pair
+        rep = W.rep(pair, 2)
+        if rep not in verdicts:     # pair is its class's first member
+            amats, BH = W.mor_basis((mu, lam), (mu2, lam2)), spaces[rep]
+            out = verdicts[rep] = [("dim", len(amats) == BH.dim,
+                                    dict(graded_end=len(amats), next_kernel=BH.dim))]
+            phis = phi[rep] = [
+                _transfer(ctx, W.twists[mu2], W.transfer_grid(lam, lam2, x)) for x in amats]
+            all_in = bool(phis) and BH.coordinates(phis) is not None
+            for x, ph in zip(amats, phis):
+                in_space = all_in or BH.coordinates([ph]) is not None
+                top = Matrix(ctx, ph.arr[0:W.ext[lam2].dim, 0:W.ext[lam].dim]) == x
+                out.append(("transfer", in_space and top,
+                            dict(in_space=in_space, top_recovers=top)))
+            if phis and len(phis) == BH.dim:
+                rank = vecs(ctx, BH.shape, phis).rank()
+                out.append(("bijective", rank == BH.dim, dict(rank=rank)))
+        phi[pair] = phi[rep]
+        checks += [check(f"{kind}_{mu}_{lam}__{mu2}_{lam2}", ok, **details)
+                   for kind, ok, details in verdicts[rep]]
 
     # identity goes to identity: basis element 0 of each End in degree 0
     ok_id = all(W.mor_basis(o, o)[0] == Matrix.identity(ctx, W.ext[o[1]].dim)
@@ -578,27 +573,33 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
 
     # (b) + (c-composition) over composable basis pairs
     prods = _basis_products(W)
-    sigma_fail, twist_fail, twist_ok = [], [], {}
-    for key, (_, X) in prods.items():
-        mu, la, mu2, lb, mu3, lc, xi, gi = key
-        where = key[:6]
-        if X is None:
-            sigma_fail.append(where + ("span",))
-            continue
-        Dg = _sigma_multiplier(resc, mu2, mu3, gi)
-        Dx = _sigma_multiplier(resc, mu, mu2, xi)
-        for bi in range(X.rows):
-            a_c, t_c = X.entry(bi, 0), X.entry(bi, 1)
-            Db = _sigma_multiplier(resc, mu, mu3, bi)
-            if not (Db * a_c - Dg * Dx * t_c).is_zero():
-                sigma_fail.append(where + (bi,))
-        # transfer intertwines: Phi(g) . Phi(x) = Phi(twisted), once per shift class
-        rep = W.rep(key, 3)
-        if rep not in twist_ok:
-            lhs = phi[(mu2, lb, mu3, lc)][gi] @ phi[(mu, la, mu2, lb)][xi]
-            twist_ok[rep] = lhs == _combine(X, 1, phi[(mu, la, mu3, lc)], lhs.shape)
-        if not twist_ok[rep]:
-            twist_fail.append(where)
+    spanned = [key for key, (_, X) in prods.items() if X is not None]
+    # (b) D_b c_b = D_g D_x t_b, c = coords(g x), t = coords(twisted), on element indices
+    mul = ctx._tables()[0]
+    D = {(mu, mu2, i): ctx.arr_index(_sigma_multiplier(resc, mu, mu2, i)._arr())
+         for mu in range(-radius, radius + 1) for mu2 in (mu - 1, mu, mu + 1)
+         if abs(mu2) <= radius for i in (0, 1)}
+    rows = [(k, b) for k in spanned for b in range(prods[k][1].rows)]
+    C = ctx.arr_index(np.concatenate([prods[k][1].arr for k in spanned]
+                                     or [np.zeros((0, 2, ctx.k), dtype=np.int64)]))
+    Db, Dg, Dx = np.array([(D[k[0], k[4], b], D[k[2], k[4], k[7]], D[k[0], k[2], k[6]])
+                           for k, b in rows], dtype=np.int64).reshape(-1, 3).T
+    bad = iter(mul[Db, C[:, 0]] != mul[mul[Dg, Dx], C[:, 1]])    # one flag per row
+    sigma_fail = [key[:6] + (tail,) for key, (_, X) in prods.items() for tail in (
+        ("span",) if X is None else [b for b in range(X.rows) if next(bad)])]
+    # (c) Phi(g) Phi(x) = sum_b t_b Phi(b) per class, stacked per (la, lb, lc, number of b)
+    groups: dict = {}
+    for key in (key for key in spanned if W.rep(key, 3) == key):
+        groups.setdefault(key[1:6:2] + (prods[key][1].rows,), []).append(key)
+    twist_ok = {}
+    for (*_, nb), keys in groups.items():
+        Phi = lambda s, t, i: np.stack([phi[k[s:s + 2] + k[t:t + 2]][i(k)].arr for k in keys])
+        lhs = ctx.arr_matmul(Phi(2, 4, lambda k: k[7]), Phi(0, 2, lambda k: k[6]))
+        rhs = sum(ctx.arr_mul(Phi(0, 4, lambda k: b),
+                              np.stack([prods[k][1].arr[b, 1] for k in keys])[:, None, None])
+                  for b in range(nb))
+        twist_ok.update(zip(keys, ~((lhs - rhs) % ctx.p).any(axis=(1, 2, 3))))
+    twist_fail = [key[:6] for key in spanned if not twist_ok[W.rep(key, 3)]]
     checks.append(check("rescaled_structure_constants", not sigma_fail,
                         pairs=len(prods), failures=sigma_fail[:5]))
     checks.append(check("transfer_intertwines_twisted_product", not twist_fail,

@@ -118,14 +118,19 @@ def test_solver_self_check_exits_5(monkeypatch, capsys):
     # returns a map that does not intertwine; its self-check stops the command
     solver = homology._blocked_hom_basis
 
-    def with_a_stray_map(M, N, delta=None, mask=None):
-        maps, degrees = solver(M, N, delta, mask)
-        if mask is None:
-            return maps, degrees
-        a, b = np.argwhere(mask)[0]
-        stray = np.zeros((N.dim, M.dim, M.ctx.k), dtype=np.int64)
-        stray[a, b, 0] = 1
-        return maps + [Matrix(M.ctx, stray)], degrees + [int(N.grading[a] - M.grading[b])]
+    def with_a_stray_map(pairs, delta=None, masks=None):
+        out = solver(pairs, delta, masks)
+        if masks is None:
+            return out
+        for t, ((M, N), mask) in enumerate(zip(pairs, masks)):
+            if mask is not None:
+                a, b = np.argwhere(mask)[0]
+                stray = np.zeros((N.dim, M.dim, M.ctx.k), dtype=np.int64)
+                stray[a, b, 0] = 1
+                maps, degrees = out[t]
+                out[t] = (maps + [Matrix(M.ctx, stray)],
+                          degrees + [int(N.grading[a] - M.grading[b])])
+        return out
 
     monkeypatch.setattr(homology, "_blocked_hom_basis", with_a_stray_map)
     assert main(["center", "--p", "3", "--r", "1"]) == 5

@@ -209,7 +209,7 @@ def test_steinberg_distinctness_solves_no_hom_space(monkeypatch, ctx, d):
     solved = []
     solver = homology._blocked_hom_basis
     monkeypatch.setattr(homology, "_blocked_hom_basis",
-                        lambda M, N, *args: solved.append((M, N)) or solver(M, N, *args))
+                        lambda pairs, *args: solved.extend(pairs) or solver(pairs, *args))
     with memo.scope():
         rep = verify_steinberg(ctx, 1, d)
     assert rep["failures"] == 0 and rep["params"]["pairs_checked"] == 10
@@ -246,6 +246,64 @@ def test_ungraded_action_is_rejected():
     with pytest.raises(ValueError, match="level-0 action of 'bad' or 'L_2' does not respect "
                                          "the grading"):
         hom_space(bad, L2, degree=0)
+    # in a batch, the pair that holds it is named, wherever it stands
+    for degree in (None, 0):
+        with pytest.raises(ValueError, match="level-0 action of 'bad' or 'L_2' does not "
+                                             "respect the grading"):
+            homology.hom_spaces([(L2, L2), (L2.shift_grading(2), L2), (bad, L2)], degree)
+
+
+def _degree_part(M, N, maps, degree):
+    """Each map with its entries off the given degree set to zero."""
+    off = N.grading[:, None] - M.grading[None, :] != degree
+    return [Matrix(M.ctx, np.where(off[:, :, None], 0, phi.arr)) for phi in maps]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F3, F9]), st.integers(1, 2), st.data())
+def test_batched_hom_solve_matches_batches_of_one_property(ctx, cap, data):
+    # one batch mixes a pair with no degree-0 entry, a pair whose system the
+    # peel solves to zero, random graded pairs, and one of them repeated up to
+    # a common grading shift
+    L = [simple_restricted(ctx, i, cap=cap) for i in range(3)]
+    pairs = [(L[1], L[0]),      # degrees +-1 - 0: no unknown
+             (L[0], L[2]),      # X[1, 0] alone, forced to zero by E_0 X = X E_0
+             (L[2], L[2])]      # the scalars
+    pairs += data.draw(st.lists(st.tuples(_graded_module(ctx, cap), _graded_module(ctx, cap)),
+                                min_size=1, max_size=4))
+    M, N = data.draw(st.sampled_from(pairs))
+    s = data.draw(st.integers(-6, 6))
+    repeat = (M.shift_grading(s), N.shift_grading(s))
+    pairs = data.draw(st.permutations(pairs + [repeat]))
+    kernels, kernel = [], Matrix.kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "kernel", lambda A: kernels.append(A) or kernel(A))
+        assert homology.hom_spaces([(L[0], L[2])], 0)[0].dim == 0 and not kernels
+    batch = homology.hom_spaces(pairs, 0)
+    for (M, N), H in zip(pairs, batch):
+        one = hom_space(M, N, degree=0)
+        assert H.source is M and H.target is N
+        assert H.basis == one.basis and H.degrees == one.degrees == (0,) * H.dim
+        # the oracle's maps, cut down to degree 0, span the same space
+        part = _degree_part(M, N, hom_space_unblocked(M, N), 0)
+        assert _span_rank(H.basis) == H.dim == _span_rank(part) == _span_rank(
+            list(H.basis) + part)
+    solved, solver = [], homology._blocked_hom_basis
+    with pytest.MonkeyPatch.context() as mp, memo.scope():
+        mp.setattr(homology, "_blocked_hom_basis",
+                   lambda todo, *args: solved.append(todo) or solver(todo, *args))
+        scoped = homology.hom_spaces(pairs, 0)
+        # each pair up to a common shift once, the repeat with its original
+        classes = {(M.content_digest(), N.content_digest(), N.min_degree - M.min_degree)
+                   for M, N in pairs}
+        assert len(solved) == 1 and len(solved[0]) == len(classes) < len(pairs)
+        t = data.draw(st.integers(-6, 6))
+        for (M, N), H, want in zip(pairs, scoped, batch):
+            assert H.source.same_content(M) and H.target.same_content(N)
+            assert H.basis == want.basis
+            assert hom_space(M, N, degree=0).basis is H.basis
+            assert hom_space(M.shift_grading(t), N.shift_grading(t), degree=0).basis is H.basis
+        assert len(solved) == 1
 
 
 @settings(max_examples=100, deadline=None)

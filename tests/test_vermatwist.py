@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sl2frob.exactfield import FieldCtx, Matrix, vec, vecs
-from sl2frob import repcore, homology, vermatwist as VT
+from sl2frob import memo, repcore, homology, vermatwist as VT
 from sl2frob.reporting import check
 
 
@@ -529,3 +529,90 @@ def test_hom_iso_builds_one_tensor_per_degree_class(monkeypatch, window):
     rep = VT.hom_iso_report(F9, D, repcore.simple_restricted(F9, 1), window, tag="L1")
     assert rep["failures"] == 0
     assert built == list(range(-window, min(window, 2 - window) + 1))
+
+
+# ---------------------------------------------------------------------------
+# the batched certificate: one Hom solve per window, structure constants on
+# element indices, and transfers tested for membership per class
+# ---------------------------------------------------------------------------
+
+def test_wrong_rescaling_fails_the_structure_constants_as_recomputed(monkeypatch):
+    # D^-_0 doubled: the failures are the ones FieldElement arithmetic finds
+    original = VT.solve_rescaling
+
+    def patched(ctx, d, radius):
+        resc = original(ctx, d, radius)
+        resc["minus"][0] = resc["minus"][0] * ctx.el(2)
+        return resc
+
+    monkeypatch.setattr(VT, "solve_rescaling", patched)
+    rep = VT.verify_equivalence(F9, D, radius=2)
+    W, resc = VT.WindowedEnd(F9, D, 2), VT.solve_rescaling(F9, D, 2)
+    want = []
+    for key, (_, X) in VT._basis_products(W).items():
+        mu, la, mu2, lb, mu3, lc, xi, gi = key
+        if X is None:
+            want.append(key[:6] + ("span",))
+            continue
+        DgDx = VT._sigma_multiplier(resc, mu2, mu3, gi) * VT._sigma_multiplier(resc, mu, mu2, xi)
+        want += [key[:6] + (b,) for b in range(X.rows)
+                 if VT._sigma_multiplier(resc, mu, mu3, b) * X.entry(b, 0) != DgDx * X.entry(b, 1)]
+    sigma = next(c for c in rep["checks"] if c["name"] == "rescaled_structure_constants")
+    assert want and sigma["status"] == "fail"
+    assert sigma["details"]["failures"] == want[:5]
+    assert _failed(rep) == {"rescaled_structure_constants"}
+
+
+def test_wrong_transfer_fails_its_shift_class_only(monkeypatch):
+    # the transfer of omega in End(P_0) into objects mu = 1 mod 3 gains a stray
+    # entry: at radius 2 that is the class of (-2, 0, -2, 0) and (1, 0, 1, 0)
+    W = VT.WindowedEnd(F9, D, 2)
+    A, grid = W.twists[1], W.transfer_grid(0, 0, W.hom[(0, 0)][0][1])
+    original = VT._transfer
+
+    def wrong(ctx, twist, g):
+        out = original(ctx, twist, g)
+        if twist == A and np.array_equal(g, grid):
+            stray = np.zeros(out.arr.shape, dtype=np.int64)
+            stray[0, 0, 0] = 1
+            return out + Matrix(ctx, stray)
+        return out
+
+    monkeypatch.setattr(VT, "_transfer", wrong)
+    rep = VT.verify_equivalence(F9, D, radius=2)
+    cls = {(-2, 0, -2, 0), (1, 0, 1, 0)}
+    transfers = [c for c in rep["checks"] if c["name"].startswith("transfer_")
+                 and "__" in c["name"]]
+    failed = [c for c in transfers if c["status"] == "fail"]
+    assert {c["name"] for c in failed} == {"transfer_-2_0__-2_0", "transfer_1_0__1_0"}
+    assert len(failed) == 2 and not any(c["details"]["in_space"] for c in failed)
+    twist = next(c for c in rep["checks"] if c["name"] == "transfer_intertwines_twisted_product")
+    assert twist["status"] == "fail" and twist["details"]["failures"]
+    for k in twist["details"]["failures"]:
+        assert {k[0:4], k[2:6], k[0:2] + k[4:6]} & cls, k
+
+
+def test_radius_3_certificate_work_counts(monkeypatch):
+    # one solver call for the 135 degree-0 spaces of the window, one per
+    # hom-iso report, and no Matrix.entry read anywhere in the equivalence
+    calls, solver = [], homology._blocked_hom_basis
+    monkeypatch.setattr(homology, "_blocked_hom_basis",
+                        lambda pairs, *args: calls.append((len(pairs),) + args[:1])
+                        or solver(pairs, *args))
+    entries, entry = [], Matrix.entry
+    with memo.scope():
+        VT.WindowedEnd(F9, D, 3)        # memoises the projectives and their bases
+        homology.generic_verma_projectives(F9, D)
+        calls.clear()
+        monkeypatch.setattr(Matrix, "entry",
+                            lambda self, i, j: entries.append((i, j)) or entry(self, i, j))
+        rep = VT.verify_equivalence(F9, D, radius=3)
+    assert rep["failures"] == 0
+    assert calls == [(135, 0)] and entries == []
+    ext = homology.all_extended_projectives(F9)
+    for tag, V in (("L1", repcore.simple_restricted(F9, 1)),
+                   ("homP0P1", homology.hom_as_gmodule(ext[0], ext[1], 1)[1])):
+        for window in (2, 3):
+            calls.clear()
+            rep = VT.hom_iso_report(F9, D, V, window, tag=tag)
+            assert rep["failures"] == 0 and len(calls) == 1
