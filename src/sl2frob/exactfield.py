@@ -18,8 +18,15 @@ context's q x q multiplication and subtraction tables, and the result is
 converted back once; `rank`, `kernel` and `solve` read the index form and
 convert only what they return.  It uses the first nonzero pivot, which makes
 every reduced basis deterministic and therefore serializable for golden
-tests.  A `Matrix` array is read-only once constructed: build a numpy array,
-then wrap it.
+tests.  Scalar `FieldElement` arithmetic reads the same tables, as Python
+lists, and returns the context's one interned element per index.
+
+A `Matrix` array is read-only once constructed: build a numpy array, then
+wrap it.  `Matrix(ctx, arr)` copies arr and reduces it mod p; the private
+`Matrix._own` wraps without either, and may only be given a fresh int64
+array of residues that nothing writes again, such as a result of
+`arr_matmul`, `arr_mul`, an elimination, a reduced sum, or a slice or stack
+of read-only `Matrix` arrays.
 
 `Basis` is the one path for coordinates in a basis, and `Basis.add` grows a
 span one vector at a time; `homology.spin` grows one by rounds of `rref`
@@ -30,6 +37,7 @@ span one vector at a time; `homology.spin` grows one by rounds of `rref`
 from __future__ import annotations
 
 import bisect
+from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +114,7 @@ class FieldCtx:
     # -- scalar encoding -------------------------------------------------
 
     def el(self, a0: int, a1: int = 0) -> "FieldElement":
-        return FieldElement(self, (a0 % self.p, a1 % self.p) if self.k == 2 else (a0 % self.p,))
+        return self._ops[0][a0 % self.p + (self.p * (a1 % self.p) if self.k == 2 else 0)]
 
     def zero(self) -> "FieldElement":
         return self.el(0)
@@ -119,7 +127,7 @@ class FieldCtx:
 
     def elements(self):
         """All q field elements, in index order."""
-        return [self.from_index(i) for i in range(self.q)]
+        return list(self._ops[0])
 
     def arr_index(self, a: np.ndarray) -> np.ndarray:
         """Element indices a0 + p*a1 of a coefficient array (drops the last axis)."""
@@ -194,14 +202,18 @@ class FieldCtx:
             self._tabs = (mul, sub, inv, frob)
         return self._tabs
 
+    @cached_property
+    def _ops(self) -> tuple[list, ...]:
+        """(elements, mul, sub, inv, frob): the q interned elements in index
+        order and the `_tables` as lists, for scalar arithmetic."""
+        return ([FieldElement(self, (i % self.p, i // self.p)[:self.k]) for i in range(self.q)],
+                *(t.tolist() for t in self._tables()))
+
     def arr_inv(self, a: np.ndarray) -> np.ndarray:
         idx = self.arr_index(a)
         if np.any(idx == 0):
             raise ZeroDivisionError("division by zero in F_q")
         return self.arr_from_index(self._tables()[2][idx])
-
-    def arr_frob(self, a: np.ndarray) -> np.ndarray:
-        return self.arr_from_index(self._tables()[3][self.arr_index(a)])
 
     def __eq__(self, other):
         return (
@@ -225,9 +237,9 @@ class FieldCtx:
 
 
 class FieldElement:
-    """An element of F_{p^k}: a length-k coefficient vector over F_p."""
+    """An element of F_{p^k}: a length-k coefficient vector over F_p, and its index."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "idx")
 
     def __init__(self, ctx: FieldCtx, coeffs):
         self.ctx = ctx
@@ -235,57 +247,62 @@ class FieldElement:
         if len(c) != ctx.k:
             raise ValueError(f"expected {ctx.k} coefficients, got {len(c)}")
         self.coeffs = c
+        self.idx = c[0] + ctx.p * c[1] if ctx.k == 2 else c[0]
 
-    def _check(self, other: "FieldElement"):
-        if self.ctx != other.ctx:
+    def _check(self, other: "FieldElement") -> tuple[list, ...]:
+        """The context's `_ops`, once other is known to share the field."""
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed field contexts")
+        return self.ctx._ops
 
     def _arr(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
 
     def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, (self._arr() + other._arr()) % self.ctx.p)
+        els, _, sub, _, _ = self._check(other)
+        return els[sub[self.idx][sub[0][other.idx]]]
 
     def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.ctx, (self._arr() - other._arr()) % self.ctx.p)
+        els, _, sub, _, _ = self._check(other)
+        return els[sub[self.idx][other.idx]]
 
     def __neg__(self):
-        return FieldElement(self.ctx, (-self._arr()) % self.ctx.p)
+        els, _, sub, _, _ = self.ctx._ops
+        return els[sub[0][self.idx]]
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.ctx.el(other)
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.arr_mul(self._arr(), other._arr()))
+        els, mul, _, _, _ = self._check(other)
+        return els[mul[self.idx][other.idx]]
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        if self.is_zero():
+        if not self.idx:
             raise ZeroDivisionError("division by zero in F_q")
-        return FieldElement(self.ctx, self.ctx.arr_inv(self._arr()))
+        els, _, _, inv, _ = self.ctx._ops
+        return els[inv[self.idx]]
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def frobenius(self) -> "FieldElement":
         """x -> x^p, a ring automorphism fixing exactly F_p."""
-        return FieldElement(self.ctx, self.ctx.arr_frob(self._arr()))
-
+        els, _, _, _, frob = self.ctx._ops
+        return els[frob[self.idx]]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.idx
 
     def in_prime_field(self) -> bool:
-        return self.ctx.k == 1 or self.coeffs[1] == 0
+        return self.idx < self.ctx.p
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldElement)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.idx == other.idx
         )
 
     def __hash__(self):
@@ -310,17 +327,26 @@ class Matrix:
         self.arr = arr % ctx.p
         self.arr.flags.writeable = False
 
+    @classmethod
+    def _own(cls, ctx: FieldCtx, arr: np.ndarray) -> "Matrix":
+        """Wrap arr as it is: a fresh int64 array of residues that nothing
+        writes again (see the module docstring)."""
+        m = object.__new__(cls)
+        m.ctx, m.arr = ctx, arr
+        arr.flags.writeable = False
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Matrix":
-        return cls(ctx, np.zeros((rows, cols, ctx.k), dtype=np.int64))
+        return cls._own(ctx, np.zeros((rows, cols, ctx.k), dtype=np.int64))
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
         a = np.zeros((n, n, ctx.k), dtype=np.int64)
         a[np.arange(n), np.arange(n), 0] = 1
-        return cls(ctx, a)
+        return cls._own(ctx, a)
 
     @classmethod
     def from_int_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
@@ -351,7 +377,7 @@ class Matrix:
         return (self.arr.shape[0], self.arr.shape[1])
 
     def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.ctx, self.arr[i, j])
+        return self.ctx.el(*self.arr[i, j].tolist())
 
     def is_zero(self) -> bool:
         return not self.arr.any()
@@ -372,26 +398,26 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.ctx, (self.arr + other.arr) % self.ctx.p)
+        return Matrix._own(self.ctx, (self.arr + other.arr) % self.ctx.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix(self.ctx, (self.arr - other.arr) % self.ctx.p)
+        return Matrix._own(self.ctx, (self.arr - other.arr) % self.ctx.p)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ctx, (-self.arr) % self.ctx.p)
+        return Matrix._own(self.ctx, (-self.arr) % self.ctx.p)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        return Matrix(self.ctx, self.ctx.arr_matmul(self.arr, other.arr))
+        return Matrix._own(self.ctx, self.ctx.arr_matmul(self.arr, other.arr))
 
     def scale(self, v: FieldElement) -> "Matrix":
-        return Matrix(self.ctx, self.ctx.arr_mul(self.arr, v._arr()))
+        return Matrix._own(self.ctx, self.ctx.arr_mul(self.arr, v._arr()))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, np.swapaxes(self.arr, 0, 1))
+        return Matrix._own(self.ctx, np.swapaxes(self.arr, 0, 1))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (A kron B)(u kron v) = Au kron Bv."""
@@ -403,7 +429,7 @@ class Matrix:
         b = other.arr[None, :, None, :, :]
         prod = ctx.arr_mul(np.broadcast_to(a, (ra, rb, ca, cb, ctx.k)),
                            np.broadcast_to(b, (ra, rb, ca, cb, ctx.k)))
-        return Matrix(ctx, prod.reshape(ra * rb, ca * cb, ctx.k))
+        return Matrix._own(ctx, prod.reshape(ra * rb, ca * cb, ctx.k))
 
     def pow_int(self, n: int) -> "Matrix":
         """self^n by squaring, from the lowest set bit of n to the highest."""
@@ -437,18 +463,18 @@ class Matrix:
     # -- slicing / stacking ----------------------------------------------------
 
     def take_rows(self, idx) -> "Matrix":
-        return Matrix(self.ctx, self.arr[np.asarray(idx, dtype=np.int64)])
+        return Matrix._own(self.ctx, self.arr[np.asarray(idx, dtype=np.int64)])
 
     def take_cols(self, idx) -> "Matrix":
-        return Matrix(self.ctx, self.arr[:, np.asarray(idx, dtype=np.int64)])
+        return Matrix._own(self.ctx, self.arr[:, np.asarray(idx, dtype=np.int64)])
 
     @classmethod
     def hstack(cls, mats: list["Matrix"]) -> "Matrix":
-        return cls(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=1))
+        return cls._own(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=1))
 
     @classmethod
     def vstack(cls, mats: list["Matrix"]) -> "Matrix":
-        return cls(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=0))
+        return cls._own(mats[0].ctx, np.concatenate([m.arr for m in mats], axis=0))
 
     # -- elimination ----------------------------------------------------------
 
@@ -465,7 +491,7 @@ class Matrix:
         pivots = _eliminate(ctx, A)
         if indices:
             return A, pivots
-        return Matrix(ctx, ctx.arr_from_index(A)), pivots
+        return Matrix._own(ctx, ctx.arr_from_index(A)), pivots
 
     def rank(self) -> int:
         return len(self.rref(indices=True)[1])
@@ -481,7 +507,7 @@ class Matrix:
         K = np.zeros((c, free.size), dtype=np.int64)
         K[free, np.arange(free.size)] = 1
         K[pivots] = ctx._tables()[1][0, R[:len(pivots), free]]   # 0 - R
-        return Matrix(ctx, ctx.arr_from_index(K))
+        return Matrix._own(ctx, ctx.arr_from_index(K))
 
     def solve(self, B: "Matrix") -> "Matrix | None":
         """A particular solution X of self @ X = B, or None if inconsistent."""
@@ -496,7 +522,7 @@ class Matrix:
             return None
         X = np.zeros((n, B.cols), dtype=np.int64)
         X[pivots] = R[:len(pivots), n:]
-        return Matrix(ctx, ctx.arr_from_index(X))
+        return Matrix._own(ctx, ctx.arr_from_index(X))
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -591,7 +617,7 @@ class Basis:
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization as a (r*c) x 1 matrix."""
     a = np.transpose(m.arr, (1, 0, 2)).reshape(m.rows * m.cols, 1, m.ctx.k)
-    return Matrix(m.ctx, a)
+    return Matrix._own(m.ctx, a)
 
 
 def vecs(ctx: FieldCtx, shape: tuple[int, int], maps) -> Matrix:
@@ -601,4 +627,4 @@ def vecs(ctx: FieldCtx, shape: tuple[int, int], maps) -> Matrix:
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     a = v.arr.reshape(cols, rows, v.ctx.k).transpose(1, 0, 2)
-    return Matrix(v.ctx, a)
+    return Matrix._own(v.ctx, a)

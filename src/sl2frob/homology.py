@@ -144,7 +144,7 @@ def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndar
         r = row[t0:t1]
         A = np.zeros((r[-1] - r[0] + 1 if r.size else 0, c1 - c0, ctx.k), dtype=np.int64)
         A[r - r[:1], pos[col[t0:t1]] - c0] = val[t0:t1]
-        yield d, cols[c0:c1], Matrix(ctx, A).kernel().arr
+        yield d, cols[c0:c1], Matrix._own(ctx, A).kernel().arr
 
 
 def _blocked_hom_basis(pairs: list, delta: int | None = None,
@@ -200,7 +200,7 @@ def _blocked_hom_basis(pairs: list, delta: int | None = None,
         (M, N), (maps, degrees) = pairs[t], out[t]
         phis = np.zeros((K.shape[1], N.dim, M.dim, ctx.k), dtype=np.int64)
         phis[:, I[cols], J[cols]] = K.transpose(1, 0, 2)
-        maps += [Matrix(ctx, phi) for phi in phis]
+        maps += [Matrix._own(ctx, phi) for phi in phis]
         degrees += [d] * K.shape[1]
     return out
 
@@ -319,11 +319,13 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> Matrix | None:
 def spin(M: ModuleRep, v: Matrix) -> Matrix:
     """RREF column basis of the submodule generated by v (closed under every E_j, F_j).
 
-    Spun by rounds on the span's RREF rows (element indices): the images of
-    the rows with the pivots the last round added, under every level action,
-    are one stacked product and join the span in one elimination, until a
-    round adds no pivot or the span is M.  Those rows complement the old
-    span and every other row moved by them, so their images close it.
+    Spun by rounds on the span's RREF rows (element indices): each round
+    applies G, G^2, ..., G^(p-1) of every level action G to the rows with
+    the pivots the last round added, as p - 1 stacked products, and joins
+    the nonzero images to the span in one elimination, until a round adds
+    no pivot or the span is M.  Those rows complement the old span and every
+    other row moved by them, so their images close it; with the powers, a
+    Verma or a simple closes in one round.
     """
     if v.is_zero():
         raise ValueError("cannot spin the zero vector")
@@ -331,27 +333,30 @@ def spin(M: ModuleRep, v: Matrix) -> Matrix:
     ops = np.stack([G.arr for G in M.E + M.F])
     R, pivots, todo = np.zeros((0, n), dtype=np.int64), [], np.swapaxes(v.arr, 0, 1)
     while True:
-        A, grown = Matrix(ctx, np.concatenate([ctx.arr_from_index(R), todo])).rref(indices=True)
+        A, grown = Matrix._own(ctx, np.concatenate([ctx.arr_from_index(R), todo])).rref(indices=True)
         new = A[[i for i, c in enumerate(grown) if c not in pivots]]
         R, pivots = A[:len(grown)], grown
         if not new.size or len(pivots) == n:
-            return Matrix(ctx, ctx.arr_from_index(R.T))
-        images = ctx.arr_matmul(ops, ctx.arr_from_index(new.T)).transpose(0, 2, 1, 3)
+            return Matrix._own(ctx, ctx.arr_from_index(R.T))
+        images = [ctx.arr_from_index(new.T)]
+        for _ in range(ctx.p - 1):
+            images.append(ctx.arr_matmul(ops, images[-1]))
+        images = np.concatenate(images[1:]).transpose(0, 2, 1, 3)
         todo = images[images.any(axis=(2, 3))]
 
 
 def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, Matrix]:
-    """Per-weight bases of the joint kernel of graded operators."""
+    """Per-degree bases of the joint kernel of graded operators, by degree.
+
+    One elimination of the stacked operators.  Each row of a graded operator
+    meets one degree, so its RREF rows do too, and each RREF kernel vector
+    lies in the degree of its first nonzero row: split by that degree, the
+    basis is the RREF kernel basis of each degree on its own.
+    """
     ctx = mats[0].ctx
-    out = {}
-    for w in sorted(set(int(x) for x in grading)):
-        idx = np.nonzero(grading == w)[0]
-        ker = Matrix(ctx, np.concatenate([m.arr[:, idx] for m in mats])).kernel()
-        if ker.cols:
-            emb = np.zeros((grading.shape[0], ker.cols, ctx.k), dtype=np.int64)
-            emb[idx] = ker.arr
-            out[w] = Matrix(ctx, emb)
-    return out
+    ker = Matrix._own(ctx, np.concatenate([m.arr for m in mats])).kernel().arr
+    deg = grading[ker.any(axis=-1).argmax(axis=0)]
+    return {w: Matrix._own(ctx, ker[:, deg == w]) for w in sorted(set(deg.tolist()))}
 
 
 @memo.memoised(**_BY_CONTENT)

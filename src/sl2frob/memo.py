@@ -44,7 +44,9 @@ def memoised(key=None, reuse=None):
     """Memoise the decorated function within the open scope.
 
     key(**arguments) gives the lookup key; by default it is the tuple of the
-    bound arguments with defaults applied, which must be hashable.  If
+    arguments in parameter order with defaults applied, which must be
+    hashable.  A call with every argument positional is keyed without
+    binding; the parameter names and defaults are read once.  If
     reuse(value, **arguments) is given, a stored value is handed out only
     through it: it returns what this call returns, built from the stored
     value, or None when the stored value belongs to other inputs, so a key
@@ -52,15 +54,20 @@ def memoised(key=None, reuse=None):
     """
     def decorate(fn):
         sig = inspect.signature(fn)
+        names = tuple(sig.parameters)
+        defaults = {n: q.default for n, q in sig.parameters.items() if q.default is not q.empty}
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             store = _store.get()
             if store is None:
                 return fn(*args, **kwargs)
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            arguments = bound.arguments
+            if kwargs or len(args) != len(names):
+                sig.bind(*args, **kwargs)   # raises the TypeError of a bad call
+                args += tuple(kwargs[n] if n in kwargs else defaults[n]
+                              for n in names[len(args):])
+                kwargs = {}
+            arguments = dict(zip(names, args))
             k = key(**arguments) if key is not None else tuple(arguments.values())
             bucket = store.setdefault((fn, k), [])
             for value in bucket:

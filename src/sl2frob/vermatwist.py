@@ -81,6 +81,11 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     Rejects d in F_p (NonGenericSeed) before any solve, takes the kernel of
     [E_0; F_0] on dual(Z) (x) Z (one line, else NonGenericSeed) and reads the
     coefficients off the vectors e^k 1* (x) f^k 1, normalized by A_0 = 1.
+    The kernel is taken on the grading-0 columns only: an invariant is
+    killed by H = [E_0, F_0], which acts on e_i* (x) e_j by 2(i - j), and
+    2(i - j) is nonzero in F_p unless i = j, the grading-0 vectors.  So every
+    invariant lies in that slice, as do the e^k 1* (x) f^k 1, and the
+    coordinates are read on its rows.
     """
     if d.in_prime_field():
         raise homology.NonGenericSeed("non-generic weight value: d lies in F_p")
@@ -88,7 +93,8 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     Z = repcore.baby_verma(ctx, d)
     D = repcore.dual(Z)
     T = repcore.tensor(D, Z)
-    ker = Matrix.vstack([T.E[0], T.F[0]]).kernel()
+    slice0 = np.flatnonzero(T.grading == 0)
+    ker = Matrix.vstack([T.E[0], T.F[0]]).take_cols(slice0).kernel()
     if ker.cols != 1:
         raise homology.NonGenericSeed(f"invariant space has dimension {ker.cols}, not 1 "
                                       "(non-generic seed or wrong orientation)")
@@ -98,7 +104,7 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     e_powers = D.divided_power("e", 1).powers(p - 1)
     # column k of the unit is f^k 1 in the Verma basis
     cols = [(e_powers[k] @ estar if k else estar).kron(unit.take_cols([k])) for k in range(p)]
-    sol = Basis(Matrix.hstack(cols)).coordinates(ker)
+    sol = Basis(Matrix.hstack(cols).take_rows(slice0)).coordinates(ker)
     if sol is None:
         raise ValueError("invariant vector not supported on e^k 1* (x) f^k 1")
     a0 = sol.entry(0, 0)

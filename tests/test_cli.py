@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -227,6 +228,56 @@ def test_memo_scope_ends_with_run_command(monkeypatch):
     with pytest.raises(ValueError, match="needs --ext 2"):
         run_command("twist", 3, 1, 1, "auto", 2, 0)
     assert memo._store.get() is None
+
+
+def test_memo_keys_agree_for_positional_keyword_and_default_spellings(monkeypatch):
+    calls, seen = [], []
+
+    @memo.memoised()
+    def f(a, b, c=3):
+        calls.append((a, b, c))
+        return [a, b, c]
+
+    @memo.memoised(key=lambda a, b, c: seen.append((a, b, c)) or (a, b, c))
+    def g(a, b, c=3):
+        return [a, b, c]
+
+    with memo.scope():
+        first = f(1, 2)
+        for value in (f(1, 2, 3), f(1, b=2), f(a=1, b=2, c=3), f(c=3, b=2, a=1), f(1, 2, c=3)):
+            assert value is first
+        assert f(1, 2, 4) == [1, 2, 4] and f(b=1, a=2) == [2, 1, 3]
+        assert calls == [(1, 2, 3), (1, 2, 4), (2, 1, 3)]
+        assert g(1, 2) is g(1, b=2) is g(c=3, a=1, b=2)
+        assert seen == [(1, 2, 3)] * 3
+        for args, kwargs in (((1,), {}), ((1, 2), {"d": 5}), ((1, 2, 3, 4), {}), ((1,), {"a": 1, "b": 2})):
+            with pytest.raises(TypeError):
+                f(*args, **kwargs)
+        # a call with every argument positional is keyed without binding
+        monkeypatch.setattr(inspect.Signature, "bind", None)
+        assert f(1, 2, 3) is first and len(calls) == 3
+
+
+def test_generic_op_work_counts(monkeypatch):
+    # one generic-sweep op (p = 5, seed 0,1), counted by wrapping: the bounds
+    # are one ker-E elimination per Verma, spins that close in one round, a
+    # weight-0 twist oracle and one interned element per field index
+    from sl2frob import exactfield
+    eliminate, init = exactfield._eliminate, exactfield.FieldElement.__init__
+    eliminations, scalars = [], []
+
+    def counted_init(self, *args):
+        scalars.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(exactfield, "_eliminate", lambda *a: eliminations.append(1) or eliminate(*a))
+    monkeypatch.setattr(exactfield.FieldElement, "__init__", counted_init)
+    bounds = {"twist": (1, 15, 25), "steinberg": (1, 29, 30), "hat-borel": (2, 29, 25)}
+    for cmd, (r, max_eliminations, max_scalars) in bounds.items():
+        eliminations.clear(), scalars.clear()
+        assert run_command(cmd, 5, 2, r, "0,1", 2, 0)["failures"] == 0
+        assert len(eliminations) <= max_eliminations, cmd
+        assert len(scalars) <= max_scalars, cmd
 
 
 def test_hat_borel_certifies_the_auto_seed_once(monkeypatch):

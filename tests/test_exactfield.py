@@ -402,3 +402,104 @@ def test_pow_int_matches_repeated_products(n):
         want = want @ A
     assert A.pow_int(n) == want
     assert A.powers(n)[n] == want and len(A.powers(n)) == n + 1
+
+
+def _coeff_mul(ctx, a, b):
+    """(a0 + a1 x)(b0 + b1 x) with x^2 = -c1 x - c0, on coefficient tuples."""
+    if ctx.k == 1:
+        return ((a[0] * b[0]) % ctx.p,)
+    c1, c0 = ctx.modulus
+    cross = a[1] * b[1]
+    return ((a[0] * b[0] - c0 * cross) % ctx.p, (a[0] * b[1] + a[1] * b[0] - c1 * cross) % ctx.p)
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
+def test_scalar_arithmetic_matches_coefficient_formulas(ctx):
+    p, els = ctx.p, ctx.elements()
+    coeffs = [a.coeffs for a in els]
+    for a in els:
+        assert ctx.from_index(a.idx) is a
+        assert (-a).coeffs == tuple((-c) % p for c in a.coeffs)
+        power = a.coeffs
+        for _ in range(p - 1):
+            power = _coeff_mul(ctx, power, a.coeffs)
+        assert a.frobenius().coeffs == power
+        if a.idx:
+            one = ctx.one().coeffs
+            assert a.inv().coeffs == next(b for b in coeffs if _coeff_mul(ctx, a.coeffs, b) == one)
+        for b in els:
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+            assert (a * b).coeffs == _coeff_mul(ctx, a.coeffs, b.coeffs)
+            # every result is the context's interned element of its index
+            assert a * b is ctx.from_index((a * b).idx)
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
+def test_scalar_errors_and_equality_across_interning(ctx):
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero().inv()
+    with pytest.raises(ZeroDivisionError):
+        ctx.one() / ctx.zero()
+    other = F3 if ctx != F3 else F9
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError, match="mixed field contexts"):
+            getattr(ctx.one(), op)(other.one())
+    # an equal context built again shares indices, equality and hashes
+    twin = FieldCtx(ctx.p, ctx.k)
+    for a in ctx.elements():
+        b = twin.from_index(a.idx)
+        built = FieldElement(ctx, [c + ctx.p for c in a.coeffs])   # reduced on construction
+        assert built is not a and built == a == b and hash(built) == hash(a) == hash(b)
+        assert a + b == (a + a) and (a * b).ctx is ctx
+        assert built * ctx.one() is a
+    assert FieldElement(ctx, (1,) * ctx.k) != FieldElement(ctx, (2,) * ctx.k)
+
+
+def _read_only_residues(m: Matrix) -> bool:
+    a = m.arr
+    return (not a.flags.writeable and a.dtype == np.int64 and a.ndim == 3
+            and a.shape[2] == m.ctx.k and bool(((a >= 0) & (a < m.ctx.p)).all()))
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25], ids=repr)
+def test_every_public_matrix_operation_returns_read_only_residues(ctx):
+    rng = np.random.default_rng(ctx.q)
+    A, B = rand_matrix(ctx, 4, 4, rng), rand_matrix(ctx, 4, 4, rng)
+    while A.rank() < 4:
+        A = rand_matrix(ctx, 4, 4, rng)
+    v = rand_matrix(ctx, 4, 1, rng)
+    basis = Basis(A.take_cols([0, 1]))
+    basis.add(v)
+    results = [
+        A + B, A - B, -A, A @ B, A.scale(ctx.from_index(ctx.q - 1)), A.transpose(),
+        A.kron(B), A.pow_int(5), *A.powers(3), A.commutator(B),
+        A.take_rows([2, 0]), A.take_cols([3, 1]), Matrix.hstack([A, B]), Matrix.vstack([A, B]),
+        A.rref()[0], B.kernel(), A.solve(B), A.inverse(), Matrix.zeros(ctx, 2, 3),
+        Matrix.identity(ctx, 3), Matrix.scalar(ctx, 3, ctx.from_index(ctx.q - 1)),
+        Matrix.from_int_rows(ctx, [[-1, 7], [12, -8]]), vec(A), unvec(vec(A), 4, 4),
+        exactfield.vecs(ctx, (4, 4), [A, B]), basis.coordinates(A.take_cols([0, 1])),
+        basis.B, basis.R,
+    ]
+    for m in results:
+        assert isinstance(m, Matrix) and _read_only_residues(m), m
+        with pytest.raises(ValueError):
+            m.arr[(0,) * 3] = 1
+
+
+def test_checked_constructor_copies_and_reduces():
+    for ctx in (F3, F25):
+        raw = np.array([[[-1] * ctx.k, [ctx.p] * ctx.k], [[2 * ctx.p + 1] * ctx.k, [-ctx.p - 2] * ctx.k]])
+        m = Matrix(ctx, raw)
+        assert _read_only_residues(m)
+        assert np.array_equal(m.arr, raw % ctx.p)
+        before = m.arr.copy()
+        raw[0, 0] = 1                 # the caller's array stays writable and apart
+        raw[1, 1] = -7
+        assert np.array_equal(m.arr, before)
+        reduced = raw % ctx.p          # already residues: still copied
+        m2 = Matrix(ctx, reduced)
+        reduced[0, 1] = (reduced[0, 1] + 1) % ctx.p
+        assert not np.array_equal(m2.arr, reduced) and reduced.flags.writeable
+    with pytest.raises(ValueError, match="bad matrix array shape"):
+        Matrix(F9, np.zeros((2, 2, 1), dtype=np.int64))

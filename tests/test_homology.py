@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2frob.exactfield import FieldCtx, Matrix, vec
-from sl2frob import memo, repcore, homology
+from sl2frob import exactfield, memo, repcore, homology
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
     split_indecomposables,
@@ -396,10 +396,27 @@ def _spin_by_stacking(M, v):
     return rows
 
 
+_EXTENDED: dict = {}
+
+
+def _extended(ctx, i):
+    """The cap-2 extended projective P_i over ctx, built once per test session."""
+    if (ctx, i) not in _EXTENDED:
+        _EXTENDED[ctx, i] = homology.extended_projective(ctx, i)
+    return _EXTENDED[ctx, i]
+
+
 @st.composite
 def _module_and_vector(draw):
     ctx = draw(st.sampled_from([F3, F9, F25, FieldCtx(7, 2)]))
-    M = draw(_graded_module(ctx, draw(st.integers(1, 2))))
+    kind = draw(st.sampled_from(["atoms", "extended projective", "L (x) L"]))
+    if kind == "extended projective":
+        M = _extended(ctx, draw(st.integers(0, ctx.p - 1)))
+    elif kind == "L (x) L":
+        a, b = draw(st.integers(0, ctx.p - 1)), draw(st.integers(0, ctx.p - 1))
+        M = tensor(simple_restricted(ctx, a, cap=2), simple_restricted(ctx, b, cap=2))
+    else:
+        M = draw(_graded_module(ctx, draw(st.integers(1, 2))))
     idx = draw(st.lists(st.integers(0, ctx.q - 1), min_size=M.dim, max_size=M.dim)
                .filter(any))
     return M, Matrix(ctx, ctx.arr_from_index(np.array(idx)).reshape(M.dim, 1, ctx.k))
@@ -412,6 +429,61 @@ def test_spin_matches_stacked_reference(Mv):
     # the reference keeps v unnormalized while nothing joins it; its RREF is
     # the basis spin returns
     assert spin(M, v) == _spin_by_stacking(M, v).rref()[0].transpose()
+
+
+def _graded_joint_kernel_per_degree(mats, grading):
+    """Reference: one elimination per degree, on that degree's columns only."""
+    ctx = mats[0].ctx
+    out = {}
+    for w in sorted(set(int(x) for x in grading)):
+        idx = np.nonzero(grading == w)[0]
+        ker = Matrix(ctx, np.concatenate([m.arr[:, idx] for m in mats])).kernel()
+        if ker.cols:
+            emb = np.zeros((grading.shape[0], ker.cols, ctx.k), dtype=np.int64)
+            emb[idx] = ker.arr
+            out[w] = Matrix(ctx, emb)
+    return out
+
+
+@st.composite
+def _graded_operators(draw):
+    """1-3 random operators, each shifting a random grading by its own degree."""
+    ctx = draw(st.sampled_from([F3, F9, F25]))
+    n = draw(st.integers(1, 9))
+    grading = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        graded = grading[:, None] == grading[None, :] + draw(st.integers(-2, 2))
+        idx = np.where(graded & (rng.random((n, n)) < density), rng.integers(1, ctx.q, (n, n)), 0)
+        mats.append(Matrix(ctx, ctx.arr_from_index(idx)))
+    return mats, grading
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graded_operators())
+def test_one_elimination_joint_kernel_matches_the_per_degree_one_property(case):
+    mats, grading = case
+    got = homology._graded_joint_kernel(mats, grading)
+    assert got == _graded_joint_kernel_per_degree(mats, grading)
+    assert list(got) == sorted(got)
+
+
+def test_one_elimination_joint_kernel_edge_cases():
+    grading = np.array([2, 0, 0, -2, 2])
+    eliminations = []
+    with pytest.MonkeyPatch.context() as mp:
+        eliminate = exactfield._eliminate
+        mp.setattr(exactfield, "_eliminate", lambda *a: eliminations.append(1) or eliminate(*a))
+        # an injective operator: the kernel is empty in every degree
+        assert homology._graded_joint_kernel([Matrix.identity(F9, 5)], grading) == {}
+        # the zero operator: the kernel is everything, spread over three degrees
+        J = homology._graded_joint_kernel([Matrix.zeros(F9, 5, 5)] * 2, grading)
+    assert eliminations == [1, 1]
+    unit = Matrix.identity(F9, 5)
+    assert J == {-2: unit.take_cols([3]), 0: unit.take_cols([1, 2]), 2: unit.take_cols([0, 4])}
+    assert J == _graded_joint_kernel_per_degree([Matrix.zeros(F9, 5, 5)] * 2, grading)
 
 
 def _copies(L, n):

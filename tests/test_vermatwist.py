@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sl2frob.exactfield import FieldCtx, Matrix, vec, vecs
+from sl2frob.exactfield import Basis, FieldCtx, Matrix, vec, vecs
 from sl2frob import memo, repcore, homology, vermatwist as VT
 from sl2frob.reporting import check
 
@@ -64,12 +64,40 @@ def test_oracle_invariance_equation():
     assert (T.E[0] @ vec).is_zero() and (T.F[0] @ vec).is_zero()
 
 
+def _full_space_oracle(ctx, d):
+    """Reference: the twist coefficients solved on all of Z* (x) Z, and that kernel."""
+    p = ctx.p
+    Z = repcore.baby_verma(ctx, d)
+    Dz = repcore.dual(Z)
+    T = repcore.tensor(Dz, Z)
+    ker = Matrix.vstack([T.E[0], T.F[0]]).kernel()
+    unit = Matrix.identity(ctx, p)
+    e_powers = Dz.divided_power("e", 1).powers(p - 1)
+    cols = [(e_powers[k] @ unit.take_cols([0])).kron(unit.take_cols([k])) for k in range(p)]
+    sol = Basis(Matrix.hstack(cols)).coordinates(ker)
+    inv = sol.entry(0, 0).inv()
+    return tuple(sol.entry(k, 0) * inv for k in range(p)), ker, T.grading
+
+
+@pytest.mark.parametrize("ctx", [F9, F25], ids=repr)
+def test_weight_zero_oracle_matches_the_full_space_solve(ctx):
+    seeds = [d for d in ctx.elements() if not d.in_prime_field()]
+    assert len(seeds) == ctx.q - ctx.p
+    for d in seeds:
+        coeffs, ker, grading = _full_space_oracle(ctx, d)
+        # the invariant line of the whole tensor lies in its grading-0 slice
+        assert ker.cols == 1 and not ker.arr[grading != 0].any()
+        assert VT.twist_oracle(ctx, d).coeffs == coeffs
+
+
 def test_oracle_rejects_non_generic(monkeypatch):
     # every d in F_p, for F_9 and F_25, is rejected before Z* (x) Z is built
+    # or any kernel is taken
     def no_tensor(*args):
         raise AssertionError("the oracle built Z* (x) Z for a prime-field d")
 
     monkeypatch.setattr(repcore, "tensor", no_tensor)
+    monkeypatch.setattr(Matrix, "kernel", no_tensor)
     for ctx in (F9, F25):
         prime = [d for d in ctx.elements() if d.in_prime_field()]
         assert len(prime) == ctx.p
