@@ -22,12 +22,12 @@ initial digit string with a first-kernel block idempotent just above it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vec, vecs
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix, rref_join, vec, vecs
 from . import memo, repcore, homology
 from .reporting import check, report
 
@@ -66,7 +66,6 @@ class EndGenerator:
     source: tuple
     target: tuple
     matrix: Matrix
-    extra: dict = field(default_factory=dict)
 
 
 class FixedMaps:
@@ -396,7 +395,7 @@ class KernelTwoAlgebra:
                     tgt = (p - 2 - k0, k1 + t)
                     mat = self._level0_matrix(k0, k1, t, m1)
                     gens.append(EndGenerator(f"level0_{kind}", 0, (k0, k1), tgt,
-                                             mat, extra={"t": t}))
+                                             mat))
         return gens
 
     def _level0_matrix(self, k0: int, k1: int, t: int, m1: Matrix) -> Matrix:
@@ -548,57 +547,48 @@ def verify_relations(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
 # generation / monomial span
 # ---------------------------------------------------------------------------
 
-def _span_closure(ctx: FieldCtx, objects, id_mats, gens_by_level, max_level: int):
-    """Span of level-ordered monomials, per (source, target) pair.
+def _span_closure(ctx: FieldCtx, gradings: dict, gens_by_level, max_level: int) -> dict:
+    """Span dimension per degree of level-ordered monomials, per (source, target) pair.
 
     Monomials apply generators of the highest level first and lower levels
     later (reading a composite left to right along the arrows gives
-    non-decreasing levels).  Elements are stored per pair as lists of
-    (degree, matrix), independent because `Basis.add` keeps only elements
-    outside the span so far; stage l post-composes accumulated monomials
-    with generators of level l, running stages from the top level down.
+    non-decreasing levels); they start at the identities of the objects,
+    graded by `gradings`.  Per pair the span is kept as the RREF rows of the
+    flattened maps.  Stage l, from the top level down, runs rounds: the rows
+    the last round added (at the start of the stage, every row) are
+    post-composed with each level-l generator, one stacked product per pair
+    and generator, and each pair joins its images once by `rref_join`,
+    until a round adds nothing.  Every generator is homogeneous (checked
+    here), so every monomial is too; distinct degrees have disjoint
+    supports, so each RREF row lies in one degree, that of its pivot entry.
     """
-    span: dict[tuple, list[tuple[int, Matrix]]] = {}
-    bases: dict[tuple, Basis] = {}
-
-    def try_add(src, tgt, deg, mat) -> bool:
-        key = (src, tgt)
-        if key not in bases:
-            bases[key] = Basis(Matrix.zeros(ctx, mat.rows * mat.cols, 0))
-        if not bases[key].add(vec(mat)):
-            return False
-        span.setdefault(key, []).append((deg, mat))
-        return True
-
-    for o in objects:
-        try_add(o, o, 0, id_mats[o])
+    for g in (g for gs in gens_by_level.values() for g in gs):
+        rows, cols = np.nonzero(g.matrix.arr.any(axis=-1))
+        if np.unique(gradings[g.target][rows] - gradings[g.source][cols]).size > 1:
+            raise homology.InvariantError(
+                f"generation: generator {g.kind} {g.source} -> {g.target} is not homogeneous")
+    # a flattened identity is one RREF row with its pivot at entry (0, 0)
+    spans = {(o, o): (Matrix._own(ctx, Matrix.identity(ctx, g.size).arr.reshape(1, -1, ctx.k)), [0])
+             for o, g in gradings.items()}
     for level in range(max_level, -1, -1):
-        changed = True
-        while changed:
-            changed = False
-            items = [(k, list(v)) for k, v in span.items()]
-            for (src, mid), elems in items:
+        fresh = {key: R for key, (R, _) in spans.items() if R.rows}
+        while fresh:
+            images: dict[tuple, list] = {}
+            for (src, mid), R in fresh.items():
+                stack = R.arr.reshape(R.rows, gradings[mid].size, gradings[src].size, ctx.k)
                 for g in gens_by_level.get(level, []):
-                    if g.source != mid:
-                        continue
-                    gdeg = g.extra["deg"]
-                    for deg, mat in elems:
-                        if try_add(src, g.target, deg + gdeg, g.matrix @ mat):
-                            changed = True
-    return span
-
-
-def matrix_degree(src: repcore.ModuleRep, tgt: repcore.ModuleRep, m: Matrix) -> int:
-    """Graded degree of a nonzero graded map, read off any nonzero entry."""
-    rows, cols = np.nonzero(m.arr.any(axis=-1))
-    if rows.size == 0:
-        return 0
-    return int(tgt.grading[rows[0]] - src.grading[cols[0]])
-
-
-def _span_dims(span: dict, key) -> dict[int, int]:
-    """Span dimension per degree: the elements of one pair are independent."""
-    return dict(Counter(deg for deg, _ in span.get(key, [])))
+                    if g.source == mid:
+                        images.setdefault((src, g.target), []).append(
+                            ctx.arr_matmul(g.matrix.arr, stack).reshape(R.rows, -1, ctx.k))
+            fresh = {}
+            for key, imgs in images.items():
+                V = Matrix._own(ctx, np.concatenate(imgs))
+                R, pivots, new = rref_join(*spans.get(key, (Matrix.zeros(ctx, 0, V.cols), [])), V)
+                spans[key] = R, pivots
+                if new.rows:
+                    fresh[key] = new
+    return {(a, b): dict(Counter(np.subtract.outer(gradings[b], gradings[a]).ravel()[pivots].tolist()))
+            for (a, b), (_, pivots) in spans.items()}
 
 
 def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
@@ -618,29 +608,22 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
         fm = fixed_maps(ctx)
         objects = list(range(p))
         mods = {i: repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
-        id_mats = {i: Matrix.identity(ctx, mods[i].dim) for i in range(p)}
-        by_level: dict[int, list[EndGenerator]] = {0: []}
-        for i in range(p - 1):
-            by_level[0].append(EndGenerator("omega", 0, i, i, fm.omega[i], {"deg": 0}))
-            by_level[0].append(EndGenerator("up", 0, i, p - 2 - i, fm.up[i], {"deg": -p}))
-            by_level[0].append(EndGenerator("down", 0, i, p - 2 - i, fm.down[i], {"deg": p}))
-        max_level = 0
+        by_level = {0: [EndGenerator(kind, 0, i, i if kind == "omega" else p - 2 - i, maps[i])
+                        for i in range(p - 1)
+                        for kind, maps in (("omega", fm.omega), ("up", fm.up), ("down", fm.down))]}
     elif r == 2:
         K = KernelTwoAlgebra(ctx)
         objects = K.labels
         mods = K.restricted
-        id_mats = {lab: Matrix.identity(ctx, mods[lab].dim) for lab in objects}
-        by_level = {0: [], 1: []}
-        for g in K.generators:
-            g.extra["deg"] = matrix_degree(mods[g.source], mods[g.target], g.matrix)
-            by_level[g.level].append(g)
-        max_level = 1
+        by_level = {level: [g for g in K.generators if g.level == level] for level in (0, 1)}
     else:
         raise ValueError("generation is instantiated for r in {1, 2}")
 
-    span_hi = _span_closure(ctx, objects, id_mats, by_level, max_level)
+    gradings = {o: mods[o].grading for o in objects}
+    max_level = max(by_level)
+    span_hi = _span_closure(ctx, gradings, by_level, max_level)
     all_gens = {0: [g for gs in by_level.values() for g in gs]}
-    span_free = _span_closure(ctx, objects, id_mats, all_gens, 0)
+    span_free = _span_closure(ctx, gradings, all_gens, 0)
     span_lo = None
 
     total_gen, total_ord, total_full = 0, 0, 0
@@ -648,11 +631,9 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     for a in objects:
         for b in objects:
             H = homology.hom_space(mods[a], mods[b])
-            want: dict[int, int] = {}
-            for dd in H.degrees:
-                want[dd] = want.get(dd, 0) + 1
-            got_free = _span_dims(span_free, (a, b))
-            got_hi = _span_dims(span_hi, (a, b))
+            want = dict(Counter(H.degrees))
+            got_free = span_free.get((a, b), {})
+            got_hi = span_hi.get((a, b), {})
             total_full += H.dim
             total_gen += sum(got_free.values())
             ok_gen = got_free == want
@@ -660,8 +641,8 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
             if not ok_ord and ok_gen:
                 if span_lo is None:
                     lo_levels = {max_level - l: gs for l, gs in by_level.items()}
-                    span_lo = _span_closure(ctx, objects, id_mats, lo_levels, max_level)
-                ok_ord = _span_dims(span_lo, (a, b)) == want
+                    span_lo = _span_closure(ctx, gradings, lo_levels, max_level)
+                ok_ord = span_lo.get((a, b), {}) == want
                 if ok_ord:
                     reversed_pairs.append((a, b))
             total_ord += H.dim if ok_ord else sum(got_hi.values())

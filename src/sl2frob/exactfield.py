@@ -28,15 +28,15 @@ array of residues that nothing writes again, such as a result of
 `arr_matmul`, `arr_mul`, an elimination, a reduced sum, or a slice or stack
 of read-only `Matrix` arrays.
 
-`Basis` is the one path for coordinates in a basis, and `Basis.add` grows a
-span one vector at a time; `homology.spin` grows one by rounds of `rref`
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 7).
-`solve` stays as the reference tests compare it to.
+`Basis` is the one path for coordinates in a basis, and `rref_join` the one
+step that grows a span: it joins a stack of rows to a span's RREF rows.
+`homology.spin` and the monomial closure of `endpresent` grow their spans
+by rounds of it (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, ch. 7).  `solve` stays as the reference tests compare it to.
 """
 
 from __future__ import annotations
 
-import bisect
 from functools import cached_property
 
 import numpy as np
@@ -208,12 +208,6 @@ class FieldCtx:
         order and the `_tables` as lists, for scalar arithmetic."""
         return ([FieldElement(self, (i % self.p, i // self.p)[:self.k]) for i in range(self.q)],
                 *(t.tolist() for t in self._tables()))
-
-    def arr_inv(self, a: np.ndarray) -> np.ndarray:
-        idx = self.arr_index(a)
-        if np.any(idx == 0):
-            raise ZeroDivisionError("division by zero in F_q")
-        return self.arr_from_index(self._tables()[2][idx])
 
     def __eq__(self, other):
         return (
@@ -563,8 +557,42 @@ def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
     return pivots
 
 
+def rref_join(R: Matrix, pivots: list[int], V: Matrix) -> tuple[Matrix, list[int], Matrix]:
+    """Join the rows of V to the span with RREF rows R and pivot columns pivots.
+
+    Returns the RREF rows of the joint span, its pivots and the rows it
+    added, those at the new pivots.  V is reduced against the span in one
+    product, V - V[:, pivots] R, which is zero at the old pivots.  Only the
+    nonzero rows of that residual are eliminated, restricted to its nonzero
+    columns: a column that is zero in every row stays zero under row
+    operations.  The new rows clear their pivot columns from R and join it
+    in pivot order.
+    """
+    ctx, c, k = V.ctx, V.cols, V.ctx.k
+    rest = V.arr
+    if pivots:
+        rest = (rest - ctx.arr_matmul(rest[:, pivots], R.arr)) % ctx.p
+    rest = rest[rest.any(axis=(1, 2))]
+    cols = np.flatnonzero(rest.any(axis=(0, 2)))
+    A = ctx.arr_index(rest[:, cols])
+    grown = _eliminate(ctx, A)
+    new = np.zeros((len(grown), c, k), dtype=np.int64)
+    new[:, cols] = ctx.arr_from_index(A[:len(grown)])
+    added, grown = Matrix._own(ctx, new), cols[grown].tolist()
+    if not grown:
+        return R, pivots, added
+    if not pivots:
+        return added, grown, added
+    merged = sorted(pivots + grown)
+    at = {col: i for i, col in enumerate(merged)}
+    out = np.empty((len(merged), c, k), dtype=np.int64)
+    out[[at[col] for col in pivots]] = (R.arr - ctx.arr_matmul(R.arr[:, grown], new)) % ctx.p
+    out[[at[col] for col in grown]] = new
+    return Matrix._own(ctx, out), merged, added
+
+
 class Basis:
-    """Independent columns B, the RREF rows R of their span and its pivot columns.
+    """Independent columns B and the pivot columns of their span's RREF rows.
 
     B restricted to the pivot rows is invertible, so the coordinates of V are
     read off V at those rows.  Construction rejects dependent columns
@@ -572,13 +600,12 @@ class Basis:
     """
 
     def __init__(self, B: Matrix):
-        R, pivots = B.transpose().rref()
+        pivots = B.transpose().rref(indices=True)[1]
         if len(pivots) < B.cols:
             independent = B.rref(indices=True)[1]
             dependent = sorted(set(range(B.cols)) - set(independent))
             raise ValueError(f"basis columns {dependent} depend on earlier columns")
         self.B = B
-        self.R = R
         self.pivots = pivots
         self._pivot_inv = None
 
@@ -588,30 +615,6 @@ class Basis:
             self._pivot_inv = self.B.take_rows(self.pivots).inverse()
         X = self._pivot_inv @ V.take_rows(self.pivots)
         return X if self.B @ X == V else None
-
-    def add(self, v: Matrix) -> bool:
-        """Append the column v unless it lies in the span; return whether it did.
-
-        v is reduced to v - R^T v[pivots] in one product.  Only a new v
-        re-echelonises R: the rest, scaled to 1 at its first nonzero entry c,
-        clears column c from R and joins it in pivot order.
-        """
-        if not v.arr.any():
-            return False
-        ctx = v.ctx
-        rest = (v.arr[:, 0] - ctx.arr_matmul(v.arr[self.pivots, 0][None], self.R.arr)[0]) % ctx.p
-        nonzero = np.flatnonzero(rest.any(axis=-1))
-        if not nonzero.size:
-            return False
-        c = int(nonzero[0])
-        row = ctx.arr_mul(rest, ctx.arr_inv(rest[c]))[None]
-        R = self.R.arr - ctx.arr_mul(self.R.arr[:, c:c + 1], row)
-        at = bisect.bisect(self.pivots, c)
-        self.R = Matrix(ctx, np.concatenate([R[:at], row, R[at:]]))
-        self.pivots.insert(at, c)
-        self.B = Matrix(ctx, np.concatenate([self.B.arr, v.arr], axis=1))
-        self._pivot_inv = None
-        return True
 
 
 def vec(m: Matrix) -> Matrix:

@@ -42,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vecs, unvec
+from .exactfield import Basis, FieldCtx, FieldElement, Matrix, rref_join, vecs, unvec
 from . import memo, repcore
 from .repcore import ModuleRep
 
@@ -319,30 +319,27 @@ def is_isomorphic(M: ModuleRep, N: ModuleRep) -> Matrix | None:
 def spin(M: ModuleRep, v: Matrix) -> Matrix:
     """RREF column basis of the submodule generated by v (closed under every E_j, F_j).
 
-    Spun by rounds on the span's RREF rows (element indices): each round
-    applies G, G^2, ..., G^(p-1) of every level action G to the rows with
-    the pivots the last round added, as p - 1 stacked products, and joins
-    the nonzero images to the span in one elimination, until a round adds
-    no pivot or the span is M.  Those rows complement the old span and every
-    other row moved by them, so their images close it; with the powers, a
-    Verma or a simple closes in one round.
+    Spun by rounds of `rref_join` on the span's RREF rows: each round
+    applies G, G^2, ..., G^(p-1) of every level action G to the rows the
+    last round added (at first, to v), as p - 1 stacked products, and joins
+    those rows and their images to the span, until a round adds no row or
+    the span is M.  The added rows complement the old span and every other
+    row moved by them, so their images close it; with the powers, a Verma
+    or a simple closes in one round.
     """
     if v.is_zero():
         raise ValueError("cannot spin the zero vector")
     ctx, n = M.ctx, M.dim
     ops = np.stack([G.arr for G in M.E + M.F])
-    R, pivots, todo = np.zeros((0, n), dtype=np.int64), [], np.swapaxes(v.arr, 0, 1)
+    R, pivots, new = Matrix.zeros(ctx, 0, n), [], v.transpose()
     while True:
-        A, grown = Matrix._own(ctx, np.concatenate([ctx.arr_from_index(R), todo])).rref(indices=True)
-        new = A[[i for i, c in enumerate(grown) if c not in pivots]]
-        R, pivots = A[:len(grown)], grown
-        if not new.size or len(pivots) == n:
-            return Matrix._own(ctx, ctx.arr_from_index(R.T))
-        images = [ctx.arr_from_index(new.T)]
+        images = [np.swapaxes(new.arr, 0, 1)]
         for _ in range(ctx.p - 1):
             images.append(ctx.arr_matmul(ops, images[-1]))
-        images = np.concatenate(images[1:]).transpose(0, 2, 1, 3)
-        todo = images[images.any(axis=(2, 3))]
+        images = np.concatenate(images[1:]).transpose(0, 2, 1, 3).reshape(-1, n, ctx.k)
+        R, pivots, new = rref_join(R, pivots, Matrix._own(ctx, np.concatenate([new.arr, images])))
+        if not new.rows or len(pivots) == n:
+            return R.transpose()
 
 
 def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, Matrix]:

@@ -67,7 +67,6 @@ def binom_mod(n: int, k: int, p: int) -> int:
 class DividedPowerPlan:
     """Digit factorization of a divided power e^(n) = prod_i (e^(p^i))^{n_i} / n_i!."""
 
-    order: int
     digit_list: tuple[int, ...]
     correction: int  # the unit prod_i inv(n_i!) in F_p
 
@@ -77,7 +76,7 @@ class DividedPowerPlan:
         corr = 1
         for d in ds:
             corr = (corr * pow(factorial_mod(d, p), p - 2, p)) % p
-        return cls(n, tuple(ds), corr)
+        return cls(tuple(ds), corr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import hashlib
 import itertools
+import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sl2frob.exactfield import FieldCtx, Matrix
+from sl2frob.cli import run_command
+from sl2frob.exactfield import FieldCtx, Matrix, vecs
 from sl2frob import repcore, homology, endpresent as EP
 
 
@@ -161,6 +167,92 @@ def test_generation_r2_reversed_pairs():
     ordered = [c for c in rep["checks"] if c["name"] == "ordered_total"][0]
     rev = ordered["details"]["pairs_needing_reversed_order"]
     assert all(a[1] == 2 or b[1] == 2 for a, b in rev)
+
+
+# sha256 of the CLI JSON text of `generation --p P --r R`
+GENERATION_DIGESTS = {
+    (3, 1): "f99bd6044c5f4830ee352dae551253433efa7b934befa64e33adcbe7111214c9",
+    (3, 2): "e30d8104a8beab5d42356bc291c262495ac7db11f43f14a0b7dc3ac5078f323f",
+    (5, 1): "23c1005fc109c2681f831cc499c244449a9f92164e68eca7bd4bce24db25c3e3",
+    (7, 1): "8c4a7bd9e567b8430b309d40007905646188a3bf4e6f4dec1641e91b97caa12f",
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(GENERATION_DIGESTS))
+def test_generation_report_digest(p, r):
+    rep = run_command("generation", p, 2, r, "auto", 2, 0)
+    text = json.dumps(rep, indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATION_DIGESTS[(p, r)]
+
+
+def test_span_closure_rejects_a_non_homogeneous_generator(k2):
+    gradings = {lab: m.grading for lab, m in k2.restricted.items()}
+    g = next(g for g in k2.generators if g.kind == "top_up")
+    degree = np.subtract.outer(gradings[g.target], gradings[g.source])
+    i, j = np.argwhere(g.matrix.arr.any(axis=-1))[0]
+    off = np.argwhere(degree != degree[i, j])[0]
+    arr = g.matrix.arr.copy()
+    arr[tuple(off)] = 1
+    bad = EP.EndGenerator(g.kind, g.level, g.source, g.target, Matrix(F3, arr))
+    gens = {0: [x for x in k2.generators if x.level == 0],
+            1: [bad if x is g else x for x in k2.generators if x.level == 1]}
+    with pytest.raises(homology.InvariantError,
+                       match=re.escape(f"top_up {g.source} -> {g.target} is not homogeneous")):
+        EP._span_closure(F3, gradings, gens, 1)
+
+
+def _naive_span_dims(ctx, gradings, gens_by_level, max_level):
+    """Per-degree span dimensions of level-ordered monomials, one composite at a time."""
+    span = {(o, o): [Matrix.identity(ctx, g.size)] for o, g in gradings.items()}
+    for level in range(max_level, -1, -1):
+        changed = True
+        while changed:
+            changed = False
+            for (src, mid), mats in list(span.items()):
+                for g in gens_by_level.get(level, []):
+                    if g.source != mid:
+                        continue
+                    for m in list(mats):
+                        have = span.setdefault((src, g.target), [])
+                        c = g.matrix @ m
+                        if vecs(ctx, c.shape, have + [c]).rank() > len(have):
+                            have.append(c)
+                            changed = True
+    # the composites of a pair are independent and homogeneous
+    def degree(a, b, m):
+        i, j = np.argwhere(m.arr.any(axis=-1))[0]
+        return int(gradings[b][i] - gradings[a][j])
+    return {(a, b): dict(Counter(degree(a, b, m) for m in mats)) for (a, b), mats in span.items()}
+
+
+@st.composite
+def graded_generators(draw):
+    """Gradings of 2 to 4 objects and random homogeneous generators on 1 or 2 levels."""
+    ctx = draw(st.sampled_from([F3, FieldCtx(3, 2)]))
+    n = draw(st.integers(2, 4))
+    gradings = {o: np.array(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+                for o in range(n)}
+    levels = draw(st.integers(1, 2))
+    gens = {level: [] for level in range(levels)}
+    for _ in range(draw(st.integers(1, 5))):
+        src, tgt = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        degree = np.subtract.outer(gradings[tgt], gradings[src])
+        d = draw(st.sampled_from(sorted(set(degree.ravel().tolist()))))
+        idx = draw(st.lists(st.integers(1, ctx.q - 1), min_size=degree.size, max_size=degree.size))
+        arr = ctx.arr_from_index(np.where(degree == d, np.array(idx).reshape(degree.shape), 0))
+        level = draw(st.integers(0, levels - 1))
+        gens[level].append(EP.EndGenerator("g", level, src, tgt, Matrix(ctx, arr)))
+    return ctx, gradings, gens, levels - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_generators())
+def test_span_closure_matches_one_at_a_time_closure(inputs):
+    ctx, gradings, gens, max_level = inputs
+    got = EP._span_closure(ctx, gradings, gens, max_level)
+    want = _naive_span_dims(ctx, gradings, gens, max_level)
+    for key in itertools.product(gradings, repeat=2):
+        assert got.get(key, {}) == want.get(key, {}), key
 
 
 def test_center_r1():

@@ -34,7 +34,7 @@ def independent_rank(m: Matrix) -> int:
             continue
         pr = row + int(nz[-1])
         A[[row, pr]] = A[[pr, row]]
-        inv = ctx.arr_inv(A[row, col])
+        inv = ctx.el(*A[row, col].tolist()).inv()._arr()
         A[row] = ctx.arr_mul(A[row], inv)
         below = np.arange(row + 1, r)
         mask = A[below, col].any(axis=-1)
@@ -158,28 +158,31 @@ def test_basis_rejects_dependent_columns(A):
         assert Basis(A).pivots == gauss_jordan(A.transpose())[1]
 
 
-@settings(max_examples=100, deadline=None)
-@given(independent_columns(), st.integers(0, 6), st.data())
-def test_basis_add_accepts_exactly_when_rank_grows(B, t, data):
-    ctx, n = B.ctx, B.rows
-    basis = Basis(B)
-    rows = B.transpose()
-    # candidates: members of the span, then columns that are random, zero,
-    # repeated or proportional to earlier ones
-    inside = B @ data.draw(structured_matrices(ctx, B.cols, 2))
-    cands = Matrix.hstack([inside, data.draw(structured_matrices(ctx, t, n)).transpose()])
-    for j in range(cands.cols):
-        v = cands.take_cols([j])
-        stacked = Matrix.vstack([rows, v.transpose()])
-        grows = len(gauss_jordan(stacked)[1]) > len(gauss_jordan(rows)[1])
-        assert basis.add(v) == grows
-        if grows:
-            rows = stacked
-        R, pivots = gauss_jordan(rows)
-        assert basis.pivots == pivots
-        assert basis.R == Matrix(ctx, R.arr[:len(pivots)])
-        assert basis.B.transpose() == rows
-        assert basis.coordinates(basis.B) == Matrix.identity(ctx, basis.B.cols)
+@st.composite
+def join_inputs(draw):
+    """(R, pivots, V): the RREF of a span (possibly empty) over F_3, F_9 or
+    F_25, and rows that are random, zero, repeated, proportional to an
+    earlier row or inside the span, in a drawn order."""
+    ctx = draw(st.sampled_from([F3, F9, F25]))
+    c = draw(st.integers(1, 8))
+    S = draw(structured_matrices(ctx, draw(st.integers(0, 5)), c))
+    R, pivots = gauss_jordan(S)
+    inside = draw(structured_matrices(ctx, draw(st.integers(0, 3)), S.rows)) @ S
+    V = Matrix.vstack([inside, draw(structured_matrices(ctx, draw(st.integers(0, 5)), c))])
+    order = draw(st.permutations(range(V.rows)))
+    return Matrix(ctx, R.arr[:len(pivots)]), pivots, V.take_rows(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_inputs())
+def test_rref_join_matches_scalar_gauss_jordan(inputs):
+    R, pivots, V = inputs
+    joined, grown, added = exactfield.rref_join(R, pivots, V)
+    R0, pivots0 = gauss_jordan(Matrix.vstack([R, V]))
+    assert grown == pivots0
+    assert joined == Matrix(R.ctx, R0.arr[:len(pivots0)])
+    new = [i for i, col in enumerate(pivots0) if col not in pivots]
+    assert added == Matrix(R.ctx, R0.arr[new])
 
 
 @pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
@@ -468,9 +471,10 @@ def test_every_public_matrix_operation_returns_read_only_residues(ctx):
     A, B = rand_matrix(ctx, 4, 4, rng), rand_matrix(ctx, 4, 4, rng)
     while A.rank() < 4:
         A = rand_matrix(ctx, 4, 4, rng)
-    v = rand_matrix(ctx, 4, 1, rng)
     basis = Basis(A.take_cols([0, 1]))
-    basis.add(v)
+    R, pivots = A.take_rows([0, 1]).rref()
+    joins = [exactfield.rref_join(R, pivots, rand_matrix(ctx, 2, 4, rng)),
+             exactfield.rref_join(Matrix.zeros(ctx, 0, 4), [], B)]
     results = [
         A + B, A - B, -A, A @ B, A.scale(ctx.from_index(ctx.q - 1)), A.transpose(),
         A.kron(B), A.pow_int(5), *A.powers(3), A.commutator(B),
@@ -479,7 +483,7 @@ def test_every_public_matrix_operation_returns_read_only_residues(ctx):
         Matrix.identity(ctx, 3), Matrix.scalar(ctx, 3, ctx.from_index(ctx.q - 1)),
         Matrix.from_int_rows(ctx, [[-1, 7], [12, -8]]), vec(A), unvec(vec(A), 4, 4),
         exactfield.vecs(ctx, (4, 4), [A, B]), basis.coordinates(A.take_cols([0, 1])),
-        basis.B, basis.R,
+        basis.B, *(m for R, _, added in joins for m in (R, added)),
     ]
     for m in results:
         assert isinstance(m, Matrix) and _read_only_residues(m), m

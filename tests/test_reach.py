@@ -7,7 +7,8 @@ variable of the same name keeps a method alive.  Code that only tests reach
 is either a command's business or dead weight, so it fails here.  Likewise every
 parameter of a `def` is read in its body: a parameter that every caller
 passes and nothing reads only misleads.  Lambdas are exempt, since the memo
-passes every argument to its `key` and `reuse` callbacks.  Every name the
+passes every argument to its `key` and `reuse` callbacks.  Every field of a
+`@dataclass` is read as an attribute somewhere in the package.  Every name the
 benchmark's tracer patches (`perfbench/spans.py`, `TARGETS`) still exists.
 """
 
@@ -81,12 +82,35 @@ def unread_parameters() -> list[str]:
     return sorted(out)
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def unread_dataclass_fields() -> list[str]:
+    """module.class.field for each `@dataclass` field no attribute access in the package reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{node.name}.{item.target.id}"
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                  and item.target.id not in read)
+
+
 def test_every_definition_is_reached_from_the_package():
     assert unreached() == []
 
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []
 
 
 def test_every_traced_benchmark_name_resolves():
