@@ -47,7 +47,8 @@ def conventions(ctx: FieldCtx) -> dict:
 
 
 def parse_seed(ctx: FieldCtx, text: str) -> FieldElement:
-    """Weight seed: 'auto' scans for the first generic element, else 'c0,c1'."""
+    """Weight seed: 'auto' scans for the first generic element, else 'c0,c1'
+    with both coefficients in 0..p-1."""
     if ctx.k != 2:
         raise ValueError("generic seeds need a quadratic field extension")
     if text == "auto":
@@ -63,7 +64,10 @@ def parse_seed(ctx: FieldCtx, text: str) -> FieldElement:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"bad seed {text!r}: expected 'c0,c1' or 'auto'")
-    d = ctx.el(int(parts[0]), int(parts[1]))
+    coeffs = [int(c) for c in parts]
+    if any(not 0 <= c < ctx.p for c in coeffs):
+        raise ValueError(f"--d-seed {text!r}: coefficients must lie in 0..{ctx.p - 1}")
+    d = ctx.el(*coeffs)
     if d.in_prime_field():
         raise homology.NonGenericSeed(f"non-generic weight seed {d}: it lies in the prime field")
     return d

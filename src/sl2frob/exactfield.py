@@ -12,14 +12,20 @@ and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  Every other product stays in
 int64.  The BLAS thread count (OPENBLAS_NUM_THREADS) changes speed, never
 results.
 
+There is one `FieldCtx` per field and process, keyed by (p, k, modulus):
+its lookup tables and interned elements are constants of the field, built
+once on first use and read-only, so every command shares them.
+
 Gaussian elimination runs on element indices (a0 + a1*x is a0 + p*a1):
 the matrix is converted once, each pivot step is a few lookups in the
 context's q x q multiplication and subtraction tables, and the result is
 converted back once; `rank`, `kernel` and `solve` read the index form and
-convert only what they return.  It uses the first nonzero pivot, which makes
-every reduced basis deterministic and therefore serializable for golden
-tests.  Scalar `FieldElement` arithmetic reads the same tables, as Python
-lists, and returns the context's one interned element per index.
+convert only what they return.  An array of at most `_LIST_MAX_CELLS` cells
+is reduced as a Python list through tuple tables, a larger one through
+numpy.  Both use the first nonzero pivot, which makes every reduced basis
+deterministic and therefore serializable for golden tests.  Scalar
+`FieldElement` arithmetic reads the tuple tables and returns the context's
+one interned element per index.
 
 A `Matrix` array is read-only once constructed: build a numpy array, then
 wrap it.  `Matrix(ctx, arr)` copies arr and reduces it mod p; the private
@@ -48,6 +54,15 @@ import numpy as np
 # and about 1,500 to 3,000 for k = 2.  Replaying the products of one pass
 # of each benchmark workload, the total is flat from 1,024 to 8,192.
 _BLAS_MIN_MULTS = 4096
+
+# Eliminations of at most this many cells run on Python lists of element
+# indices; larger ones run on numpy arrays.  Replaying every elimination of
+# one pass of each benchmark workload (2-CPU x86-64 host), the list path is
+# 2-3x faster up to 300 cells and its total stays at or below the numpy
+# path's up to 2,000; only arrays with one or two rows or columns of 324 or
+# more cells lose.  On dense random square arrays the two break even at
+# about 400 (F_25) to 625 (F_3) cells.
+_LIST_MAX_CELLS = 600
 
 
 def _is_prime(n: int) -> bool:
@@ -84,32 +99,71 @@ class FieldCtx:
 
     Elements are encoded as int64 coefficient vectors of length k (entries
     in [0, p)); an element a0 + a1*x is also indexed by a0 + p*a1 (0 is the
-    zero element).  Built on first use, the q x q multiplication and
-    subtraction tables and the inverse and Frobenius tables act on these
-    indices; `Matrix.rref` eliminates through them.
+    zero element).  The q x q multiplication and subtraction tables and the
+    inverse and Frobenius tables act on these indices; `Matrix.rref`
+    eliminates through them.
+
+    There is one context per field and process: `FieldCtx(p, k, modulus)`
+    returns the context registered for (p, k, resolved modulus), whose
+    read-only tables and interned elements are built on first use, once.
+    A context is a constant of the field, so contexts compare by identity;
+    arguments that raise register nothing.
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: tuple[int, int] | None = None):
+    _known: dict[tuple, "FieldCtx"] = {}   # (p, k, modulus) -> the context
+
+    def __new__(cls, p: int, k: int = 1, modulus: tuple[int, int] | None = None):
         if not _is_prime(p) or p < 3:
             raise ValueError(f"p must be an odd prime, got {p}")
         if k not in (1, 2):
             raise ValueError(f"extension degree must be 1 or 2, got {k}")
-        self.p = p
-        self.k = k
-        self.q = p**k
         if k == 1:
-            self.modulus = (0, 0)
+            modulus = (0, 0)
         else:
-            self.modulus = modulus if modulus is not None else _find_modulus(p)
-            c1, c0 = self.modulus
+            modulus = tuple(modulus) if modulus is not None else _find_modulus(p)
+            c1, c0 = modulus
             squares = {(x * x) % p for x in range(p)}
             if (c1 * c1 - 4 * c0) % p in squares:
                 raise ValueError(f"modulus x^2+{c1}x+{c0} is reducible over F_{p}")
+        ctx = cls._known.get((p, k, modulus))
+        if ctx is not None:
+            return ctx
+        ctx = object.__new__(cls)
+        ctx.p, ctx.k, ctx.q, ctx.modulus = p, k, p**k, modulus
         # the largest inner dimension m whose products float64 carries exactly
         # (every integer below 2^53): each plane product is at most m (p-1)^2,
         # and folding in c0, c1 < p bounds the F_{p^2} combination by m (p-1)^2 (p+1)
-        self._blas_inner = (2**53 - 1) // ((p - 1) ** 2 * (p + 1 if k == 2 else 1))
-        self._tabs = None
+        ctx._blas_inner = (2**53 - 1) // ((p - 1) ** 2 * (p + 1 if k == 2 else 1))
+        # a context built concurrently for the same field may have won
+        return cls._known.setdefault((p, k, modulus), ctx)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """(mul, sub, inv, frob) on element indices, read-only: mul[i, j] and
+        sub[i, j] are the indices of i*j and i-j, inv[i] of 1/i (inv[0] is
+        unused) and frob[i] of i^p."""
+        idx = np.arange(self.q)
+        coeffs = self.arr_from_index(idx)
+        mul = self.arr_index(self.arr_mul(coeffs[:, None], coeffs[None, :]))
+        sub = self.arr_index((coeffs[:, None] - coeffs[None, :]) % self.p)
+        inv = np.zeros(self.q, dtype=np.int64)
+        inv[1:] = np.argmax(mul[1:] == 1, axis=1)
+        frob = idx
+        for _ in range(self.p - 1):
+            frob = mul[frob, idx]
+        for t in (mul, sub, inv, frob):
+            t.flags.writeable = False
+        return mul, sub, inv, frob
+
+    @cached_property
+    def _ops(self) -> tuple[tuple, ...]:
+        """(elements, mul, sub, inv, frob): the q interned elements in index
+        order and the `_tables` as tuples, for scalar arithmetic and small
+        eliminations."""
+        p, k = self.p, self.k
+        return (tuple(FieldElement(self, (i % p, i // p)[:k]) for i in range(self.q)),
+                *(tuple(map(tuple, t.tolist())) if t.ndim == 2 else tuple(t.tolist())
+                  for t in self._tables))
 
     # -- scalar encoding -------------------------------------------------
 
@@ -185,41 +239,6 @@ class FieldCtx:
         out %= self.p
         return out
 
-    def _tables(self):
-        """(mul, sub, inv, frob) on element indices: mul[i, j] and sub[i, j]
-        are the indices of i*j and i-j, inv[i] of 1/i (inv[0] is unused) and
-        frob[i] of i^p."""
-        if self._tabs is None:
-            idx = np.arange(self.q)
-            coeffs = self.arr_from_index(idx)
-            mul = self.arr_index(self.arr_mul(coeffs[:, None], coeffs[None, :]))
-            sub = self.arr_index((coeffs[:, None] - coeffs[None, :]) % self.p)
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[1:] = np.argmax(mul[1:] == 1, axis=1)
-            frob = idx
-            for _ in range(self.p - 1):
-                frob = mul[frob, idx]
-            self._tabs = (mul, sub, inv, frob)
-        return self._tabs
-
-    @cached_property
-    def _ops(self) -> tuple[list, ...]:
-        """(elements, mul, sub, inv, frob): the q interned elements in index
-        order and the `_tables` as lists, for scalar arithmetic."""
-        return ([FieldElement(self, (i % self.p, i // self.p)[:self.k]) for i in range(self.q)],
-                *(t.tolist() for t in self._tables()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         if self.k == 1:
             return f"F_{self.p}"
@@ -243,9 +262,9 @@ class FieldElement:
         self.coeffs = c
         self.idx = c[0] + ctx.p * c[1] if ctx.k == 2 else c[0]
 
-    def _check(self, other: "FieldElement") -> tuple[list, ...]:
+    def _check(self, other: "FieldElement") -> tuple[tuple, ...]:
         """The context's `_ops`, once other is known to share the field."""
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ValueError("mixed field contexts")
         return self.ctx._ops
 
@@ -500,7 +519,7 @@ class Matrix:
         free = is_free.nonzero()[0]
         K = np.zeros((c, free.size), dtype=np.int64)
         K[free, np.arange(free.size)] = 1
-        K[pivots] = ctx._tables()[1][0, R[:len(pivots), free]]   # 0 - R
+        K[pivots] = ctx._tables[1][0, R[:len(pivots), free]]   # 0 - R
         return Matrix._own(ctx, ctx.arr_from_index(K))
 
     def solve(self, B: "Matrix") -> "Matrix | None":
@@ -532,8 +551,14 @@ class Matrix:
 
 
 def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
-    """Reduce the element-index array A to RREF in place; return the pivot columns."""
-    mul, sub, inv, _ = ctx._tables()
+    """Reduce the element-index array A to RREF in place; return the pivot columns.
+
+    Arrays of at most _LIST_MAX_CELLS cells are reduced as a Python list
+    through the tuple tables of `FieldCtx._ops`, larger ones through the
+    numpy tables; both take the first nonzero pivot."""
+    if A.size <= _LIST_MAX_CELLS:
+        return _eliminate_list(ctx, A)
+    mul, sub, inv, _ = ctx._tables
     r, c = A.shape
     pivots: list[int] = []
     row = 0
@@ -554,6 +579,40 @@ def _eliminate(ctx: FieldCtx, A: np.ndarray) -> list[int]:
             A[others, col:] = sub[A[others, col:], mul[A[others, col][:, None], A[row, col:]]]
         pivots.append(col)
         row += 1
+    return pivots
+
+
+def _eliminate_list(ctx: FieldCtx, A: np.ndarray) -> list[int]:
+    """`_eliminate` on one flat list of A's entries; row i starts at i*c."""
+    _, mul, sub, inv, _ = ctx._ops
+    r, c = A.shape
+    flat, end = A.ravel().tolist(), r * c
+    pivots: list[int] = []
+    top = 0                                  # start of the next pivot row
+    for col in range(c):
+        if top >= end:
+            break
+        for at in range(top + col, end, c):
+            if flat[at]:
+                break
+        else:
+            continue
+        if at != top + col:
+            at -= col
+            flat[top:top + c], flat[at:at + c] = flat[at:at + c], flat[top:top + c]
+        seg = flat[top + col:top + c]
+        scale = mul[inv[seg[0]]]
+        seg = flat[top + col:top + c] = [scale[x] for x in seg]
+        nz = [(j, x) for j, x in enumerate(seg, col) if x]
+        for i, f in enumerate(flat[col:end:c]):  # column col, row by row
+            start = i * c
+            if f and start != top:
+                by = mul[f]
+                for j, x in nz:
+                    flat[start + j] = sub[flat[start + j]][by[x]]
+        pivots.append(col)
+        top += c
+    A[...] = np.array(flat, dtype=np.int64).reshape(r, c)
     return pivots
 
 

@@ -149,10 +149,6 @@ class ModuleRep:
             out.append(x if plan.correction == 1 else x.scale(self.ctx.el(plan.correction)))
         return out
 
-    def divided_power(self, kind: str, n: int) -> Matrix:
-        """Matrix of e^(n) (kind 'e') or f^(n) (kind 'f'): the last rung of `divided_powers`."""
-        return self.divided_powers(kind, n)[n]
-
     def shift_grading(self, s: int) -> "ModuleRep":
         return ModuleRep(self.ctx, self.E, self.F, self.grading + s,
                          self.pchar_scalars, provenance=self.provenance)
@@ -178,12 +174,12 @@ def simple_restricted(ctx: FieldCtx, i: int, cap: int = 1) -> ModuleRep:
     k = np.arange(1, n)
     E0 = np.zeros((n, n, ctx.k), dtype=np.int64)
     F0 = np.zeros((n, n, ctx.k), dtype=np.int64)
-    E0[k - 1, k, 0] = k * (i - k + 1)
+    E0[k - 1, k, 0] = k * (i - k + 1) % p
     F0[k, k - 1, 0] = 1
     grading = np.array([i - 2 * k for k in range(n)], dtype=np.int64)
-    zeros = Matrix.zeros(ctx, n, n)
-    E = [Matrix(ctx, E0)] + [zeros] * (cap - 1)
-    F = [Matrix(ctx, F0)] + [zeros] * (cap - 1)
+    higher = [Matrix.zeros(ctx, n, n)] * (cap - 1) if cap > 1 else []
+    E = [Matrix._own(ctx, E0)] + higher
+    F = [Matrix._own(ctx, F0)] + higher
     return ModuleRep(ctx, E, F, grading, [ctx.zero()] * cap, provenance=f"L_{i}")
 
 
@@ -196,13 +192,13 @@ def baby_verma(ctx: FieldCtx, d: FieldElement, shift: int = 0, cap: int = 1) -> 
     p = ctx.p
     k = np.arange(1, p)
     E0, F0 = np.zeros((2, p, p, ctx.k), dtype=np.int64)
-    E0[k - 1, k] = ctx.arr_mul(ctx.arr_from_index(k), d._arr() - ctx.arr_from_index(k - 1))
+    E0[k - 1, k] = [(ctx.el(j) * (d - ctx.el(j - 1))).coeffs for j in range(1, p)]
     F0[k, k - 1, 0] = 1
     grading = shift - 2 * np.arange(p)
     s = d.frobenius() - d
-    zeros = Matrix.zeros(ctx, p, p)
-    E = [Matrix(ctx, E0)] + [zeros] * (cap - 1)
-    F = [Matrix(ctx, F0)] + [zeros] * (cap - 1)
+    higher = [Matrix.zeros(ctx, p, p)] * (cap - 1) if cap > 1 else []
+    E = [Matrix._own(ctx, E0)] + higher
+    F = [Matrix._own(ctx, F0)] + higher
     pch = [s] + [ctx.zero()] * (cap - 1)
     return ModuleRep(ctx, E, F, grading, pch, provenance=f"Z({d})")
 

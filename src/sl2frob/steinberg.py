@@ -35,7 +35,8 @@ def build_simple(ctx: FieldCtx, label: tuple[int, ...], d: FieldElement | None =
 
 
 def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None) -> dict:
-    """All p^r labeled products are simple and pairwise non-isomorphic."""
+    """All p^r labeled products are simple and pairwise non-isomorphic; the
+    Hom spaces of all pairs are one `homology.hom_spaces` batch."""
     p = ctx.p
     if d is not None:
         homology.generic_verma_projectives(ctx, d)
@@ -48,9 +49,9 @@ def verify_steinberg(ctx: FieldCtx, r: int, d: FieldElement | None = None) -> di
         dims[str(lab)] = mods[lab].dim
         checks.append(check(f"simple{lab}", verdict is True, verdict=str(verdict)))
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    for a, b in pairs:
-        hdim = hom_space(mods[a], mods[b]).dim
-        checks.append(check(f"distinct{a}|{b}", hdim == 0, hom_dim=hdim))
+    spaces = homology.hom_spaces([(mods[a], mods[b]) for a, b in pairs])
+    for (a, b), H in zip(pairs, spaces):
+        checks.append(check(f"distinct{a}|{b}", H.dim == 0, hom_dim=H.dim))
     return report("steinberg", {"p": p, "r": r, "generic": d is not None,
                                 "pairs_checked": len(pairs)},
                   checks, tables=[{"name": "simple_dims", "data": dims}])

@@ -79,39 +79,45 @@ def twist_oracle(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     """Independent construction: solve for the invariant vector in Z* (x) Z.
 
     Rejects d in F_p (NonGenericSeed) before any solve, takes the kernel of
-    [E_0; F_0] on dual(Z) (x) Z (one line, else NonGenericSeed) and reads the
-    coefficients off the vectors e^k 1* (x) f^k 1, normalized by A_0 = 1.
-    The kernel is taken on the grading-0 columns only: an invariant is
-    killed by H = [E_0, F_0], which acts on e_i* (x) e_j by 2(i - j), and
-    2(i - j) is nonzero in F_p unless i = j, the grading-0 vectors.  So every
-    invariant lies in that slice, as do the e^k 1* (x) f^k 1, and the
-    coordinates are read on its rows.
+    [E_0; F_0] on the grading-0 slice of Z* (x) Z (one line, else
+    NonGenericSeed) and reads the coefficients off the vectors
+    e^k 1* (x) f^k 1, normalized by A_0 = 1.
+
+    The slice is enough: an invariant is killed by H = [E_0, F_0], which acts
+    on e_i* (x) e_j by 2(i - j), nonzero in F_p unless i = j.  So only the
+    2p^2 x p block of [E_0; F_0] on the columns e_i* (x) e_i is built, from
+    the coproduct x (x) 1 + 1 (x) x: row a p + b stands for e_a* (x) e_b,
+    column i gets x_{Z*}[a, i] at row a p + i and x_Z[b, i] at row i p + b.
+    The coordinates are read off its diagonal.  Each e_k* is the only basis
+    vector of its degree in Z* and e raises the degree by 2, so from
+    1* = e_0* on, e^k 1* = c_k e_k* with c_k = (e^k 1*)[k], the product of
+    the E_{Z*}[j, j - 1] for 0 < j <= k; and f^k 1 = e_k.  Hence
+    e^k 1* (x) f^k 1 = c_k (e_k* (x) e_k), and the k-th coordinate of the
+    invariant is ker[k] / c_k.
     """
     if d.in_prime_field():
         raise homology.NonGenericSeed("non-generic weight value: d lies in F_p")
-    p = ctx.p
+    p, i = ctx.p, np.arange(ctx.p)
     Z = repcore.baby_verma(ctx, d)
     D = repcore.dual(Z)
-    T = repcore.tensor(D, Z)
-    slice0 = np.flatnonzero(T.grading == 0)
-    ker = Matrix.vstack([T.E[0], T.F[0]]).take_cols(slice0).kernel()
+    block = np.zeros((2, p, p, p, ctx.k), dtype=np.int64)    # (action, a, b, column i)
+    for x, xD, xZ in zip(block, (D.E[0], D.F[0]), (Z.E[0], Z.F[0])):
+        x[:, i, i] = xD.arr                                  # x e_i* (x) e_i
+        x[i, :, i] += xZ.arr.transpose(1, 0, 2)              # e_i* (x) x e_i
+    ker = Matrix(ctx, block.reshape(2 * p * p, p, ctx.k)).kernel()
     if ker.cols != 1:
         raise homology.NonGenericSeed(f"invariant space has dimension {ker.cols}, not 1 "
                                       "(non-generic seed or wrong orientation)")
-    # the vectors e^k 1^* (x) f^k 1 in the tensor basis
-    unit = Matrix.identity(ctx, p)
-    estar = unit.take_cols([0])  # 1^* = dual of the highest vector: lowest weight in Z*
-    e_powers = D.divided_power("e", 1).powers(p - 1)
-    # column k of the unit is f^k 1 in the Verma basis
-    cols = [(e_powers[k] @ estar if k else estar).kron(unit.take_cols([k])) for k in range(p)]
-    sol = Basis(Matrix.hstack(cols).take_rows(slice0)).coordinates(ker)
-    if sol is None:
+    c = [ctx.one()]
+    for k in range(1, p):
+        c.append(c[-1] * D.E[0].entry(k, k - 1))
+    if any(ck.is_zero() for ck in c):
         raise ValueError("invariant vector not supported on e^k 1* (x) f^k 1")
-    a0 = sol.entry(0, 0)
+    a0 = ker.entry(0, 0)
     if a0.is_zero():
         raise ValueError("invariant vector has no top component")
     inv = a0.inv()
-    return TwistElement(d, tuple(sol.entry(k, 0) * inv for k in range(p)))
+    return TwistElement(d, tuple(ker.entry(k, 0) * inv / c[k] for k in range(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +587,7 @@ def verify_equivalence(ctx: FieldCtx, d: FieldElement, radius: int = 2,
     prods = _basis_products(W)
     spanned = [key for key, (_, X) in prods.items() if X is not None]
     # (b) D_b c_b = D_g D_x t_b, c = coords(g x), t = coords(twisted), on element indices
-    mul = ctx._tables()[0]
+    mul = ctx._tables[0]
     D = {(mu, mu2, i): ctx.arr_index(_sigma_multiplier(resc, mu, mu2, i)._arr())
          for mu in range(-radius, radius + 1) for mu2 in (mu - 1, mu, mu + 1)
          if abs(mu2) <= radius for i in (0, 1)}

@@ -165,6 +165,17 @@ def test_bad_seed_format(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p, seed", [(5, "5,1"), (5, "-1,1"), (3, "0,3"), (7, "12,1")])
+def test_out_of_range_seed_digits_are_usage_errors(capsys, p, seed):
+    # a coefficient outside 0..p-1 is not reduced mod p into another seed
+    code = main(["twist", "--p", str(p), f"--d-seed={seed}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    record = json.loads(err.splitlines()[-1])
+    assert record["exit"] == 2 and record["kind"] == "ValueError"
+    assert "--d-seed" in record["message"] and seed in record["message"]
+
+
 def test_parse_seed_auto():
     ctx = FieldCtx(3, 2)
     d = parse_seed(ctx, "auto")
@@ -259,9 +270,10 @@ def test_memo_keys_agree_for_positional_keyword_and_default_spellings(monkeypatc
 
 
 def test_generic_op_work_counts(monkeypatch):
-    # one generic-sweep op (p = 5, seed 0,1), counted by wrapping: the bounds
-    # are one ker-E elimination per Verma, spins that close in one round, a
-    # weight-0 twist oracle and one interned element per field index
+    # one generic-sweep op (p = 5, seed 0,1), counted by wrapping on its second
+    # call: the bounds are one ker-E elimination per Verma, spins that close
+    # in one round and one elimination per twist oracle; the field contexts
+    # and their interned elements already exist, so no element is built
     from sl2frob import exactfield
     eliminate, init = exactfield._eliminate, exactfield.FieldElement.__init__
     eliminations, scalars = [], []
@@ -270,14 +282,16 @@ def test_generic_op_work_counts(monkeypatch):
         scalars.append(1)
         init(self, *args)
 
+    bounds = {"twist": (1, 5), "steinberg": (1, 29), "hat-borel": (2, 29)}
+    for cmd, (r, _) in bounds.items():
+        assert run_command(cmd, 5, 2, r, "0,1", 2, 0)["failures"] == 0
     monkeypatch.setattr(exactfield, "_eliminate", lambda *a: eliminations.append(1) or eliminate(*a))
     monkeypatch.setattr(exactfield.FieldElement, "__init__", counted_init)
-    bounds = {"twist": (1, 15, 25), "steinberg": (1, 29, 30), "hat-borel": (2, 29, 25)}
-    for cmd, (r, max_eliminations, max_scalars) in bounds.items():
+    for cmd, (r, max_eliminations) in bounds.items():
         eliminations.clear(), scalars.clear()
         assert run_command(cmd, 5, 2, r, "0,1", 2, 0)["failures"] == 0
         assert len(eliminations) <= max_eliminations, cmd
-        assert len(scalars) <= max_scalars, cmd
+        assert scalars == [], cmd
 
 
 def test_hat_borel_certifies_the_auto_seed_once(monkeypatch):

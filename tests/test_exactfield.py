@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,9 +186,94 @@ def test_rref_join_matches_scalar_gauss_jordan(inputs):
     assert added == Matrix(R.ctx, R0.arr[new])
 
 
+@st.composite
+def cutoff_inputs(draw):
+    """Tall and wide arrays within two cells of the list-path cutoff (or
+    above it, for a single row or column) over F_3, F_9, F_25 or F_49: random
+    entries, a drawn share of them zero, and rows that are zero, repeated or
+    proportional to an earlier row, from a drawn generator seed."""
+    ctx = draw(st.sampled_from([F3, F9, F25, F49]))
+    n = draw(st.integers(1, 40))
+    shape = (n, max(exactfield._LIST_MAX_CELLS // n + draw(st.integers(-2, 2)), 0))
+    if draw(st.booleans()):
+        shape = shape[::-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = rng.integers(0, ctx.q, size=shape)
+    idx[rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+    arr = ctx.arr_from_index(idx)
+    for i in range(1, shape[0]):
+        kind, j = rng.integers(4), rng.integers(i)
+        if kind == 1:
+            arr[i] = 0
+        elif kind == 2:
+            arr[i] = arr[j]
+        elif kind == 3:
+            arr[i] = ctx.arr_mul(arr[j], ctx.arr_from_index(rng.integers(1, ctx.q, size=1))[0])
+    return Matrix(ctx, arr)
+
+
+def _eliminated(A: Matrix, cutoff: int) -> tuple[np.ndarray, list[int]]:
+    """`_eliminate` of A's index array with the list path taken up to cutoff cells."""
+    idx = A.ctx.arr_index(A.arr)
+    with mock.patch.object(exactfield, "_LIST_MAX_CELLS", cutoff):
+        pivots = exactfield._eliminate(A.ctx, idx)
+    return idx, pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(elimination_inputs(), cutoff_inputs()))
+def test_list_elimination_matches_the_numpy_path_and_gauss_jordan(A):
+    R0, pivots0 = gauss_jordan(A)
+    want = A.ctx.arr_index(R0.arr)
+    runs = [_eliminated(A, cutoff) for cutoff in (A.rows * A.cols, -1)]   # lists, numpy
+    runs.append(_eliminated(A, exactfield._LIST_MAX_CELLS))               # as dispatched
+    for got, pivots in runs:
+        assert pivots == pivots0
+        assert np.array_equal(got, want)
+
+
+def test_contexts_are_one_per_field():
+    for p in (3, 5, 7):
+        ctx = FieldCtx(p, 2)
+        tables, ops = ctx._tables, ctx._ops
+        assert FieldCtx(p, 2, modulus=ctx.modulus) is ctx
+        assert FieldCtx(p, 2, modulus=list(ctx.modulus)) is ctx
+        assert FieldCtx(p) is FieldCtx(p, 1) is not ctx
+        # building the context again neither rebuilds nor resets its tables
+        assert ctx._tables is tables and ctx._ops is ops
+    other = FieldCtx(3, 2, modulus=(1, 2))         # x^2 + x + 2, irreducible over F_3
+    assert other is not F9 and other != F9 and other is FieldCtx(3, 2, modulus=(1, 2))
+    assert other.el(0, 1) != F9.el(0, 1)
+
+
+def test_rejected_field_arguments_register_no_context():
+    known = dict(FieldCtx._known)
+    for args, kwargs, message in [((4,), {}, "odd prime"), ((2,), {}, "odd prime"),
+                                  ((5, 3), {}, "extension degree"),
+                                  ((5, 2), {"modulus": (0, 1)}, "reducible")]:
+        with pytest.raises(ValueError, match=message):
+            FieldCtx(*args, **kwargs)
+    assert FieldCtx._known == known
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
+def test_shared_tables_cannot_be_changed(ctx):
+    for t in ctx._tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1
+    els, *tables = ctx._ops
+    for t in (els, *tables, *tables[0], *tables[1]):
+        assert isinstance(t, tuple)
+    with pytest.raises(TypeError):
+        tables[0][1][1] = 0
+    with pytest.raises(TypeError):
+        els[0] = els[1]
+
+
 @pytest.mark.parametrize("ctx", [F3, F9, F25, F49], ids=repr)
 def test_index_tables_match_field_arithmetic(ctx):
-    mul, sub, inv, _ = ctx._tables()
+    mul, sub, inv, _ = ctx._tables
     els = ctx.elements()
     for i, a in enumerate(els):
         for j, b in enumerate(els):
@@ -448,8 +534,10 @@ def test_scalar_errors_and_equality_across_interning(ctx):
     for op in ("__add__", "__sub__", "__mul__"):
         with pytest.raises(ValueError, match="mixed field contexts"):
             getattr(ctx.one(), op)(other.one())
-    # an equal context built again shares indices, equality and hashes
+    # building the context again returns the field's one context, so its
+    # elements are shared, and equality and hashes agree
     twin = FieldCtx(ctx.p, ctx.k)
+    assert twin is ctx
     for a in ctx.elements():
         b = twin.from_index(a.idx)
         built = FieldElement(ctx, [c + ctx.p for c in a.coeffs])   # reduced on construction

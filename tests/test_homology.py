@@ -216,6 +216,19 @@ def test_steinberg_distinctness_solves_no_hom_space(monkeypatch, ctx, d):
     assert solved == []
 
 
+@pytest.mark.parametrize("ctx, d", [(FieldCtx(5), None), (F25, F25.el(1, 1))],
+                         ids=["F5", "F25-generic"])
+def test_steinberg_distinctness_is_one_hom_batch(monkeypatch, ctx, d):
+    batches = []
+    solve = homology._solve_hom_spaces
+    monkeypatch.setattr(homology, "_solve_hom_spaces",
+                        lambda items: batches.append(len(items)) or solve(items))
+    with memo.scope():
+        rep = verify_steinberg(ctx, 1, d)
+    assert rep["failures"] == 0 and rep["params"]["pairs_checked"] == 10
+    assert batches == [10]
+
+
 def test_steinberg_certifies_each_generic_verma_once(monkeypatch):
     # generic_verma_projectives and verify_steinberg's own simplicity checks
     # meet the same five Vermas: each is spun, and its ker E solved, once

@@ -130,8 +130,8 @@ def test_dual_properties():
     assert D.pchar_scalars[0] == -Z.pchar_scalars[0]
     # <e^(n) phi, v> = (-1)^n <phi, e^(n) v>
     for n in (1, 2):
-        assert D.divided_power("e", n).transpose() == \
-            Z.divided_power("e", n).scale(F9.el((-1)**n))
+        assert D.divided_powers("e", n)[n].transpose() == \
+            Z.divided_powers("e", n)[n].scale(F9.el((-1)**n))
     # canonical generators pair to 1: dual basis convention
     for i in range(3):
         L = simple_restricted(F3, i)

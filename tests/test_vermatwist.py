@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sl2frob import exactfield
 from sl2frob.exactfield import Basis, FieldCtx, Matrix, vec, vecs
 from sl2frob import memo, repcore, homology, vermatwist as VT
 from sl2frob.reporting import check
@@ -72,14 +73,14 @@ def _full_space_oracle(ctx, d):
     T = repcore.tensor(Dz, Z)
     ker = Matrix.vstack([T.E[0], T.F[0]]).kernel()
     unit = Matrix.identity(ctx, p)
-    e_powers = Dz.divided_power("e", 1).powers(p - 1)
+    e_powers = Dz.divided_powers("e", 1)[1].powers(p - 1)
     cols = [(e_powers[k] @ unit.take_cols([0])).kron(unit.take_cols([k])) for k in range(p)]
     sol = Basis(Matrix.hstack(cols)).coordinates(ker)
     inv = sol.entry(0, 0).inv()
     return tuple(sol.entry(k, 0) * inv for k in range(p)), ker, T.grading
 
 
-@pytest.mark.parametrize("ctx", [F9, F25], ids=repr)
+@pytest.mark.parametrize("ctx", [F9, F25, FieldCtx(7, 2)], ids=repr)
 def test_weight_zero_oracle_matches_the_full_space_solve(ctx):
     seeds = [d for d in ctx.elements() if not d.in_prime_field()]
     assert len(seeds) == ctx.q - ctx.p
@@ -88,6 +89,19 @@ def test_weight_zero_oracle_matches_the_full_space_solve(ctx):
         # the invariant line of the whole tensor lies in its grading-0 slice
         assert ker.cols == 1 and not ker.arr[grading != 0].any()
         assert VT.twist_oracle(ctx, d).coeffs == coeffs
+
+
+def test_oracle_builds_only_the_weight_zero_slice(monkeypatch):
+    # the slice of [E_0; F_0] comes from the coproduct directly: no tensor
+    # module is built and no coordinates are taken in a Basis
+    def refuse(*args):
+        raise AssertionError("the oracle built Z* (x) Z or a Basis")
+
+    monkeypatch.setattr(repcore, "tensor", refuse)
+    monkeypatch.setattr(exactfield.Basis, "__init__", refuse)
+    for ctx in (F9, F25, FieldCtx(7, 2)):
+        for d in generic_seeds(ctx, 6):
+            assert VT.twist_oracle(ctx, d).coeffs == VT.twist_closed_form(ctx, d).coeffs
 
 
 def test_oracle_rejects_non_generic(monkeypatch):
