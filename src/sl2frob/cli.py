@@ -93,6 +93,9 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
     for flag, value in (("--r", r), ("--window", window)):
         if value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+    if cmd in ("relations", "generation", "center", "all") and r > 2:
+        raise ValueError(f"--r must be 1 or 2 for {cmd}, got {r}: the End presentation "
+                         "covers the first two kernels")
     prime_ctx = FieldCtx(p, 1)
     quad_ctx = FieldCtx(p, 2) if ext == 2 else None
 
@@ -179,8 +182,7 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
         return out
 
     if cmd == "relations":
-        reps = [endpresent.verify_relations(prime_ctx, rr, seed=seed)
-                for rr in range(1, min(r, 2) + 1)]
+        reps = [endpresent.verify_relations(prime_ctx, rr) for rr in range(1, r + 1)]
         out = merge_reports("relations", {"p": p, "r": r, "seed": seed}, reps)
         out["conventions"] = conventions(prime_ctx)
         return out
@@ -188,20 +190,18 @@ def _command_report(cmd: str, p: int, ext: int, r: int, d_seed: str,
     if cmd == "generation":
         # the degree-by-degree span against the full End is desk scale at
         # p = 3; larger primes run the first kernel only
-        rmax = min(r, 2) if p == 3 else 1
-        reps = [endpresent.verify_generation(prime_ctx, rr, seed=seed)
-                for rr in range(1, rmax + 1)]
+        rmax = r if p == 3 else 1
+        reps = [endpresent.verify_generation(prime_ctx, rr) for rr in range(1, rmax + 1)]
         out = merge_reports("generation", {"p": p, "r": r, "seed": seed}, reps)
         out["conventions"] = conventions(prime_ctx)
         return out
 
     if cmd == "center":
         reps = []
-        for rr in range(1, min(r, 2) + 1):
+        for rr in range(1, r + 1):
             # at p = 5 the second-kernel run is restricted to one block
             blk = (0,) * rr if (p >= 5 and rr == 2) else None
-            reps.append(endpresent.verify_center(prime_ctx, rr, seed=seed,
-                                                 block_of=blk))
+            reps.append(endpresent.verify_center(prime_ctx, rr, block_of=blk))
         out = merge_reports("center", {"p": p, "r": r, "seed": seed}, reps)
         out["conventions"] = conventions(prime_ctx)
         return out

@@ -147,13 +147,11 @@ class FixedMaps:
 
     def _solve_iso_st(self) -> Matrix:
         p = self.p
-        src = repcore.tensor(self.ext[p - 1], self.V)
-        tgt = repcore.extend_levels(self.ext[p - 2], 2)
-        H = homology.hom_space(src, tgt)
-        for b in H.basis:
-            if b.rank() == src.dim:
-                return homology.normalize_first_entry(b)
-        raise homology.Inconclusive("no isomorphism P_{p-1} (x) V = P_{p-2}")
+        iso = homology.is_isomorphic(repcore.tensor(self.ext[p - 1], self.V),
+                                     repcore.extend_levels(self.ext[p - 2], 2))
+        if iso is None:
+            raise homology.Inconclusive("no isomorphism P_{p-1} (x) V = P_{p-2}")
+        return homology.normalize_first_entry(iso)
 
     def _solve_stein(self) -> Matrix:
         """Split inclusion of V^(1) (x) P_{p-1} into P_0 (x) V."""
@@ -331,21 +329,16 @@ def verify_relations_level1(fm: FixedMaps) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 class KernelTwoAlgebra:
-    """Objects, generators and hom spaces for the second Frobenius kernel."""
+    """Objects, generators and hom spaces for the second Frobenius kernel; the
+    objects are `homology.projective_covers(ctx, 2)` restricted to two levels."""
 
     def __init__(self, ctx: FieldCtx):
         self.ctx = ctx
         self.p = ctx.p
         self.fm = fixed_maps(ctx)
-        p = ctx.p
-        self.labels = [(k0, k1) for k0 in range(p) for k1 in range(p)]
-        self.modules: dict[tuple, repcore.ModuleRep] = {}
-        for k0, k1 in self.labels:
-            A = repcore.extend_levels(self.fm.ext[k0], 3)
-            B = repcore.frobenius_twist(repcore.extend_levels(self.fm.ext[k1], 2), 1)
-            self.modules[(k0, k1)] = repcore.tensor(A, B)
-        self.restricted = {lab: repcore.restrict_levels(m, 2)
-                           for lab, m in self.modules.items()}
+        self.labels = repcore.all_labels(ctx.p, 2)
+        self.restricted = {lab: repcore.restrict_levels(P, 2)
+                           for lab, P in homology.projective_covers(ctx, 2).items()}
         self.generators = self._build_generators()
 
     def dims(self, lab) -> tuple[int, int]:
@@ -525,7 +518,7 @@ def verify_relations_level2(K: KernelTwoAlgebra) -> list[dict]:
     return checks
 
 
-def verify_relations(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
+def verify_relations(ctx: FieldCtx, r: int) -> dict:
     fm_checks: list[dict]
     if r == 1:
         fm = fixed_maps(ctx)
@@ -540,7 +533,7 @@ def verify_relations(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
         fm_checks.extend(verify_relations_level2(K))
     else:
         raise ValueError("relations are instantiated for r in {1, 2}")
-    return report("relations", {"p": ctx.p, "r": r, "seed": seed}, fm_checks)
+    return report("relations", {"p": ctx.p, "r": r}, fm_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +584,7 @@ def _span_closure(ctx: FieldCtx, gradings: dict, gens_by_level, max_level: int) 
             for (a, b), (_, pivots) in spans.items()}
 
 
-def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
+def verify_generation(ctx: FieldCtx, r: int) -> dict:
     """The generators span the full End algebra, degree by degree.
 
     Two properties are verified: the generated subalgebra (unordered
@@ -654,7 +647,7 @@ def verify_generation(ctx: FieldCtx, r: int, seed: int = 0) -> dict:
     checks.append(check("ordered_total", total_ord == total_full,
                         ordered=total_ord, full=total_full,
                         pairs_needing_reversed_order=reversed_pairs))
-    return report("generation", {"p": p, "r": r, "seed": seed}, checks)
+    return report("generation", {"p": p, "r": r}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +694,7 @@ def _predicted_center(ctx: FieldCtx, r: int, block: list[tuple],
     return out
 
 
-def verify_center(ctx: FieldCtx, r: int, seed: int = 0,
-                  block_of: tuple | None = None) -> dict:
+def verify_center(ctx: FieldCtx, r: int, block_of: tuple | None = None) -> dict:
     """Computed center of each block algebra vs the predicted Omega-string span.
 
     Blocks whose bottom digit is the Steinberg one carry no Omega strings;
@@ -759,4 +751,4 @@ def verify_center(ctx: FieldCtx, r: int, seed: int = 0,
                                 computed=ranks[0], predicted=ranks[1], joint=ranks[2]))
         else:
             checks.append(check(f"{name}_span_equality", False, computed=0))
-    return report("center", {"p": p, "r": r, "seed": seed}, checks, tables=tables)
+    return report("center", {"p": p, "r": r}, checks, tables=tables)

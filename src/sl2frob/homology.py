@@ -24,11 +24,13 @@ along the graded generalized eigenspaces of degree-0 endomorphisms; a node
 none of them splits is a leaf exactly when dim End_0 <= 2, and otherwise
 raises `Inconclusive`.
 
-Within one `cli.run_command` call (see `memo`) Hom spaces, the level-one
-projective covers, the extended projectives, their canonical level-one Hom
-bases and the generic-seed certificate are each computed once per distinct
-input.  A Hom space is keyed by the shift-invariant content digests, so it
-is reused up to a common grading shift (`HomSpace.rebound`), and only on
+Within one `cli.run_command` call (see `memo`) Hom spaces, the projective
+covers of every level, the extended projectives, their canonical level-one
+Hom bases and the generic-seed certificate are each computed once per
+distinct input.  Every certificate that needs a level-r cover reads
+`projective_covers`, which builds each one with `repcore.twisted_tensor`.
+A Hom space is keyed by the shift-invariant content digests, so it is
+reused up to a common grading shift (`HomSpace.rebound`), and only on
 equal content: a digest collision cannot return a wrong space.  The word
 diagonals, ker E per degree and the `is_simple` verdict of a module are
 keyed by its digest and minimum degree, and reused only on equal content.
@@ -43,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from .exactfield import Basis, FieldCtx, FieldElement, Matrix, rref_join, vecs, unvec
-from . import memo, repcore
+from . import memo, repcore, smallalg
 from .repcore import ModuleRep
 
 
@@ -576,8 +578,6 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, Modu
 
     The mapping is read-only: it is shared by every caller of a memo scope.
     """
-    from . import smallalg
-
     alg = smallalg.UChiAlgebra(ctx)
     simples = [(i, repcore.simple_restricted(ctx, i)) for i in range(ctx.p)]
     out: dict[int, ModuleRep] = {}
@@ -657,37 +657,27 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
     return MappingProxyType(out)
 
 
+@memo.memoised(key=lambda ctx, r, d, seed: (ctx, r, d, seed if r == 1 and d is None else 0))
 def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
-                      seed: int = 0) -> dict[tuple, ModuleRep]:
+                      seed: int = 0) -> Mapping[tuple, ModuleRep]:
     """Labeled indecomposable projectives of the level-r reduction.
 
     chi = 0 when d is None.  Labels are digit tuples (k_0, ..., k_{r-1});
     for generic characters the top digit indexes the Verma Z_{d+c}.  At
     r = 1 the zero-character covers come from splitting the regular module
-    (identified by head; the only use of seed).  Otherwise they are twisted
-    tensors of the cap-2 extended projectives, topped by a baby Verma for
-    generic characters, with cap r + 1, and the heads are re-verified
-    computationally by the callers.
+    (identified by head; the only use of seed, which the key drops elsewhere).
+    Otherwise they are `repcore.twisted_tensor`s of the cap-2 extended
+    projectives, topped by a baby Verma for generic characters, with cap
+    r + 1; callers re-verify the heads.  The mapping is read-only.
     """
-    p = ctx.p
     if r == 1 and d is None:
-        return {(i,): P for i, P in regular_split_projectives(ctx, seed=seed).items()}
-    cap = r + 1
+        return MappingProxyType({(i,): P for i, P in
+                                 regular_split_projectives(ctx, seed=seed).items()})
     ext = all_extended_projectives(ctx)
-    out: dict[tuple, ModuleRep] = {}
-    for lab in repcore.all_labels(p, r):
-        factors = []
-        for j, k in enumerate(lab):
-            top = j == r - 1
-            if top and d is not None:
-                base = repcore.baby_verma(ctx, d + ctx.el(k), cap=cap - j)
-            else:
-                base = repcore.extend_levels(ext[k], cap - j)
-            factors.append(repcore.frobenius_twist(base, j))
-        P = repcore.tensor_many(factors)
-        P.provenance = f"P{lab}"
-        out[lab] = P
-    return out
+    return MappingProxyType({
+        lab: repcore.twisted_tensor(ctx, lab, lambda k, c: repcore.extend_levels(ext[k], c),
+                                    r + 1, d, name="P")
+        for lab in repcore.all_labels(ctx.p, r)})
 
 
 # ---------------------------------------------------------------------------

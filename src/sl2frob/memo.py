@@ -12,7 +12,9 @@ A hit hands out the stored object, or one that shares its parts, so
 memoised values must be immutable: `Matrix` arrays are read-only, a
 `ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its span
 is private), `TwistElement` is a frozen dataclass, and the projective-cover
-builders and `canonical_r1_hom_bases` return read-only mappings.
+builders (`regular_split_projectives`, `generic_verma_projectives` and the
+level-r `projective_covers`) and `canonical_r1_hom_bases` return read-only
+mappings.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ level.  The scalar at level j is the value of H_j^p - H_j where
 H_j = [E_j, F_j]; it is zero below the top level for every module built
 here and equals chi(h)^p (suitably Frobenius-twisted) at the top.
 
+Steinberg's twisted tensor products over a label's digits, the simples and
+the projective covers alike, have one constructor, `twisted_tensor`.
+
 A ModuleRep's content is frozen: its level matrices are read-only
 `Matrix` values held in tuples, its grading is a read-only array, and none
 of them can be reassigned, so a module can be shared by every caller of a
@@ -283,11 +286,26 @@ def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     return ModuleRep(ctx, E, F, grading, pch, provenance=tag)
 
 
-def tensor_many(mods: list[ModuleRep]) -> ModuleRep:
-    out = mods[0]
-    for m in mods[1:]:
-        out = tensor(out, m)
-    return out
+def twisted_tensor(ctx: FieldCtx, label: tuple[int, ...], factor, cap: int,
+                   d: FieldElement | None = None, name: str = "") -> ModuleRep:
+    """factor(k_0) (x) factor(k_1)^[1] (x) ... at level cap, with Z_{d+k} on the top digit k if d.
+
+    The one constructor of the simples and the projective covers.  Digit j
+    is factor(k_j, cap - j), the cap its j-fold twist leaves, in tensor slot
+    j (k_0 leftmost): callers read slot dimensions and Hom bases in this
+    Kronecker order.  The provenance is name + label, "@chi" if d is given.
+    """
+    r = len(label)
+    factors = []
+    for j, k in enumerate(label):
+        if j == r - 1 and d is not None:
+            base = baby_verma(ctx, d + ctx.el(k), cap=cap - j)
+        else:
+            base = factor(k, cap - j)
+        factors.append(frobenius_twist(base, j))
+    M = reduce(tensor, factors)
+    M.provenance = f"{name}{label}" + ("" if d is None else "@chi")
+    return M
 
 
 def dual(M: ModuleRep) -> ModuleRep:

@@ -140,25 +140,25 @@ def test_criterion_08_equivalence():
 def test_criterion_09_relations_and_generation():
     ok = True
     for r in (1, 2):
-        rep = EP.verify_relations(FieldCtx(3), r, seed=0)
+        rep = EP.verify_relations(FieldCtx(3), r)
         ok &= rep["failures"] == 0
-    rep = EP.verify_relations(FieldCtx(5), 1, seed=0)
+    rep = EP.verify_relations(FieldCtx(5), 1)
     ok &= rep["failures"] == 0
     for r in (1, 2):
-        rep = EP.verify_generation(FieldCtx(3), r, seed=0)
+        rep = EP.verify_generation(FieldCtx(3), r)
         ok &= rep["failures"] == 0
     _line("9 relations + generation (p=3 r<=2 full, p=5 r=1 spot)", ok)
 
 
 def test_criterion_10_center():
     ok = True
-    rep = EP.verify_center(FieldCtx(3), 1, seed=0)
+    rep = EP.verify_center(FieldCtx(3), 1)
     ok &= rep["failures"] == 0
     dims1 = sorted(t["data"]["dim"] for t in rep["tables"])
     ok &= dims1 == [1, 3]
-    rep = EP.verify_center(FieldCtx(3), 2, seed=0)
+    rep = EP.verify_center(FieldCtx(3), 2)
     ok &= rep["failures"] == 0
-    rep = EP.verify_center(FieldCtx(5), 1, seed=0)
+    rep = EP.verify_center(FieldCtx(5), 1)
     ok &= rep["failures"] == 0
     ok &= sorted(t["data"]["dim"] for t in rep["tables"]) == [1, 3, 3]
     rep = SB.steinberg_block_equivalence(FieldCtx(3))

@@ -77,6 +77,20 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
     assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize("cmd", ["relations", "generation", "center", "all"])
+@pytest.mark.parametrize("p", [3, 5])
+def test_r_above_two_is_rejected_before_any_work(cmd, p, monkeypatch, capsys):
+    # these reports would otherwise claim a level that never ran
+    def no_work(*args):
+        raise AssertionError("a field context was built")
+
+    monkeypatch.setattr(cli, "FieldCtx", no_work)
+    assert main([cmd, "--p", str(p), "--r", "3"]) == 2
+    record = _error_record(capsys.readouterr().err)
+    assert record == {"exit": 2, "kind": "ValueError", "message": record["message"]}
+    assert record["message"].startswith(f"--r must be 1 or 2 for {cmd}, got 3")
+
+
 @pytest.mark.parametrize("cmd, p, ext", [
     ("center", 11, 1), ("twist", 3, 3), ("steinberg", 2, 1), ("twist", 5, 0),
 ], ids=["p11", "ext3", "p2", "ext0"])

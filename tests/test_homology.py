@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sl2frob.exactfield import FieldCtx, Matrix, vec
-from sl2frob import exactfield, memo, repcore, homology
+from sl2frob import exactfield, memo, repcore, homology, endpresent, steinberg
+from sl2frob.cli import run_command
 from sl2frob.homology import (
     hom_space, hom_space_unblocked, spin, is_simple, radical_and_head,
     split_indecomposables,
@@ -15,6 +16,7 @@ from sl2frob.homology import (
 )
 from sl2frob.repcore import (
     simple_restricted, baby_verma, tensor, dual, frobenius_twist, restrict_levels,
+    extend_levels,
 )
 from sl2frob.smallalg import UChiAlgebra, regular_module
 from sl2frob.steinberg import verify_steinberg
@@ -896,3 +898,100 @@ def test_matrices_and_gradings_are_read_only():
     M = repcore.ModuleRep(F3, L2.E, L2.F, grading)
     grading[0] = 7              # the module took a copy of the writable array
     assert M.grading.tolist() == [2, 0, -2] and M.same_content(L2)
+
+
+# ---------------------------------------------------------------------------
+# the one constructor of the twisted tensor products
+# ---------------------------------------------------------------------------
+
+D9 = F9.el(0, 1)
+
+
+def _explicit_product(factors):
+    """factors[0] (x) factors[1]^[1] (x) ..., each factor already at its own cap."""
+    out = frobenius_twist(factors[0], 0)
+    for j, M in enumerate(factors[1:], start=1):
+        out = tensor(out, frobenius_twist(M, j))
+    return out
+
+
+def _explicit_simple(ctx, label, d, cap):
+    """The product `build_simple` formed before `repcore.twisted_tensor`."""
+    r = len(label)
+    return _explicit_product([baby_verma(ctx, d + ctx.el(k), cap=cap - j)
+                              if j == r - 1 and d is not None
+                              else simple_restricted(ctx, k, cap=cap - j)
+                              for j, k in enumerate(label)])
+
+
+@pytest.mark.parametrize("ctx, r, cap, d", [
+    (F3, 1, 1, None), (F3, 1, 2, None), (F3, 2, 2, None), (F3, 2, 3, None),
+    (F3, 3, 3, None), (F3, 3, 4, None), (F9, 1, 1, D9), (F9, 2, 2, D9),
+], ids=["F3-r1-cap1", "F3-r1-cap2", "F3-r2-cap2", "F3-r2-cap3", "F3-r3-cap3",
+        "F3-r3-cap4", "F9-r1-generic", "F9-r2-generic"])
+def test_build_simple_is_the_explicit_twisted_product(ctx, r, cap, d):
+    for lab in repcore.all_labels(ctx.p, r):
+        M = steinberg.build_simple(ctx, lab, d=d, cap=cap)
+        assert M.cap == cap
+        assert M.same_content(_explicit_simple(ctx, lab, d, cap)), lab
+
+
+@pytest.mark.parametrize("ctx, d", [(F3, None), (FieldCtx(5), None), (F9, D9)],
+                         ids=["F3", "F5", "F9-generic"])
+def test_projective_covers_are_the_explicit_twisted_products(ctx, d):
+    # the products the second-kernel algebra, the Steinberg-block reference
+    # covers and both sides of the graded-swap check formed before
+    # `repcore.twisted_tensor`
+    ext = all_extended_projectives(ctx)
+    covers = homology.projective_covers(ctx, 2, d=d)
+    assert list(covers) == repcore.all_labels(ctx.p, 2)
+    for (k0, k1), P in covers.items():
+        top = extend_levels(ext[k1], 2) if d is None else baby_verma(ctx, d + ctx.el(k1), cap=2)
+        assert P.same_content(tensor(extend_levels(ext[k0], 3), frobenius_twist(top, 1))), (k0, k1)
+        if d is not None:
+            swap_side = repcore.twisted_tensor(
+                ctx, (k0, k1), lambda k, c: extend_levels(ext[k], c), 2, d)
+            assert swap_side.same_content(tensor(
+                extend_levels(ext[k0], 2),
+                frobenius_twist(baby_verma(ctx, d + ctx.el(k1)), 1))), (k0, k1)
+
+
+def test_projective_covers_are_built_once_per_scope(monkeypatch):
+    built = []
+
+    def counting(M, N):
+        built.append((M, N))
+        return tensor(M, N)
+
+    with memo.scope():
+        P = homology.projective_covers(F3, 2)
+        endpresent.fixed_maps(F3)
+        monkeypatch.setattr(repcore, "tensor", counting)
+        # the seed reads only the regular-module split at r = 1
+        assert homology.projective_covers(F3, 2) is P
+        assert homology.projective_covers(F3, 2, seed=1) is P
+        K = endpresent.KernelTwoAlgebra(F3)
+        assert built == []
+    assert list(K.restricted) == list(P) == K.labels
+    for lab, M in K.restricted.items():
+        assert M.cap == 2 and M.same_content(restrict_levels(P[lab], 2))
+    with pytest.raises(TypeError):
+        P[(0, 0)] = P[(1, 1)]
+    # nothing is kept outside a scope
+    assert homology.projective_covers(F3, 1) is not homology.projective_covers(F3, 1)
+
+
+def test_projectives_command_tensor_count(monkeypatch):
+    # chi = 0: 9 covers (one tensor each, built once and read by the
+    # dimension accounting, the heads and the graded swap), 9 simples, 9
+    # swapped covers and 2 extended projectives; generic: 9 covers, 9
+    # simples, both 9 + 9 sides of the graded swap and 2 extended projectives
+    built = []
+
+    def counting(M, N):
+        built.append(1)
+        return tensor(M, N)
+
+    monkeypatch.setattr(repcore, "tensor", counting)
+    run_command("projectives", 3, 2, 2, "auto", 2, 0)
+    assert len(built) == 67

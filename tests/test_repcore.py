@@ -4,7 +4,7 @@ import pytest
 from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore, homology
 from sl2frob.repcore import (
-    simple_restricted, baby_verma, frobenius_twist, tensor, tensor_many, dual,
+    simple_restricted, baby_verma, frobenius_twist, tensor, twisted_tensor, dual,
     restrict_levels, extend_levels, validate,
 )
 from sl2frob.smallalg import DividedPowerPlan
@@ -250,9 +250,7 @@ def digit_factorised(M, kind: str, a: int) -> Matrix:
 
 def _steinberg_type(ctx, tops):
     """L_{t_0} (x) L_{t_1}^(1) (x) ... with a nonzero action at every level."""
-    cap = len(tops)
-    return tensor_many([frobenius_twist(simple_restricted(ctx, t, cap - j), j)
-                        for j, t in enumerate(tops)])
+    return twisted_tensor(ctx, tops, lambda t, c: simple_restricted(ctx, t, c), len(tops))
 
 
 @pytest.mark.parametrize("ctx, tops", [(F3, (2, 1)), (F3, (2, 1, 1)),
