@@ -665,13 +665,14 @@ class Basis:
             dependent = sorted(set(range(B.cols)) - set(independent))
             raise ValueError(f"basis columns {dependent} depend on earlier columns")
         self.B = B
-        self.pivots = pivots
-        self._pivot_inv = None
+        self.pivots = tuple(pivots)
+
+    @cached_property
+    def _pivot_inv(self) -> Matrix:
+        return self.B.take_rows(self.pivots).inverse()
 
     def coordinates(self, V: Matrix) -> Matrix | None:
         """The X with B X = V, or None if a column of V lies outside the span."""
-        if self._pivot_inv is None:
-            self._pivot_inv = self.B.take_rows(self.pivots).inverse()
         X = self._pivot_inv @ V.take_rows(self.pivots)
         return X if self.B @ X == V else None
 

@@ -28,12 +28,11 @@ Within one `cli.run_command` call (see `memo`) Hom spaces, the projective
 covers of every level, the extended projectives, their canonical level-one
 Hom bases and the generic-seed certificate are each computed once per
 distinct input.  Every certificate that needs a level-r cover reads
-`projective_covers`, which builds each one with `repcore.twisted_tensor`.
-A Hom space is keyed by the shift-invariant content digests, so it is
-reused up to a common grading shift (`HomSpace.rebound`), and only on
-equal content: a digest collision cannot return a wrong space.  The word
-diagonals, ker E per degree and the `is_simple` verdict of a module are
-keyed by its digest and minimum degree, and reused only on equal content.
+`projective_cover` or `projective_covers`, which build each one with
+`repcore.twisted_tensor`.  Modules compare by content, so a Hom space, and
+the word diagonals, ker E per degree and `is_simple` verdict of a module,
+are reused exactly for content-equal arguments: a digest collision is a
+miss, never a wrong value.
 """
 
 from __future__ import annotations
@@ -72,7 +71,9 @@ class HomSpace:
     ordered by degree and normalized by the deterministic RREF of the
     solver, so the basis is reproducible.  Basis and degrees are tuples and
     the span of the vectorized maps is private, so a memoised space shared
-    by every caller of its call scope is only read.
+    by every caller of its call scope is only read.  In a memo scope a call
+    on modules content-equal to an earlier call's gets that call's space,
+    whose source and target are the earlier modules.
     """
 
     def __init__(self, source: ModuleRep, target: ModuleRep,
@@ -81,24 +82,6 @@ class HomSpace:
         self.target = target
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self._origin = None     # the space whose span this one shares
-
-    def rebound(self, source: ModuleRep, target: ModuleRep) -> "HomSpace | None":
-        """This space for source -> target, or None unless they are its source
-        and target up to one common grading shift s.
-
-        Hom(M<s>, N<s>) = Hom(M, N) map for map and degree for degree, so
-        s = 0 gives this space itself and any other s a space that shares
-        its basis, degrees and span.
-        """
-        s = source.shift_from(self.source)
-        if s is None or target.shift_from(self.target) != s:
-            return None
-        if s == 0:
-            return self
-        out = HomSpace(source, target, self.basis, self.degrees)
-        out._origin = self
-        return out
 
     @property
     def dim(self) -> int:
@@ -111,8 +94,7 @@ class HomSpace:
 
     @cached_property
     def _span(self) -> Basis:
-        return self._origin._span if self._origin is not None else \
-            Basis(vecs(self.source.ctx, self.shape, self.basis))
+        return Basis(vecs(self.source.ctx, self.shape, self.basis))
 
     def coordinates(self, maps) -> Matrix | None:
         """Column t holds the coordinates of maps[t] in the basis; None if a map lies outside."""
@@ -212,14 +194,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# a tuple (M, ...) read at M's absolute degrees, reused only on equal content
-_BY_CONTENT = dict(key=lambda M: (M.content_digest(), M.min_degree),
-                   reuse=lambda D, M: D if D[0].same_content(M) else None)
-
-
-@memo.memoised(**_BY_CONTENT)
+@memo.memoised()
 def _word_diagonals(M: ModuleRep) -> tuple:
-    """(M, D, diagonal, ungraded): row w of D holds, as element indices, the
+    """(D, diagonal, ungraded): row w of D holds, as element indices, the
     diagonal of the w-th word of H_0, C_0, H_1, C_1, ..., valid where
     diagonal[w]; ungraded is `repcore.ungraded_level(M)`."""
     ctx, n = M.ctx, M.dim
@@ -229,7 +206,7 @@ def _word_diagonals(M: ModuleRep) -> tuple:
     C = (4 * FE + ctx.arr_matmul(H, H) + 2 * H) % ctx.p
     W = np.stack([H, C], axis=1).reshape(2 * M.cap, n, n, ctx.k)
     diag = np.eye(n, dtype=bool)
-    return (M, _frozen(ctx.arr_index(W[:, diag])), _frozen(~W[:, ~diag].any(axis=(1, 2))),
+    return (_frozen(ctx.arr_index(W[:, diag])), _frozen(~W[:, ~diag].any(axis=(1, 2))),
             repcore.ungraded_level(M))
 
 
@@ -239,8 +216,8 @@ def _word_mask(M: ModuleRep, N: ModuleRep) -> np.ndarray:
     Raises ValueError unless each level action of M and N shifts the grading
     by its degree.
     """
-    _, DM, diagonal_M, ungraded_M = _word_diagonals(M)
-    _, DN, diagonal_N, ungraded_N = _word_diagonals(N)
+    DM, diagonal_M, ungraded_M = _word_diagonals(M)
+    DN, diagonal_N, ungraded_N = _word_diagonals(N)
     for j in (ungraded_M, ungraded_N):
         if j is not None:
             raise ValueError(f"level-{j} action of {M.provenance!r} or {N.provenance!r} "
@@ -259,12 +236,9 @@ def hom_space(M: ModuleRep, N: ModuleRep, degree: int | None = None) -> HomSpace
 
 
 def hom_spaces(pairs: list, degree: int | None = None) -> list[HomSpace]:
-    """`hom_space(M, N, degree)` per pair (M, N), with one solver call for all; in a
-    memo scope a space is reused up to a common grading shift (`HomSpace.rebound`)."""
-    return memo.batch(_solve_hom_spaces, [(M, N, degree) for M, N in pairs],
-                      key=lambda x: (x[0].content_digest(), x[1].content_digest(),
-                                     x[1].min_degree - x[0].min_degree, x[2]),
-                      reuse=lambda H, x: H.rebound(x[0], x[1]))
+    """`hom_space(M, N, degree)` per pair (M, N), with one solver call for all
+    the pairs the memo scope has not solved."""
+    return memo.batch(_solve_hom_spaces, [(M, N, degree) for M, N in pairs])
 
 
 def _solve_hom_spaces(items: list) -> list[HomSpace]:
@@ -358,12 +332,13 @@ def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, M
     return {w: Matrix._own(ctx, ker[:, deg == w]) for w in sorted(set(deg.tolist()))}
 
 
-@memo.memoised(**_BY_CONTENT)
-def _highest_weights(M: ModuleRep) -> tuple:
-    """(M, J): J maps each degree to a basis of ker E (all E_j) there; read-only."""
-    return M, MappingProxyType(_graded_joint_kernel(M.E, M.grading))
+@memo.memoised()
+def _highest_weights(M: ModuleRep) -> Mapping[int, Matrix]:
+    """Each degree's basis of ker E (all E_j) there; read-only."""
+    return MappingProxyType(_graded_joint_kernel(M.E, M.grading))
 
 
+@memo.memoised()
 def is_simple(M: ModuleRep) -> bool | str:
     """Spin-based simplicity certificate; returns True, False or 'inconclusive'.
 
@@ -377,18 +352,12 @@ def is_simple(M: ModuleRep) -> bool | str:
     in a proper submodule); otherwise the verdict is 'inconclusive'.
     Within a memo scope the verdict is computed once per module content.
     """
-    return _simplicity(M)[1]
-
-
-@memo.memoised(**_BY_CONTENT)
-def _simplicity(M: ModuleRep) -> tuple:
-    """(M, the `is_simple` verdict)."""
     ctx = M.ctx
     if M.dim == 0:
-        return M, False
-    J = _highest_weights(M)[1]
+        return False
+    J = _highest_weights(M)
     if not J:
-        return M, "inconclusive"
+        return "inconclusive"
     untestable = False
     for _, basis in J.items():
         m = basis.cols
@@ -402,13 +371,13 @@ def _simplicity(M: ModuleRep) -> tuple:
             continue
         for s in seeds:
             if spin(M, s).cols < M.dim:
-                return M, False
+                return False
     if untestable:
-        return M, "inconclusive"
+        return "inconclusive"
     degs = sorted(J)
     if len(degs) > 1 and degs[-1] - degs[0] >= 2 * ctx.p**M.cap:
-        return M, "inconclusive"
-    return M, True
+        return "inconclusive"
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +607,7 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
         Z = repcore.baby_verma(ctx, d + ctx.el(c))
         if is_simple(Z) is not True:
             raise NonGenericSeed(f"non-generic seed: Z(d+{c}) is not simple")
-        J = _highest_weights(Z)[1]
+        J = _highest_weights(Z)
         if sum(b.cols for b in J.values()) != 1:
             raise NonGenericSeed(f"non-generic seed: ker E_0 of Z(d+{c}) is not one line")
         (v,) = J.values()
@@ -657,6 +626,19 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
     return MappingProxyType(out)
 
 
+@memo.memoised()
+def projective_cover(ctx: FieldCtx, label: tuple, d: FieldElement | None = None) -> ModuleRep:
+    """The cover P_label of the level-r reduction, r = len(label), with cap r + 1.
+
+    chi = 0 when d is None.  It is the `repcore.twisted_tensor` of the cap-2
+    extended projectives over the label's digits, topped by the baby Verma
+    Z_{d+k} for generic characters; callers re-verify the head.
+    """
+    ext = all_extended_projectives(ctx)
+    return repcore.twisted_tensor(ctx, label, lambda k, c: repcore.extend_levels(ext[k], c),
+                                  len(label) + 1, d, name="P")
+
+
 @memo.memoised(key=lambda ctx, r, d, seed: (ctx, r, d, seed if r == 1 and d is None else 0))
 def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
                       seed: int = 0) -> Mapping[tuple, ModuleRep]:
@@ -666,18 +648,13 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     for generic characters the top digit indexes the Verma Z_{d+c}.  At
     r = 1 the zero-character covers come from splitting the regular module
     (identified by head; the only use of seed, which the key drops elsewhere).
-    Otherwise they are `repcore.twisted_tensor`s of the cap-2 extended
-    projectives, topped by a baby Verma for generic characters, with cap
-    r + 1; callers re-verify the heads.  The mapping is read-only.
+    Otherwise each is `projective_cover`.  The mapping is read-only.
     """
     if r == 1 and d is None:
         return MappingProxyType({(i,): P for i, P in
                                  regular_split_projectives(ctx, seed=seed).items()})
-    ext = all_extended_projectives(ctx)
-    return MappingProxyType({
-        lab: repcore.twisted_tensor(ctx, lab, lambda k, c: repcore.extend_levels(ext[k], c),
-                                    r + 1, d, name="P")
-        for lab in repcore.all_labels(ctx.p, r)})
+    return MappingProxyType({lab: projective_cover(ctx, lab, d)
+                             for lab in repcore.all_labels(ctx.p, r)})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ scope exits, normally or by an exception.  Outside a scope nothing is
 cached, and an exception is never cached.  `batch` does the same for a list
 of inputs, computing all misses in one call.
 
-A hit hands out the stored object, or one that shares its parts, so
+A key is a plain dictionary key: a call hits when its arguments equal
+those of an earlier call, so a hash collision is a miss.  Arguments are
+values that compare by content (a `ModuleRep` compares its field, grading,
+p-characters and level actions).  A hit hands out the stored object, so
 memoised values must be immutable: `Matrix` arrays are read-only, a
 `ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its span
 is private), `TwistElement` is a frozen dataclass, and the projective-cover
@@ -27,6 +30,7 @@ import inspect
 # the open scope's store, or None; a context variable, so a thread that did
 # not open a scope sees none
 _store: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+_MISS = object()
 
 
 @contextlib.contextmanager
@@ -42,17 +46,14 @@ def scope():
         _store.reset(token)
 
 
-def memoised(key=None, reuse=None):
+def memoised(key=None):
     """Memoise the decorated function within the open scope.
 
     key(**arguments) gives the lookup key; by default it is the tuple of the
     arguments in parameter order with defaults applied, which must be
     hashable.  A call with every argument positional is keyed without
-    binding; the parameter names and defaults are read once.  If
-    reuse(value, **arguments) is given, a stored value is handed out only
-    through it: it returns what this call returns, built from the stored
-    value, or None when the stored value belongs to other inputs, so a key
-    that is only a digest can never return the value of other inputs.
+    binding; the parameter names and defaults are read once.  A call hits
+    when its key equals a stored one.
     """
     def decorate(fn):
         sig = inspect.signature(fn)
@@ -68,16 +69,10 @@ def memoised(key=None, reuse=None):
                 sig.bind(*args, **kwargs)   # raises the TypeError of a bad call
                 args += tuple(kwargs[n] if n in kwargs else defaults[n]
                               for n in names[len(args):])
-                kwargs = {}
-            arguments = dict(zip(names, args))
-            k = key(**arguments) if key is not None else tuple(arguments.values())
-            bucket = store.setdefault((fn, k), [])
-            for value in bucket:
-                out = value if reuse is None else reuse(value, **arguments)
-                if out is not None:
-                    return out
-            value = fn(*args, **kwargs)
-            bucket.append(value)
+            k = (fn, args if key is None else key(**dict(zip(names, args))))
+            value = store.get(k, _MISS)
+            if value is _MISS:
+                value = store[k] = fn(*args)
             return value
 
         return wrapper
@@ -85,29 +80,16 @@ def memoised(key=None, reuse=None):
     return decorate
 
 
-def batch(fn, items: list, key, reuse) -> list:
+def batch(fn, items: list) -> list:
     """fn(items), one value per item, memoised item by item in the open scope.
 
-    Item x is looked up under (fn, key(x)) and handed out through
-    reuse(value, x), as in `memoised`.  The first miss of each key goes to one
-    fn call, and the other misses are looked up again after it, so a repeat
-    within the batch reuses its value.  Outside a scope fn gets every item.
+    Each item is its own key, as in `memoised`.  The distinct misses, told
+    apart by equality, go to one fn call.  Outside a scope fn gets every item.
     """
     store = _store.get()
     if store is None:
         return fn(items)
-    keys = [key(x) for x in items]
-    out = [next((v for v in (reuse(s, x) for s in store.get((fn, k), ())) if v is not None),
-                None) for x, k in zip(items, keys)]
-    first: dict = {}    # key -> its first miss
-    for i, k in enumerate(keys):
-        if out[i] is None:
-            first.setdefault(k, i)
-    if first:
-        for (k, i), value in zip(first.items(), fn([items[i] for i in first.values()])):
-            store.setdefault((fn, k), []).append(value)
-            out[i] = value
-        rest = [i for i, v in enumerate(out) if v is None]
-        for i, value in zip(rest, batch(fn, [items[i] for i in rest], key, reuse)):
-            out[i] = value
-    return out
+    misses = list(dict.fromkeys(x for x in items if (fn, x) not in store))
+    if misses:
+        store.update(((fn, x), value) for x, value in zip(misses, fn(misses)))
+    return [store[fn, x] for x in items]

@@ -12,8 +12,9 @@ the projective covers alike, have one constructor, `twisted_tensor`.
 
 A ModuleRep's content is frozen: its level matrices are read-only
 `Matrix` values held in tuples, its grading is a read-only array, and none
-of them can be reassigned, so a module can be shared by every caller of a
-call-scoped memo and its content digest is hashed once.
+of them can be reassigned.  So a module is a value: it compares by content
+and hashes its content digest, computed once, and it can key a call-scoped
+memo and be shared by every caller of one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ class ModuleRep:
 
     The content (field, level actions, grading, p-characters) is frozen:
     assigning any of it after construction raises AttributeError, which is
-    what lets `content_digest` be computed once.  `provenance` is a label
-    and stays writable.
+    what lets `content_digest` be computed once.  Two modules are equal when
+    their content is; `provenance` is a label, ignored by equality and the
+    hash, and stays writable.
     """
 
     _CONTENT = frozenset({"ctx", "E", "F", "grading", "pchar_scalars"})
@@ -86,44 +88,28 @@ class ModuleRep:
     def cap(self) -> int:
         return len(self.E)
 
-    @property
-    def min_degree(self) -> int:
-        """The lowest degree of the grading (0 for the zero module)."""
-        return int(self.grading.min()) if self.dim else 0
-
     def content_digest(self) -> bytes:
-        """Digest of the field, p-character, level actions and the grading
-        relative to `min_degree` (not provenance), hashed on the first call.
-
-        A module and its shifts share one digest; the frozen content keeps
-        the stored digest valid.
-        """
+        """Digest of the field, p-characters, level actions and grading (not
+        provenance), hashed on the first call; the frozen content keeps it valid."""
         if self._digest is None:
             h = hashlib.blake2b(repr((self.ctx, self.dim, self.cap,
                                       [s.coeffs for s in self.pchar_scalars])).encode(),
                                 digest_size=16)
-            h.update((self.grading - self.min_degree).tobytes())
+            h.update(self.grading.tobytes())
             for m in self.E + self.F:
                 h.update(m.arr.tobytes())
             self._digest = h.digest()
         return self._digest
 
-    def shift_from(self, other: "ModuleRep") -> int | None:
-        """The s with self = other<s> (equal field, p-character and level
-        actions, grading shifted by s; provenance aside), or None."""
-        if self is other:
-            return 0
-        if not (self.ctx == other.ctx and self.dim == other.dim and self.cap == other.cap
-                and self.pchar_scalars == other.pchar_scalars):
-            return None
-        s = self.min_degree - other.min_degree
-        same = np.array_equal(self.grading - s, other.grading) and all(
-            a is b or a == b for a, b in zip(self.E + self.F, other.E + other.F))
-        return s if same else None
+    def __hash__(self):
+        return hash(self.content_digest())
 
-    def same_content(self, other: "ModuleRep") -> bool:
-        """Equal field, grading, p-character and level actions (provenance aside)."""
-        return self.shift_from(other) == 0
+    def __eq__(self, other):
+        """Equal field, grading, p-characters and level actions (provenance aside)."""
+        return (isinstance(other, ModuleRep) and self.ctx == other.ctx and self.cap == other.cap
+                and self.pchar_scalars == other.pchar_scalars
+                and np.array_equal(self.grading, other.grading)
+                and all(a is b or a == b for a, b in zip(self.E + self.F, other.E + other.F)))
 
     def weights(self) -> list[int]:
         return sorted(set(int(w) for w in self.grading))

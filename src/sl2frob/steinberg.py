@@ -5,7 +5,8 @@ simplicity of restriction to a smaller kernel, irreducibility over the
 enlarged Borel (generated by the lower kernel and the top Borel level), and
 the equivalence onto the Steinberg block given by M -> M^(1) (x) St.  The
 simples are `repcore.twisted_tensor`s, and the twisted tensor covers are read
-from `homology.projective_covers`.
+from `homology.projective_covers`, or one at a time from
+`homology.projective_cover`.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ def steinberg_block_equivalence(ctx: FieldCtx) -> dict:
     # projectives: (P_k)^(1) (x) St matches the Steinberg-block cover P_(p-1, k)
     ext = homology.all_extended_projectives(ctx)
     St3 = repcore.simple_restricted(ctx, p - 1, cap=3)
-    covers = homology.projective_covers(ctx, 2)
     imgs = [repcore.restrict_levels(repcore.tensor(repcore.frobenius_twist(ext[k], 1), St3), 2)
             for k in range(p)]
     for k, img in enumerate(imgs):
-        iso = homology.is_isomorphic(img, repcore.restrict_levels(covers[(p - 1, k)], 2))
+        ref = homology.projective_cover(ctx, (p - 1, k))
+        iso = homology.is_isomorphic(img, repcore.restrict_levels(ref, 2))
         checks.append(check(f"projective_match_{k}", iso is not None, dim=img.dim))
 
     # End(P_0) and End(P_0^(1) (x) St) both two-dimensional

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,59 @@ def test_memo_keys_agree_for_positional_keyword_and_default_spellings(monkeypatc
         # a call with every argument positional is keyed without binding
         monkeypatch.setattr(inspect.Signature, "bind", None)
         assert f(1, 2, 3) is first and len(calls) == 3
+
+
+def _mutable_parts(obj, path, seen):
+    """The path of every list, dict, set or writeable array reachable from obj.
+
+    Tuples, frozensets and read-only mappings are walked, and so are the
+    attributes of any other object, except a module's `provenance` label.  A
+    field context is a constant of its field, shared by the whole process,
+    so it is not walked.
+    """
+    if id(obj) in seen or isinstance(obj, (str, bytes, int, float, type(None), np.generic,
+                                           FieldCtx, types.FunctionType)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, (list, dict, set, bytearray)):
+        yield path
+    elif isinstance(obj, np.ndarray):
+        if obj.flags.writeable:
+            yield path
+    elif isinstance(obj, (tuple, frozenset)):
+        for i, x in enumerate(obj):
+            yield from _mutable_parts(x, f"{path}[{i}]", seen)
+    elif isinstance(obj, types.MappingProxyType):
+        for k, v in obj.items():
+            yield from _mutable_parts(k, f"{path}.key", seen)
+            yield from _mutable_parts(v, f"{path}[{k!r}]", seen)
+    else:
+        attrs = vars(obj) if hasattr(obj, "__dict__") else \
+            {name: getattr(obj, name) for name in type(obj).__slots__}
+        for name, v in attrs.items():
+            if not (name == "provenance" and isinstance(obj, repcore.ModuleRep)):
+                yield from _mutable_parts(v, f"{path}.{name}", seen)
+
+
+def test_memo_holds_only_immutable_values():
+    # one command of each workload kind, in one scope: every key and value
+    # the memo holds is read-only, so a hit cannot hand out a changed value
+    calls = [("projectives", 3, 2, 2, "auto", 2, 0), ("relations", 3, 2, 2, "auto", 2, 0),
+             ("center", 3, 2, 2, "auto", 2, 0), ("equivalence", 3, 2, 1, "1,1", 2, 0),
+             ("hom-iso", 3, 2, 1, "1,1", 2, 0), ("steinberg", 5, 2, 1, "1,1", 2, 0),
+             ("hat-borel", 5, 2, 2, "1,1", 2, 0), ("twist", 5, 2, 1, "1,1", 2, 0)]
+    with memo.scope():
+        for call in calls:
+            assert cli._command_report(*call)["failures"] == 0, call
+        store = memo._store.get()
+        assert {fn.__name__ for fn, _ in store} >= {
+            "_solve_hom_spaces", "projective_covers", "projective_cover", "is_simple",
+            "_word_diagonals", "_highest_weights", "fixed_maps", "canonical_r1_hom_bases"}
+        seen: set = set()
+        mutable = [part for (fn, key), value in store.items()
+                   for part in (*_mutable_parts(key, f"{fn.__name__} key", seen),
+                                *_mutable_parts(value, fn.__name__, seen))]
+    assert mutable == []
 
 
 def test_generic_op_work_counts(monkeypatch):

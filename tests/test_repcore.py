@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2frob.exactfield import FieldCtx, Matrix
 from sl2frob import repcore, homology
@@ -185,26 +186,46 @@ def test_module_content_is_frozen():
     assert L2.provenance == "relabelled"
 
 
-def test_content_digest_is_hashed_once_and_shift_invariant(monkeypatch):
+@st.composite
+def _module(draw):
+    """A simple at cap 2 over F_3 or F_9, possibly tensored with a shifted baby Verma."""
+    ctx = draw(st.sampled_from([F3, F9]))
+    M = simple_restricted(ctx, draw(st.integers(0, ctx.p - 1)), cap=2)
+    if draw(st.booleans()):
+        d = ctx.from_index(draw(st.integers(0, ctx.q - 1)))
+        M = tensor(M, baby_verma(ctx, d, shift=draw(st.integers(-3, 3)), cap=2))
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(_module(), st.integers(-6, 6).filter(bool))
+def test_modules_compare_and_hash_by_content_property(M, s):
+    ctx = M.ctx
+    copy = repcore.ModuleRep(ctx, [Matrix(ctx, m.arr.copy()) for m in M.E],
+                             [Matrix(ctx, m.arr.copy()) for m in M.F],
+                             M.grading.copy(), M.pchar_scalars, provenance="copy")
     calls = []
     blake2b = repcore.hashlib.blake2b
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return blake2b(*args, **kwargs)
-
-    monkeypatch.setattr(repcore.hashlib, "blake2b", counted)
-    M = tensor(simple_restricted(F9, 1), baby_verma(F9, F9.el(0, 1), shift=3))
-    first = M.content_digest()
-    assert len(calls) == 1
-    assert M.content_digest() == first and len(calls) == 1
-    shifted = M.shift_grading(5)
-    assert shifted.content_digest() == first
-    assert shifted.shift_from(M) == 5 and M.shift_from(shifted) == -5
-    assert M.shift_from(baby_verma(F9, F9.el(0, 1))) is None
-    # a grading that differs by more than a constant shift
-    bent = repcore.ModuleRep(F9, M.E, M.F, M.grading * 2, M.pchar_scalars)
-    assert bent.content_digest() != first and bent.shift_from(M) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repcore.hashlib, "blake2b",
+                   lambda *args, **kwargs: calls.append(args) or blake2b(*args, **kwargs))
+        h = hash(copy)
+        assert hash(copy) == h and copy.content_digest() == copy.content_digest()
+    assert len(calls) == 1      # hashed once
+    # equal content is equal, with the same hash; provenance is ignored
+    assert copy == M and M == copy and hash(M) == h
+    M.provenance = "relabelled"
+    assert hash(M) == h and M == copy
+    # a shifted grading, another p-character or another action is another module
+    one = ctx.el(1)
+    others = [M.shift_grading(s),
+              repcore.ModuleRep(ctx, M.E, M.F, M.grading,
+                                (M.pchar_scalars[0] + one,) + M.pchar_scalars[1:]),
+              repcore.ModuleRep(ctx, (M.E[0] + Matrix.identity(ctx, M.dim),) + M.E[1:], M.F,
+                                M.grading, M.pchar_scalars)]
+    for N in others:
+        assert N != M and M != N and N.content_digest() != M.content_digest()
+    assert M != M.provenance and M != M.grading.tolist()
 
 
 def test_validate_fault_injection():
