@@ -86,6 +86,9 @@ class FixedMaps:
         self.V1 = repcore.frobenius_twist(repcore.simple_restricted(ctx, 1), 1)
         # the invariant pairing L_1 (x) L_1 -> k: x_+ (x) x_- - x_- (x) x_+
         self.pair = Matrix.from_int_rows(ctx, [[0, 1, -1, 0]])
+        # every structure map runs between P_k, P_k (x) V and V^(1) (x) P_k
+        self.ext_V = {k: repcore.tensor(P, self.V) for k, P in self.ext.items()}
+        self.V1_ext = {k: repcore.tensor(self.V1, P) for k, P in self.ext.items()}
 
         self.omega = {r: self.bases[(r, r)][0][1] for r in range(p - 1)}
         self.up = {r: self.bases[(r, p - 2 - r)][-p][0] for r in range(p - 1)}
@@ -105,15 +108,14 @@ class FixedMaps:
         self.stein = self._solve_stein()            # V^(1) (x) P_{p-1} -> P_0 (x) V
         self.phi_min, self.phi_max = self._solve_phis()
         self.omega_factor_checks = self._omega_factorization()
-        for name in ("ext", "omega", "up", "down", "cross", "split_in", "split_out"):
+        for name in ("ext", "ext_V", "V1_ext", "omega", "up", "down", "cross",
+                     "split_in", "split_out"):
             setattr(self, name, MappingProxyType(getattr(self, name)))
 
     # -- solved maps -------------------------------------------------------
 
     def _solve_cross(self, r: int) -> Matrix:
-        src = repcore.tensor(self.V1, self.ext[r])
-        tgt = repcore.extend_levels(self.ext[self.p - 2 - r], 2)
-        H = homology.hom_space(src, tgt)
+        H = homology.hom_space(self.V1_ext[r], self.ext[self.p - 2 - r])
         if H.dim != 1:
             raise homology.Inconclusive(f"cross map space at {r} has dim {H.dim}")
         return homology.normalize_first_entry(H.basis[0])
@@ -122,7 +124,7 @@ class FixedMaps:
         """A split pair P_r -> P_{r+s} (x) V -> P_r with composite exactly id."""
         ctx = self.ctx
         Pr = self.ext[r]
-        T = repcore.tensor(self.ext[r + s], self.V)
+        T = self.ext_V[r + s]
         Hin = homology.hom_space(Pr, T)
         Hout = homology.hom_space(T, Pr)
         ident = Matrix.identity(ctx, Pr.dim)
@@ -147,8 +149,7 @@ class FixedMaps:
 
     def _solve_iso_st(self) -> Matrix:
         p = self.p
-        iso = homology.is_isomorphic(repcore.tensor(self.ext[p - 1], self.V),
-                                     repcore.extend_levels(self.ext[p - 2], 2))
+        iso = homology.is_isomorphic(self.ext_V[p - 1], self.ext[p - 2])
         if iso is None:
             raise homology.Inconclusive("no isomorphism P_{p-1} (x) V = P_{p-2}")
         return homology.normalize_first_entry(iso)
@@ -156,8 +157,7 @@ class FixedMaps:
     def _solve_stein(self) -> Matrix:
         """Split inclusion of V^(1) (x) P_{p-1} into P_0 (x) V."""
         p = self.p
-        src = repcore.tensor(self.V1, self.ext[p - 1])
-        tgt = repcore.tensor(repcore.extend_levels(self.ext[0], 2), self.V)
+        src, tgt = self.V1_ext[p - 1], self.ext_V[0]
         Hin = homology.hom_space(src, tgt)
         Hout = homology.hom_space(tgt, src)
         for bi in Hin.basis:
@@ -182,9 +182,7 @@ class FixedMaps:
         """
         p = self.p
         ctx = self.ctx
-        src = repcore.extend_levels(self.ext[p - 1], 2)
-        tgt = repcore.tensor(self.ext[p - 2], self.V)
-        H = homology.hom_space(src, tgt)
+        H = homology.hom_space(self.ext[p - 1], self.ext_V[p - 2])
         if H.dim != 2:
             raise homology.Inconclusive(f"phi space has dim {H.dim}")
         b0, b1 = H.basis
@@ -218,7 +216,7 @@ class FixedMaps:
         return tuple(out)
 
 
-@memo.memoised()
+@memo.memoised
 def fixed_maps(ctx: FieldCtx) -> FixedMaps:
     """The FixedMaps of ctx, built once per call scope."""
     return FixedMaps(ctx)

@@ -194,7 +194,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@memo.memoised()
+@memo.memoised
 def _word_diagonals(M: ModuleRep) -> tuple:
     """(D, diagonal, ungraded): row w of D holds, as element indices, the
     diagonal of the w-th word of H_0, C_0, H_1, C_1, ..., valid where
@@ -332,13 +332,13 @@ def _graded_joint_kernel(mats: list[Matrix], grading: np.ndarray) -> dict[int, M
     return {w: Matrix._own(ctx, ker[:, deg == w]) for w in sorted(set(deg.tolist()))}
 
 
-@memo.memoised()
+@memo.memoised
 def _highest_weights(M: ModuleRep) -> Mapping[int, Matrix]:
     """Each degree's basis of ker E (all E_j) there; read-only."""
     return MappingProxyType(_graded_joint_kernel(M.E, M.grading))
 
 
-@memo.memoised()
+@memo.memoised
 def is_simple(M: ModuleRep) -> bool | str:
     """Spin-based simplicity certificate; returns True, False or 'inconclusive'.
 
@@ -541,7 +541,7 @@ def split_indecomposables(M: ModuleRep, sampler=None,
 # projective covers
 # ---------------------------------------------------------------------------
 
-@memo.memoised()
+@memo.memoised
 def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, ModuleRep]:
     """P_i for u_0(sl2) (level cap 1) by splitting the left regular module.
 
@@ -562,7 +562,7 @@ def regular_split_projectives(ctx: FieldCtx, seed: int = 0) -> Mapping[int, Modu
     return MappingProxyType(out)
 
 
-@memo.memoised()
+@memo.memoised
 def extended_projective(ctx: FieldCtx, i: int) -> ModuleRep:
     """P_i with its canonical level-1 action (cap 2), head in degree i.
 
@@ -592,7 +592,7 @@ def all_extended_projectives(ctx: FieldCtx) -> dict[int, ModuleRep]:
     return {i: extended_projective(ctx, i) for i in range(ctx.p)}
 
 
-@memo.memoised()
+@memo.memoised
 def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, ModuleRep]:
     """For generic chi the baby Vermas Z_{d+c} are the projective covers.
 
@@ -626,7 +626,7 @@ def generic_verma_projectives(ctx: FieldCtx, d: FieldElement) -> Mapping[int, Mo
     return MappingProxyType(out)
 
 
-@memo.memoised()
+@memo.memoised
 def projective_cover(ctx: FieldCtx, label: tuple, d: FieldElement | None = None) -> ModuleRep:
     """The cover P_label of the level-r reduction, r = len(label), with cap r + 1.
 
@@ -639,7 +639,7 @@ def projective_cover(ctx: FieldCtx, label: tuple, d: FieldElement | None = None)
                                   len(label) + 1, d, name="P")
 
 
-@memo.memoised(key=lambda ctx, r, d, seed: (ctx, r, d, seed if r == 1 and d is None else 0))
+@memo.memoised
 def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
                       seed: int = 0) -> Mapping[tuple, ModuleRep]:
     """Labeled indecomposable projectives of the level-r reduction.
@@ -647,8 +647,9 @@ def projective_covers(ctx: FieldCtx, r: int, d: FieldElement | None = None,
     chi = 0 when d is None.  Labels are digit tuples (k_0, ..., k_{r-1});
     for generic characters the top digit indexes the Verma Z_{d+c}.  At
     r = 1 the zero-character covers come from splitting the regular module
-    (identified by head; the only use of seed, which the key drops elsewhere).
-    Otherwise each is `projective_cover`.  The mapping is read-only.
+    (identified by head; the only use of seed).  Otherwise each is the
+    memoised `projective_cover`, so mappings for two seeds share their
+    modules.  The mapping is read-only.
     """
     if r == 1 and d is None:
         return MappingProxyType({(i,): P for i, P in
@@ -767,7 +768,7 @@ def single_eigenvalue(m: Matrix) -> FieldElement:
     raise ValueError("no eigenvalue in the field")
 
 
-@memo.memoised()
+@memo.memoised
 def canonical_r1_hom_bases(ctx: FieldCtx):
     """Canonical graded bases of all Hom(P_a, P_b) over the first kernel.
 

@@ -1,16 +1,16 @@
 """Call-scoped memo: each certification input is built once per command.
 
 `cli.run_command` opens a `scope()`.  While it is open, a function decorated
-with `memoised` returns the value it computed earlier in the scope for the
-same key instead of running again.  A nested scope (the sub-commands of
+with `@memoised` returns the value it computed earlier in the scope for the
+same arguments instead of running again.  A nested scope (the sub-commands of
 `all`) reuses the open one, and the store is dropped when the outermost
 scope exits, normally or by an exception.  Outside a scope nothing is
 cached, and an exception is never cached.  `batch` does the same for a list
 of inputs, computing all misses in one call.
 
-A key is a plain dictionary key: a call hits when its arguments equal
-those of an earlier call, so a hash collision is a miss.  Arguments are
-values that compare by content (a `ModuleRep` compares its field, grading,
+A call hits when its arguments equal those of an earlier call; the store
+is a plain dictionary, so a hash collision is a miss.  Arguments are values
+that compare by content (a `ModuleRep` compares its field, grading,
 p-characters and level actions).  A hit hands out the stored object, so
 memoised values must be immutable: `Matrix` arrays are read-only, a
 `ModuleRep`'s content is frozen, `HomSpace` bases are tuples (and its span
@@ -46,38 +46,32 @@ def scope():
         _store.reset(token)
 
 
-def memoised(key=None):
-    """Memoise the decorated function within the open scope.
+def memoised(fn):
+    """Memoise fn within the open scope, keyed by its arguments in parameter order.
 
-    key(**arguments) gives the lookup key; by default it is the tuple of the
-    arguments in parameter order with defaults applied, which must be
-    hashable.  A call with every argument positional is keyed without
-    binding; the parameter names and defaults are read once.  A call hits
-    when its key equals a stored one.
+    Defaults are applied and the arguments must be hashable.  A call with
+    every argument positional is keyed without binding; the parameter names
+    and defaults are read once.
     """
-    def decorate(fn):
-        sig = inspect.signature(fn)
-        names = tuple(sig.parameters)
-        defaults = {n: q.default for n, q in sig.parameters.items() if q.default is not q.empty}
+    sig = inspect.signature(fn)
+    names = tuple(sig.parameters)
+    defaults = {n: q.default for n, q in sig.parameters.items() if q.default is not q.empty}
 
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            store = _store.get()
-            if store is None:
-                return fn(*args, **kwargs)
-            if kwargs or len(args) != len(names):
-                sig.bind(*args, **kwargs)   # raises the TypeError of a bad call
-                args += tuple(kwargs[n] if n in kwargs else defaults[n]
-                              for n in names[len(args):])
-            k = (fn, args if key is None else key(**dict(zip(names, args))))
-            value = store.get(k, _MISS)
-            if value is _MISS:
-                value = store[k] = fn(*args)
-            return value
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        store = _store.get()
+        if store is None:
+            return fn(*args, **kwargs)
+        if kwargs or len(args) != len(names):
+            sig.bind(*args, **kwargs)   # raises the TypeError of a bad call
+            args += tuple(kwargs[n] if n in kwargs else defaults[n]
+                          for n in names[len(args):])
+        value = store.get((fn, args), _MISS)
+        if value is _MISS:
+            value = store[fn, args] = fn(*args)
+        return value
 
-        return wrapper
-
-    return decorate
+    return wrapper
 
 
 def batch(fn, items: list) -> list:

@@ -7,8 +7,11 @@ level.  The scalar at level j is the value of H_j^p - H_j where
 H_j = [E_j, F_j]; it is zero below the top level for every module built
 here and equals chi(h)^p (suitably Frobenius-twisted) at the top.
 
-Steinberg's twisted tensor products over a label's digits, the simples and
-the projective covers alike, have one constructor, `twisted_tensor`.
+The divided powers (`ModuleRep.divided_powers`) and the coproduct that
+reads them (`tensor`) live here; of the package, this module imports only
+`exactfield`.  Steinberg's twisted tensor products over a label's digits,
+the simples and the projective covers alike, have one constructor,
+`twisted_tensor`.
 
 A ModuleRep's content is frozen: its level matrices are read-only
 `Matrix` values held in tuples, its grading is a read-only array, and none
@@ -22,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import operator
 from functools import reduce
+from math import factorial, prod
 
 import numpy as np
 
 from .exactfield import Basis, FieldCtx, FieldElement, Matrix
-from .smallalg import DividedPowerPlan
 
 _FUSE_TAG_LEN = 40
 
@@ -123,19 +126,22 @@ class ModuleRep:
     def divided_powers(self, kind: str, n: int) -> list[Matrix]:
         """[x^(0), ..., x^(n)] for x = e (kind 'e') or f (kind 'f'), by digit factorization.
 
-        x^(a) is prod_j X_j^{a_j} times prod_j inv(a_j!) over the base-p
-        digits a_j of a.  One power ladder X_j^d is built per level j, only
-        up to d = min(p-1, n // p^j), and every x^(a) reads from it.
+        x^(a) is prod_j X_j^{a_j} prod_j inv(a_j!) over the base-p digits a_j
+        of a < p^cap.  One power ladder X_j^d is built per level j, only up
+        to d = min(p-1, n // p^j), and every x^(a) reads from it.
         """
-        p = self.ctx.p
+        p, cap = self.ctx.p, self.cap
+        if n >= p**cap:
+            raise ValueError(f"x^({n}) needs a level at or above cap {cap} (p={p})")
         mats = self.E if kind == "e" else self.F
         ladders = [m.powers(min(p - 1, n // p**j)) for j, m in enumerate(mats)]
         out = []
         for a in range(n + 1):
-            plan = DividedPowerPlan.build(a, p, self.cap)
-            factors = [ladders[j][d] for j, d in enumerate(plan.digit_list) if d]
+            digits = [a // p**j % p for j in range(cap)]
+            unit = prod(pow(factorial(d), -1, p) for d in digits) % p
+            factors = [ladders[j][d] for j, d in enumerate(digits) if d]
             x = reduce(operator.matmul, factors) if factors else ladders[0][0]
-            out.append(x if plan.correction == 1 else x.scale(self.ctx.el(plan.correction)))
+            out.append(x if unit == 1 else x.scale(self.ctx.el(unit)))
         return out
 
     def shift_grading(self, s: int) -> "ModuleRep":
@@ -237,10 +243,10 @@ def extend_levels(M: ModuleRep, cap: int) -> ModuleRep:
 def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     """Tensor product along the divided-power coproduct.
 
-    E_j(M (x) N) = sum_{a+b=p^j} e^(a)_M (x) e^(b)_N, read from each
-    factor's `divided_powers` ladder; a term with a zero factor is skipped.
-    p-characters add levelwise and at most one factor may carry a nonzero
-    scalar at any level.
+    E_j(M (x) N) = sum_{a+b=p^j} e^(a)_M (x) e^(b)_N, read for every level
+    j from one `divided_powers` ladder per factor and kind, up to
+    p^(cap-1); a term with a zero factor is skipped.  p-characters add
+    levelwise and at most one factor may carry a nonzero scalar at any level.
     """
     if M.ctx != N.ctx:
         raise ValueError("mixed field contexts")
@@ -250,10 +256,11 @@ def tensor(M: ModuleRep, N: ModuleRep) -> ModuleRep:
     p = ctx.p
     E, F = [], []
     zero = np.zeros((M.dim * N.dim, M.dim * N.dim, ctx.k), dtype=np.int64)
-    for j in range(M.cap):
-        n = p**j
-        for kind, acc in (("e", E), ("f", F)):
-            xm, xn = M.divided_powers(kind, n), N.divided_powers(kind, n)
+    top = p ** (M.cap - 1)
+    for kind, acc in (("e", E), ("f", F)):
+        xm, xn = M.divided_powers(kind, top), N.divided_powers(kind, top)
+        for j in range(M.cap):
+            n = p**j
             acc.append(Matrix(ctx, sum((xm[a].kron(xn[n - a]).arr for a in range(n + 1)
                                         if not (xm[a].is_zero() or xn[n - a].is_zero())), zero)))
     grading = (M.grading[:, None] + N.grading[None, :]).reshape(-1)

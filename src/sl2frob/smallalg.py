@@ -1,4 +1,4 @@
-"""The restricted enveloping algebra u_0(sl2) by its generator matrices, and divided-power tools.
+"""The restricted enveloping algebra u_0(sl2) by its generator matrices, and its regular module.
 
 Conventions: generators e, h, f with [e,f] = h, [h,e] = 2e, [h,f] = -2f.
 PBW monomials are e^a h^b f^c with 0 <= a,b,c < p, the monomial (a, b, c)
@@ -9,79 +9,21 @@ at index (a p + b) p + c.  At the zero character the central reduction is
 The algebra is held as the three matrices R_e, R_h, R_f of right
 multiplication by a generator; products of them give every other right
 multiplication, and applied to a generator they give its left
-multiplication on the regular module.
+multiplication on the regular module, a `repcore.ModuleRep`.
+Divided powers are `repcore.ModuleRep.divided_powers`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
 import numpy as np
 
+from . import repcore
 from .exactfield import FieldCtx, Matrix
 
-
-# ---------------------------------------------------------------------------
-# digit / factorial helpers
-# ---------------------------------------------------------------------------
-
-def digits(n: int, p: int, length: int) -> list[int]:
-    """Base-p digits of n, lowest first, padded to the given length."""
-    if n < 0 or n >= p**length:
-        raise ValueError(f"{n} out of digit range for p={p}, length={length}")
-    out = []
-    for _ in range(length):
-        out.append(n % p)
-        n //= p
-    return out
-
-
-def factorial_mod(n: int, p: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out = (out * i) % p
-    return out
-
-
-def binom_mod(n: int, k: int, p: int) -> int:
-    """binom(n, k) mod p via Lucas' theorem (n, k >= 0)."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        ni, ki = n % p, k % p
-        if ki > ni:
-            return 0
-        num = factorial_mod(ni, p)
-        den = (factorial_mod(ki, p) * factorial_mod(ni - ki, p)) % p
-        out = (out * num * pow(den, p - 2, p)) % p
-        n //= p
-        k //= p
-    return out
-
-
-@dataclass(frozen=True)
-class DividedPowerPlan:
-    """Digit factorization of a divided power e^(n) = prod_i (e^(p^i))^{n_i} / n_i!."""
-
-    digit_list: tuple[int, ...]
-    correction: int  # the unit prod_i inv(n_i!) in F_p
-
-    @classmethod
-    def build(cls, n: int, p: int, cap: int) -> "DividedPowerPlan":
-        ds = digits(n, p, cap)
-        corr = 1
-        for d in ds:
-            corr = (corr * pow(factorial_mod(d, p), p - 2, p)) % p
-        return cls(tuple(ds), corr)
-
-
-# ---------------------------------------------------------------------------
-# u_0(sl2)
-# ---------------------------------------------------------------------------
 
 class UChiAlgebra:
     """u_0(sl2) as the matrices of y -> y e, y -> y h and y -> y f on the PBW basis.
@@ -172,8 +114,6 @@ class UChiAlgebra:
 
 def regular_module(alg: UChiAlgebra):
     """The left regular module of u_0(sl2) as a ModuleRep (level cap 1)."""
-    from . import repcore
-
     ctx = alg.ctx
     return repcore.ModuleRep(ctx, [alg.left_mult("e")], [alg.left_mult("f")], alg.weights,
                              [ctx.zero()], provenance=f"regular(p={ctx.p})")

@@ -185,8 +185,7 @@ def verify_projective_construction(ctx: FieldCtx, r: int,
         for lab in repcore.all_labels(p, 2):
             k0, k1 = lab
             if d is not None:
-                A = repcore.twisted_tensor(
-                    ctx, lab, lambda k, c: repcore.extend_levels(ext[k], c), 2, d)
+                A = repcore.restrict_levels(projs[lab], 2)
                 top = repcore.baby_verma(ctx, d + ctx.el(k1))
             else:
                 A = projs[lab]

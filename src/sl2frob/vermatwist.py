@@ -24,19 +24,20 @@ and one A-weighted sum.  A certificate solves its degree-0 Hom spaces in
 one `homology.hom_spaces` call, tests each class's transfers for membership
 in one `coordinates` call, compares the rescaled structure constants on
 element indices and stacks the transfer-intertwining products per shape.
-Twist elements and graded Vermas are memoised within a `run_command` call.
+Twist elements, graded Vermas and their products Z_mu (x) V are memoised
+within a `run_command` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
 from .exactfield import Basis, FieldCtx, FieldElement, Matrix, vecs
 from . import memo, repcore, homology
-from .smallalg import binom_mod
 from .reporting import check, report
 
 
@@ -62,7 +63,7 @@ class TwistElement:
         return True
 
 
-@memo.memoised()
+@memo.memoised
 def twist_closed_form(ctx: FieldCtx, d: FieldElement) -> TwistElement:
     """A_k = (-1)^k / (k! d(d-1)...(d-k+1)); requires d outside F_p."""
     if d.in_prime_field():
@@ -140,7 +141,7 @@ def _transfer(ctx: FieldCtx, A: tuple[FieldElement, ...], grid: np.ndarray) -> M
                 continue
             blk = ctx.arr_mul(grid[k, i], A[k]._arr())
             for j in range(i, p):
-                t, b = j - i + k, binom_mod(j, i, p)
+                t, b = j - i + k, comb(j, i) % p
                 if t < p and b:
                     out[t * r:(t + 1) * r, j * c:(j + 1) * c] += b * blk
     return Matrix(ctx, out)
@@ -166,9 +167,16 @@ def verma_map(ctx: FieldCtx, d: FieldElement, stacks: tuple, mu_p: int, v: Matri
     return _transfer(ctx, A, ctx.arr_matmul(Fv[None], ctx.arr_matmul(Ev, v.arr)[:, None]))
 
 
-@memo.memoised()
+@memo.memoised
 def _graded_verma(ctx: FieldCtx, d: FieldElement, mu: int) -> repcore.ModuleRep:
     return repcore.baby_verma(ctx, d + ctx.el(mu % ctx.p), shift=mu)
+
+
+@memo.memoised
+def _verma_tensor(ctx: FieldCtx, d: FieldElement, mu: int,
+                  V: repcore.ModuleRep) -> repcore.ModuleRep:
+    """Z_mu (x) V, built once per command for each V by content."""
+    return repcore.tensor(_graded_verma(ctx, d, mu), V)
 
 
 def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
@@ -188,7 +196,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     Z = {mu: _graded_verma(ctx, d, mu) for mu in range(-window, window + 1)}
     ZV: dict = {}
     for mu in Z:
-        ZV[mu] = ZV[mu - p].shift_grading(p) if mu - p in ZV else repcore.tensor(Z[mu], V)
+        ZV[mu] = ZV[mu - p].shift_grading(p) if mu - p in ZV else _verma_tensor(ctx, d, mu, V)
     # one pair per class: their degree-0 spaces are the same maps
     pairs = {(mu_p % p, mu - mu_p): (Z[mu], ZV[mu_p]) for mu in Z for mu_p in ZV}
     spaces = dict(zip(pairs, homology.hom_spaces(list(pairs.values()), degree=0)))
@@ -259,8 +267,7 @@ def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
 def verma_tensor_split(ctx: FieldCtx, d: FieldElement, mu: int,
                        V: repcore.ModuleRep) -> dict:
     """Z_mu (x) V splits into Vermas with weight-space multiplicities."""
-    Z = _graded_verma(ctx, d, mu)
-    M = repcore.tensor(Z, V)
+    M = _verma_tensor(ctx, d, mu, V)
     wd = V.weight_indices()
     found: dict[int, int] = {}
     checks = []

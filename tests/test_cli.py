@@ -257,15 +257,11 @@ def test_memo_scope_ends_with_run_command(monkeypatch):
 
 
 def test_memo_keys_agree_for_positional_keyword_and_default_spellings(monkeypatch):
-    calls, seen = [], []
+    calls = []
 
-    @memo.memoised()
+    @memo.memoised
     def f(a, b, c=3):
         calls.append((a, b, c))
-        return [a, b, c]
-
-    @memo.memoised(key=lambda a, b, c: seen.append((a, b, c)) or (a, b, c))
-    def g(a, b, c=3):
         return [a, b, c]
 
     with memo.scope():
@@ -274,8 +270,6 @@ def test_memo_keys_agree_for_positional_keyword_and_default_spellings(monkeypatc
             assert value is first
         assert f(1, 2, 4) == [1, 2, 4] and f(b=1, a=2) == [2, 1, 3]
         assert calls == [(1, 2, 3), (1, 2, 4), (2, 1, 3)]
-        assert g(1, 2) is g(1, b=2) is g(c=3, a=1, b=2)
-        assert seen == [(1, 2, 3)] * 3
         for args, kwargs in (((1,), {}), ((1, 2), {"d": 5}), ((1, 2, 3, 4), {}), ((1,), {"a": 1, "b": 2})):
             with pytest.raises(TypeError):
                 f(*args, **kwargs)

@@ -957,9 +957,11 @@ def test_projective_covers_are_built_once_per_scope(monkeypatch):
         P = homology.projective_covers(F3, 2)
         endpresent.fixed_maps(F3)
         monkeypatch.setattr(repcore, "tensor", counting)
-        # the seed reads only the regular-module split at r = 1
+        # the seed reads only the regular-module split at r = 1: another
+        # seed's mapping holds the same memoised covers
         assert homology.projective_covers(F3, 2) is P
-        assert homology.projective_covers(F3, 2, seed=1) is P
+        Q = homology.projective_covers(F3, 2, seed=1)
+        assert list(Q) == list(P) and all(Q[lab] is P[lab] for lab in P)
         K = endpresent.KernelTwoAlgebra(F3)
         assert built == []
     assert list(K.restricted) == list(P) == K.labels
@@ -972,10 +974,9 @@ def test_projective_covers_are_built_once_per_scope(monkeypatch):
 
 
 def test_projectives_command_tensor_count(monkeypatch):
-    # chi = 0: 9 covers (one tensor each, built once and read by the
-    # dimension accounting, the heads and the graded swap), 9 simples, 9
-    # swapped covers and 2 extended projectives; generic: 9 covers, 9
-    # simples, both 9 + 9 sides of the graded swap and 2 extended projectives
+    # chi = 0 and generic alike: 9 covers (one tensor each, built once and
+    # read by the dimension accounting, the heads and the graded swap), 9
+    # simples, 9 swapped covers and 2 extended projectives
     built = []
 
     def counting(M, N):
@@ -984,4 +985,4 @@ def test_projectives_command_tensor_count(monkeypatch):
 
     monkeypatch.setattr(repcore, "tensor", counting)
     run_command("projectives", 3, 2, 2, "auto", 2, 0)
-    assert len(built) == 67
+    assert len(built) == 58

@@ -6,8 +6,8 @@ only as an attribute.  So neither a recursive call nor a builtin or local
 variable of the same name keeps a method alive.  Code that only tests reach
 is either a command's business or dead weight, so it fails here.  Likewise every
 parameter of a `def` is read in its body: a parameter that every caller
-passes and nothing reads only misleads.  Lambdas are exempt, since the memo
-passes every argument to its `key` callback.  Every field of a
+passes and nothing reads only misleads.  Lambdas are exempt, since a
+callback takes every argument its caller passes.  Every field of a
 `@dataclass` is read as an attribute somewhere in the package.  Every name the
 benchmark's tracer patches (`perfbench/spans.py`, `TARGETS`) still exists.
 """

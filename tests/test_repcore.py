@@ -8,7 +8,6 @@ from sl2frob.repcore import (
     simple_restricted, baby_verma, frobenius_twist, tensor, twisted_tensor, dual,
     restrict_levels, extend_levels, validate,
 )
-from sl2frob.smallalg import DividedPowerPlan
 from summand_labels import identify_summands
 
 
@@ -259,14 +258,24 @@ def test_h_refinement_on_twist_structured_modules():
 
 
 def digit_factorised(M, kind: str, a: int) -> Matrix:
-    """x^(a) as prod_j X_j^{a_j} over the base-p digits a_j of a, times prod_j inv(a_j!)."""
-    plan = DividedPowerPlan.build(a, M.ctx.p, M.cap)
+    """x^(a) as prod_j X_j^{a_j} over the base-p digits a_j of a, times prod_j inv(a_j!).
+
+    The digits come from repeated division and each inverse from Fermat's
+    little theorem, so the reference shares no arithmetic with the package.
+    """
+    p = M.ctx.p
     mats = M.E if kind == "e" else M.F
     out = Matrix.identity(M.ctx, M.dim)
-    for j, dj in enumerate(plan.digit_list):
+    unit = 1
+    for j in range(M.cap):
+        a, dj = divmod(a, p)
+        dj_factorial = 1
+        for i in range(2, dj + 1):
+            dj_factorial *= i
+        unit = unit * pow(dj_factorial, p - 2, p) % p
         if dj:
             out = out @ mats[j].pow_int(dj)
-    return out.scale(M.ctx.el(plan.correction))
+    return out.scale(M.ctx.el(unit))
 
 
 def _steinberg_type(ctx, tops):
