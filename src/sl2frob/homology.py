@@ -5,9 +5,21 @@ M -> N) as one sparse system: its unknowns are entries X[i, j] of an
 intertwiner, of degree deg N_i - deg M_j, and its equations the entries of
 G_N X - X G_M, each of one pair and degree.  Every one-term equation is
 dropped with its unknown, which it forces to zero, until none is left
-(LaMacchia and Odlyzko, CRYPTO 1990); then each (pair, degree) block is
-eliminated on its own.  `hom_space` is a batch of one `hom_spaces`.  The
-unblocked Kronecker-product solve is a test oracle.
+(structured elimination: LaMacchia and Odlyzko, CRYPTO 1990); then each
+(pair, degree) block is eliminated on its own.  If a block left has more
+than `exactfield._LIST_MAX_CELLS` cells, two-term equations are merged
+first: a x_u + b x_w = 0 (u < w) puts u in the class of w, so each class
+is x_j = m_j x_root with m_root = 1, rooted at its largest unknown.  Only
+the equations left on the roots are eliminated, to a kernel basis Ky on
+the roots in increasing order, and K[j] = m_j Ky[root(j)].  That is the
+RREF kernel basis.  A kernel vector is constant up to m_j on each class,
+so its last nonzero entry is at a root.  The free columns of the RREF
+basis are the last nonzero positions the kernel attains, so they are
+roots, the same for Ky, and each basis vector is 1 at its own free column
+and 0 at the others.  Ky's expansion keeps this, and the kernel has one
+basis of that form.  Rooting a class at a smaller unknown would lose it.
+`hom_space` is a batch of one `hom_spaces`.  The unblocked
+Kronecker-product solve is a test oracle.
 
 A full space is first tested for zero.  An intertwiner phi: M -> N has
 phi W_M = W_N phi for every word W in the level actions, so where
@@ -38,13 +50,14 @@ miss, never a wrong value.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .exactfield import Basis, FieldCtx, FieldElement, Matrix, rref_join, vecs, unvec
-from . import memo, repcore, smallalg
+from . import exactfield, memo, repcore, smallalg
 from .repcore import ModuleRep
 
 
@@ -105,6 +118,50 @@ class HomSpace:
         return unvec(self._span.B @ coeffs, *self.shape)
 
 
+def _degree_blocks(row: np.ndarray, col: np.ndarray, live: np.ndarray, deg: np.ndarray):
+    """(d, cols, t0, t1, r) per degree d: the live unknowns cols of degree d,
+    and the entries t0:t1, on rows (nondecreasing) numbered r from 0."""
+    cols = np.flatnonzero(live)
+    dc, dt = deg[cols], deg[col]
+    for d in sorted(set(dc.tolist())):
+        (c0, c1), (t0, t1) = (np.searchsorted(x, [d, d + 1]) for x in (dc, dt))
+        yield d, cols[c0:c1], t0, t1, np.cumsum(np.diff(row[t0:t1], prepend=row[t0:t0 + 1]) != 0)
+
+
+def _merge_rounds(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                  live: np.ndarray):
+    """(root, m, live, row, col, val): x_j = m[j] x_root[j] in every solution,
+    live on the roots whose class is not zero, and the rows left on the
+    roots, each with three or more terms, sorted by (row, root).
+
+    Values are element indices.  A round sums each row's terms per unknown
+    and drops zeros; a one-term row zeroes its unknown's class, and a
+    two-term row a x_u + b x_w (u < w) attaches u under w with m[u] = -b/a,
+    one attachment per u.  Pointer jumping then moves every unknown to its
+    root, composing multipliers, and each term onto its root.
+    """
+    (mul, sub, inv, _), n = ctx._tables, live.size
+    root, m, dead = np.arange(n), np.ones(n, dtype=np.int64), ~live
+    while True:
+        order = np.lexsort((col, row))
+        row, col, val = row[order], col[order], val[order]
+        start = np.flatnonzero(np.diff(row * n + col, prepend=-1))
+        val = ctx.arr_index(np.add.reduceat(ctx.arr_from_index(val), start) % ctx.p)
+        row, col, val = row[start][val != 0], col[start][val != 0], val[val != 0]
+        terms = np.bincount(row)[row]
+        two = np.flatnonzero(terms == 2)
+        if not two.size and not (terms == 1).any():
+            return root, m, ~dead & (root == np.arange(n)), row, col, val
+        u, first = np.unique(col[two[0::2]], return_index=True)
+        a, b = val[two[0::2][first]], val[two[1::2][first]]
+        root[u], m[u] = col[two[1::2][first]], mul[sub[0, b], inv[a]]
+        while (root[root] != root).any():
+            m, root = mul[m, m[root]], root[root]
+        dead[root[col[terms == 1]]] = True
+        keep = ~dead[root[col]]
+        row, col, val = row[keep], root[col[keep]], mul[val[keep], m[col[keep]]]
+
+
 def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndarray,
                    deg: np.ndarray):
     """(d, cols, K) per degree d: K is the RREF kernel basis on the unknowns
@@ -114,6 +171,10 @@ def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndar
     deg are nondecreasing, and each row meets one degree, in order.  A
     one-term row forces its unknown to zero, a pivot column with no free
     part, so dropping both until none is left keeps the kernel basis.
+
+    If a block left is larger than `exactfield._LIST_MAX_CELLS`, all are
+    merged first (`_merge_rounds`; see the module docstring), and each
+    expanded K must satisfy every peeled row, else `InvariantError`.
     """
     row = np.cumsum(np.diff(row, prepend=row[:1]) != 0)  # rows numbered 0, 1, ...
     live = np.ones(deg.size, dtype=bool)
@@ -121,14 +182,27 @@ def _sparse_kernel(ctx: FieldCtx, row: np.ndarray, col: np.ndarray, val: np.ndar
         live[col[one]] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
-    row, cols = np.cumsum(np.diff(row, prepend=row[:1]) != 0), np.flatnonzero(live)
-    pos, dc, dt = np.cumsum(live) - 1, deg[cols], deg[col]
-    for d in sorted(set(dc.tolist())):
-        (c0, c1), (t0, t1) = (np.searchsorted(x, [d, d + 1]) for x in (dc, dt))
-        r = row[t0:t1]
-        A = np.zeros((r[-1] - r[0] + 1 if r.size else 0, c1 - c0, ctx.k), dtype=np.int64)
-        A[r - r[:1], pos[col[t0:t1]] - c0] = val[t0:t1]
-        yield d, cols[c0:c1], Matrix._own(ctx, A).kernel().arr
+    blocks = list(_degree_blocks(row, col, live, deg))
+    if merged := any((r.max(initial=-1) + 1) * cols.size > exactfield._LIST_MAX_CELLS
+                     for _, cols, _, _, r in blocks):
+        mul, peeled, peeled_deg = ctx._tables[0], (row, col, ctx.arr_index(val)), deg[col]
+        root, m, live, row, col, val = _merge_rounds(ctx, *peeled, live)
+        blocks, val = list(_degree_blocks(row, col, live, deg)), ctx.arr_from_index(val)
+    pos = np.cumsum(live) - 1
+    for d, cols, t0, t1, r in blocks:
+        A = np.zeros((r.max(initial=-1) + 1, cols.size, ctx.k), dtype=np.int64)
+        A[r, pos[col[t0:t1]] - pos[cols[0]]] = val[t0:t1]
+        K = Matrix._own(ctx, A).kernel().arr
+        if merged:   # expand to every unknown of degree d; row -1 of Ky is 0, for dead classes
+            Ky = np.concatenate([ctx.arr_index(K), np.zeros((1, K.shape[1]), dtype=np.int64)])
+            at, cols = pos[cols[0]], np.arange(*np.searchsorted(deg, [d, d + 1]))
+            K = mul[m[cols, None], Ky[np.where(live[root[cols]], pos[root[cols]] - at, -1)]]
+            pr, pc, pv = (x[slice(*np.searchsorted(peeled_deg, [d, d + 1]))] for x in peeled)
+            if (np.add.reduceat(ctx.arr_from_index(mul[pv[:, None], K[pc - cols[0]]]),
+                                np.flatnonzero(np.diff(pr, prepend=-1))) % ctx.p).any():
+                raise InvariantError(f"merged sparse kernel of degree {d} fails a peeled row")
+            K = ctx.arr_from_index(K)
+        yield d, cols, K
 
 
 def _blocked_hom_basis(pairs: list, delta: int | None = None,
@@ -501,7 +575,10 @@ def split_indecomposables(M: ModuleRep, sampler=None,
     since End_0 of a graded summand is pi End_0(parent) iota; its End_0
     basis is an independent subset of the stack, and SPLIT_TRIES
     `random_weight_zero_right_mult` draws over the stack, from an RNG seeded
-    by seed, come first.  Raises ValueError unless the summands are
+    by seed, come first.  If the first draw does not split a node and its
+    End_0 basis certifies a leaf, End_0 is local, so no draw can split it:
+    the leaf is recorded and the RNG advanced past the draws skipped, so
+    later nodes draw as before.  Raises ValueError unless the summands are
     independent and fill M.
     """
     rng = None if sampler is None else np.random.default_rng(seed)
@@ -510,18 +587,21 @@ def split_indecomposables(M: ModuleRep, sampler=None,
              None if sampler is None else sampler.weight_zero_right_mult_basis())]
     while todo:
         node, incl, stack = todo.pop()
-        draws = () if stack is None else \
+        draws = iter(()) if stack is None else \
             (sampler.random_weight_zero_right_mult(rng, stack) for _ in range(SPLIT_TRIES))
-        pieces = _first_split(node, draws)
+        pieces = _first_split(node, islice(draws, 1))
         if pieces is None:
             end0 = _end0_basis(node, stack)
-            pieces = _first_split(node, end0)
-            if pieces is None:
-                if len(end0) > 2:
-                    raise Inconclusive(f"summand of {M.provenance!r} of dim {node.dim} has "
-                                       f"dim End_0 = {len(end0)} > 2 and no candidate splits it")
+            by_end0 = len(end0) <= 2 and _first_split(node, end0)
+            if by_end0 is None:                       # End_0 is local: nothing splits node
+                for _ in range((SPLIT_TRIES - 1) * len(stack or ())):   # the draws skipped
+                    rng.integers(0, node.ctx.q)
                 leaves.append((incl, node))
                 continue
+            pieces = _first_split(node, draws) or by_end0 or _first_split(node, end0)
+            if pieces is None:
+                raise Inconclusive(f"summand of {M.provenance!r} of dim {node.dim} has "
+                                   f"dim End_0 = {len(end0)} > 2 and no candidate splits it")
         stacks = [None] * len(pieces) if stack is None else _restrict_stack(stack, pieces)
         # pushed in reverse, so the first piece is visited next
         for basis, piece_stack in zip(pieces[::-1], stacks[::-1]):

@@ -158,6 +158,24 @@ def test_solver_self_check_exits_5(monkeypatch, capsys):
                                   "message": line.removeprefix("error: internal invariant: ")}
 
 
+def test_merged_solver_self_check_exits_5(monkeypatch, capsys):
+    # a merge that hands back wrong multipliers (twice the true ones off the
+    # roots) expands kernels that break a peeled row; the check stops the command
+    merge = homology._merge_rounds
+
+    def wrong_multipliers(ctx, *args):
+        root, m, *rest = merge(ctx, *args)
+        return (root, np.where(root == np.arange(root.size), m, ctx._tables[0][m, 2]), *rest)
+
+    monkeypatch.setattr(homology, "_merge_rounds", wrong_multipliers)
+    assert main(["projectives", "--p", "3", "--r", "2"]) == 5
+    err = capsys.readouterr().err
+    record = _error_record(err)
+    assert record["exit"] == 5 and record["kind"] == "InvariantError"
+    assert record["message"].startswith("merged sparse kernel of degree ")
+    assert record["message"].endswith(" fails a peeled row")
+
+
 def test_failing_checks_exit_1_whatever_their_count(monkeypatch, capsys):
     # three failures must not read as exit 3, a non-generic seed
     failing = report("stub", {}, [check(f"c{i}", False) for i in range(3)])

@@ -1,4 +1,5 @@
 import gc
+import sys
 from collections import Counter
 
 import numpy as np
@@ -345,6 +346,65 @@ def test_peeled_sparse_kernel_matches_the_dense_kernel_property(ctx, data):
         full[cols] = K
         got.append(full)
         seen.append(d)
+    assert seen == sorted(set(seen))
+    want = Matrix(ctx, ctx.arr_from_index(A)).kernel().arr
+    assert np.array_equal(np.concatenate(got, axis=1) if got else want[:, :0], want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F3, F9, F25]), st.data())
+def test_merged_sparse_kernel_matches_the_dense_kernel_property(ctx, data):
+    # with every block merged: two-term chains and cycles (a cycle whose
+    # multipliers multiply to 1 keeps its class, any other zeroes it), rows
+    # that a substitution cuts to one term or cancels, and random rows left
+    # for the dense step; the basis is still the dense RREF kernel basis
+    unit = st.integers(1, ctx.q - 1).map(ctx.from_index)
+    deg = np.array(sorted(data.draw(st.lists(st.integers(-1, 1), min_size=2, max_size=14))))
+    rows = []                                       # (degree, {unknown: coefficient})
+    for d in sorted(set(deg.tolist())):
+        own = np.flatnonzero(deg == d).tolist()
+        links = []
+        for _ in range(data.draw(st.integers(0, 3)) if len(own) > 1 else 0):
+            path = data.draw(st.lists(st.sampled_from(own), min_size=2, max_size=6, unique=True))
+            cycle = len(path) > 2 and data.draw(st.booleans())
+            coeffs = [[data.draw(unit), data.draw(unit)] for _ in path[:None if cycle else -1]]
+            if cycle:   # a x_u + b x_w = 0 is x_u = -(b/a) x_w: the product around is t
+                t, product = data.draw(st.sampled_from([ctx.one(), data.draw(unit)])), ctx.one()
+                for a, b in coeffs[:-1]:
+                    product = product * (-b / a)
+                coeffs[-1][1] = -(coeffs[-1][0] * t / product)
+            links += [{u: a, w: b} for (a, b), u, w in zip(coeffs, path, path[1:] + path[:1])]
+        for link in links:
+            for kind in data.draw(st.lists(st.sampled_from(["one", "zero"]), max_size=2)):
+                scale, rest = data.draw(unit), [u for u in own if u not in link]
+                row = {u: a * scale for u, a in link.items()}
+                if kind == "one" and rest:          # x_z alone once the link is merged
+                    row[data.draw(st.sampled_from(rest))] = data.draw(unit)
+                elif kind == "zero":                # two links that cancel once merged
+                    other = data.draw(st.sampled_from(links))
+                    if not set(other) & set(link):
+                        row.update({u: a * data.draw(unit) for u, a in other.items()})
+                rows.append((d, row))
+        rows += [(d, link) for link in links]
+        for _ in range(data.draw(st.integers(0, 4))):
+            support = data.draw(st.lists(st.sampled_from(own), min_size=1, max_size=4,
+                                         unique=True))
+            rows.append((d, {u: data.draw(unit) for u in support}))
+    rows = data.draw(st.permutations(rows))
+    rows.sort(key=lambda row: row[0])                   # rows sorted by degree
+    A = np.zeros((len(rows), deg.size), dtype=np.int64)
+    for i, (_, row) in enumerate(rows):
+        A[i, list(row)] = [a.idx for a in row.values()]
+    r, c = np.nonzero(A)
+    got, seen = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactfield, "_LIST_MAX_CELLS", 0)
+        for d, cols, K in homology._sparse_kernel(ctx, r, c, ctx.arr_from_index(A[r, c]), deg):
+            assert (deg[cols] == d).all() and (np.diff(cols) > 0).all()
+            full = np.zeros((deg.size, K.shape[1], ctx.k), dtype=np.int64)
+            full[cols] = K
+            got.append(full)
+            seen.append(d)
     assert seen == sorted(set(seen))
     want = Matrix(ctx, ctx.arr_from_index(A)).kernel().arr
     assert np.array_equal(np.concatenate(got, axis=1) if got else want[:, :0], want)
@@ -986,3 +1046,20 @@ def test_projectives_command_tensor_count(monkeypatch):
     monkeypatch.setattr(repcore, "tensor", counting)
     run_command("projectives", 3, 2, 2, "auto", 2, 0)
     assert len(built) == 58
+
+
+def test_center_command_dense_block_count(monkeypatch):
+    # merging the two-term rows leaves 9 of the 70 blocks the Hom solver
+    # eliminates for `center --p 3 --r 2` above the list-path cutoff (45
+    # without the merge); a rise past 11 means the merge stopped reaching them
+    sizes, kernel = [], Matrix.kernel
+
+    def recording(A):
+        if sys._getframe(1).f_code is homology._sparse_kernel.__code__:
+            sizes.append(A.rows * A.cols)
+        return kernel(A)
+
+    monkeypatch.setattr(Matrix, "kernel", recording)
+    run_command("center", 3, 2, 2, "auto", 2, 0)
+    assert len(sizes) == 70
+    assert sum(size > exactfield._LIST_MAX_CELLS for size in sizes) <= 11
