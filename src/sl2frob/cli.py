@@ -4,7 +4,8 @@ Reports are deterministic for identical flags (seeds included, no
 timestamps) and embed the field modulus and all sign/ordering conventions,
 so they can be used as golden files.  Exit code 0 means every check passed
 and 1 that at least one failed (the report counts them); the exception type
-picks the rest: 2 a usage error, 3 a non-generic weight seed
+picks the rest: 2 a usage error or an `--out` path that cannot be
+written, 3 a non-generic weight seed
 (`homology.NonGenericSeed`), 4 an undecided certificate
 (`homology.Inconclusive`; stderr says `error: inconclusive: ...`), 5 a
 failed self-check of the solver (`homology.InvariantError`; stderr says
@@ -264,24 +265,29 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         raise ValueError(message)
 
+    def failed(e: Exception, code: int, prefix: str = "") -> int:
+        print(f"error: {prefix}{e}", file=sys.stderr)
+        print(json.dumps({"exit": code, "kind": type(e).__name__, "message": str(e)}),
+              file=sys.stderr)
+        return code
+
     parser.error = usage_error
     try:
         args = parser.parse_args(argv)
         rep = run_command(args.command, args.p, args.ext, args.r,
                           args.d_seed, args.window, args.seed)
     except tuple(kind for kind, _, _ in ERRORS) as e:
-        code, prefix = next((code, prefix) for kind, code, prefix in ERRORS
-                            if isinstance(e, kind))
-        print(f"error: {prefix}{e}", file=sys.stderr)
-        print(json.dumps({"exit": code, "kind": type(e).__name__, "message": str(e)}),
-              file=sys.stderr)
-        return code
+        return failed(e, *next((code, prefix) for kind, code, prefix in ERRORS
+                               if isinstance(e, kind)))
 
     text = json.dumps(rep, indent=1, sort_keys=True) + "\n" \
         if args.format == "json" else to_csv(rep)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            return failed(e, 2)         # a usage error, like a bad flag
     else:
         sys.stdout.write(text)
     return 1 if rep["failures"] else 0

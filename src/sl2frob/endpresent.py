@@ -9,6 +9,11 @@ Omega_r = (P_r ->> L_r -> P_r).  All diagram identities among them hold up
 to nonzero constants which depend on the splitting choices, so they are
 measured and reported per instance, never assumed.
 
+`KernelAlgebra(ctx, r)`, for r = 1 and 2, holds the objects and generators
+that relations, generation and the center read.  Its objects are the
+covers `homology.projective_cover(ctx, label)` restricted to r levels, the
+covers every other certificate reads.
+
 At the second kernel the generators act on two tensor slots: level-0
 generators move the top digit by one and flip the bottom digit through the
 cross maps; level-1 generators act by the degree +-p^2 hom on the top slot.
@@ -53,6 +58,12 @@ def proportionality(a: Matrix, b: Matrix) -> FieldElement | None:
     i, j = divmod(int(flat[0]), b.cols)
     c = a.entry(i, j) * b.entry(i, j).inv()
     return c if a == b.scale(c) else None
+
+
+def _multiple_check(name: str, a: Matrix, b: Matrix) -> dict:
+    """Passes when a is a nonzero multiple of b; the measured scalar is reported."""
+    c = proportionality(a, b)
+    return check(name, c is not None and not c.is_zero(), scalar=str(c))
 
 
 # ---------------------------------------------------------------------------
@@ -242,43 +253,32 @@ def verify_relations_level1(fm: FixedMaps) -> list[dict]:
             if not 0 <= r + s <= p - 2:
                 continue
             left = Matrix.identity(ctx, 2).kron(fm.split_in[(r, s)])
-            a = fm.cross[r + s].kron(I2) @ left
-            b = fm.split_in[(p - 2 - r, -s)] @ fm.cross[r]
-            c = proportionality(a, b)
-            checks.append(check(f"cross_square_r{r}_s{s:+d}",
-                                c is not None and not c.is_zero(),
-                                scalar=str(c)))
+            checks.append(_multiple_check(f"cross_square_r{r}_s{s:+d}",
+                                          fm.cross[r + s].kron(I2) @ left,
+                                          fm.split_in[(p - 2 - r, -s)] @ fm.cross[r]))
 
     # Omega-defining square: cross_{p-2-r} . (id (x) cross_r) vs Omega_r . (pair (x) id)
     for r in range(p - 1):
-        a = fm.cross[p - 2 - r] @ I2.kron(fm.cross[r])
-        b = fm.omega[r] @ fm.pair.kron(ipd(r))
-        c = proportionality(a, b)
-        checks.append(check(f"omega_square_r{r}",
-                            c is not None and not c.is_zero(), scalar=str(c)))
+        checks.append(_multiple_check(f"omega_square_r{r}",
+                                      fm.cross[p - 2 - r] @ I2.kron(fm.cross[r]),
+                                      fm.omega[r] @ fm.pair.kron(ipd(r))))
 
     # phi definitions: square composite of phi_min is a nonzero multiple of
     # Omega_{p-2}, of phi_max a nonzero multiple of the identity plus Omega
-    sq_min = fm._phi_square(fm.phi_min)
-    c = proportionality(sq_min, fm.omega[p - 2])
-    checks.append(check("phi_min_square_omega", c is not None and not c.is_zero(),
-                        scalar=str(c)))
+    checks.append(_multiple_check("phi_min_square_omega",
+                                  fm._phi_square(fm.phi_min), fm.omega[p - 2]))
     alpha = homology.single_eigenvalue(fm._phi_square(fm.phi_max))
     checks.append(check("phi_max_square_invertible", not alpha.is_zero(),
                         id_part=str(alpha)))
 
     # phi_min socle square
-    a = fm.cross[0].kron(I2) @ I2.kron(fm.stein)
-    b = fm.phi_min @ fm.pair.kron(ipd(p - 1))
-    c = proportionality(a, b)
-    checks.append(check("phi_min_socle_square", c is not None and not c.is_zero(),
-                        scalar=str(c)))
+    checks.append(_multiple_check("phi_min_socle_square",
+                                  fm.cross[0].kron(I2) @ I2.kron(fm.stein),
+                                  fm.phi_min @ fm.pair.kron(ipd(p - 1))))
 
     # phi_max triangle through the Steinberg summand
-    a = fm.cross[p - 2].kron(I2) @ I2.kron(fm.phi_max)
-    c = proportionality(a, fm.stein)
-    checks.append(check("phi_max_triangle", c is not None and not c.is_zero(),
-                        scalar=str(c)))
+    checks.append(_multiple_check("phi_max_triangle",
+                                  fm.cross[p - 2].kron(I2) @ I2.kron(fm.phi_max), fm.stein))
 
     # the xi functional P_{p-2} (x) V -> P_{p-1} distinguishes the phis:
     # exactly one direction of the 2-dim space survives
@@ -323,25 +323,28 @@ def verify_relations_level1(fm: FixedMaps) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# second-kernel generators
+# the kernel algebra: covers and generators of levels one and two
 # ---------------------------------------------------------------------------
 
-class KernelTwoAlgebra:
-    """Objects, generators and hom spaces for the second Frobenius kernel; the
-    objects are `homology.projective_covers(ctx, 2)` restricted to two levels."""
+class KernelAlgebra:
+    """Objects and generators of the End algebra of the level-r covers, r = 1 or 2.
 
-    def __init__(self, ctx: FieldCtx):
+    The objects are `homology.projective_cover(ctx, label)` restricted to r
+    levels, one per label of `repcore.all_labels(p, r)`.  At r = 1 the
+    generators are Omega_i and the degree +-p maps up/down: P_i -> P_{p-2-i}.
+    """
+
+    def __init__(self, ctx: FieldCtx, r: int):
+        if r not in (1, 2):
+            raise ValueError(f"the End algebra is instantiated for r in {{1, 2}}, not r = {r}")
         self.ctx = ctx
         self.p = ctx.p
+        self.r = r
         self.fm = fixed_maps(ctx)
-        self.labels = repcore.all_labels(ctx.p, 2)
-        self.restricted = {lab: repcore.restrict_levels(P, 2)
-                           for lab, P in homology.projective_covers(ctx, 2).items()}
+        self.labels = repcore.all_labels(ctx.p, r)
+        self.restricted = {lab: repcore.restrict_levels(homology.projective_cover(ctx, lab), r)
+                           for lab in self.labels}
         self.generators = self._build_generators()
-
-    def dims(self, lab) -> tuple[int, int]:
-        k0, k1 = lab
-        return self.fm.ext[k0].dim, self.fm.ext[k1].dim
 
     def _slot1_map_variants(self, k1: int, t: int) -> list[tuple[str, Matrix]]:
         """Maps P_{k1} -> P_{k1+t} (x) V by kind (splitting, iso, or the phis)."""
@@ -359,9 +362,13 @@ class KernelTwoAlgebra:
         ctx = self.ctx
         p = self.p
         fm = self.fm
+        if self.r == 1:
+            return [EndGenerator(kind, 0, (i,), (i if kind == "omega" else p - 2 - i,), maps[i])
+                    for i in range(p - 1)
+                    for kind, maps in (("omega", fm.omega), ("up", fm.up), ("down", fm.down))]
         gens: list[EndGenerator] = []
         for (k0, k1) in self.labels:
-            d0, d1 = self.dims((k0, k1))
+            d0, d1 = fm.ext[k0].dim, fm.ext[k1].dim
             # level-1 (top) generators: id (x) (up/down on the twisted slot)
             if k1 <= p - 2:
                 tgt = (k0, p - 2 - k1)
@@ -400,47 +407,32 @@ class KernelTwoAlgebra:
         step2 = fm.cross[k0].kron(Matrix.identity(ctx, d1t))
         return step2 @ swap @ step1
 
-    def gens_between(self, src, tgt, kinds=None) -> list[EndGenerator]:
-        return [g for g in self.generators
-                if g.source == src and g.target == tgt
-                and (kinds is None or g.kind in kinds)]
+    def gens_between(self, src, tgt, kind: str) -> list[EndGenerator]:
+        return [g for g in self.generators if (g.source, g.target, g.kind) == (src, tgt, kind)]
 
 
-def verify_relations_level2(K: KernelTwoAlgebra) -> list[dict]:
+def verify_relations_level2(K: KernelAlgebra) -> list[dict]:
     """Grid relations between the level-0 and level-1 generators."""
     p = K.p
     ctx = K.ctx
     fm = K.fm
     checks = []
+    # the level-0 movers (k0, k1) -> (p-2-k0, k1+t); omega0 is level 0 too
+    movers = [g for g in K.generators if g.kind.startswith("level0_")]
 
     # adjacent-level squares: top generator commutes with a level-0 generator
     # up to a nonzero constant (per matching direction and phi-kind)
-    for (k0, k1) in K.labels:
-        if k0 > p - 2:
-            continue
-        for t in (+1, -1):
-            if not 0 <= k1 + t <= p - 1:
-                continue
-            for g0 in K.gens_between((k0, k1), (p - 2 - k0, k1 + t)):
-                if g0.level != 0:
-                    continue
-                for direction in ("top_up", "top_down"):
-                    tops_after = K.gens_between((p - 2 - k0, k1 + t),
-                                                (p - 2 - k0, p - 2 - k1 - t),
-                                                kinds=[direction])
-                    tops_before = K.gens_between((k0, k1), (k0, p - 2 - k1),
-                                                 kinds=[direction])
-                    g0_after = K.gens_between((k0, p - 2 - k1),
-                                              (p - 2 - k0, p - 2 - k1 - t),
-                                              kinds=[g0.kind])
-                    if not (tops_after and tops_before and g0_after):
-                        continue
-                    A = tops_after[0].matrix @ g0.matrix
-                    B = g0_after[0].matrix @ tops_before[0].matrix
-                    c = proportionality(A, B)
-                    checks.append(check(
-                        f"grid_{k0}_{k1}_t{t:+d}_{g0.kind}_{direction}",
-                        c is not None and not c.is_zero(), scalar=str(c)))
+    for g0 in movers:
+        (k0, k1), (_, k1t) = g0.source, g0.target
+        for direction in ("top_up", "top_down"):
+            tops_after = K.gens_between(g0.target, (p - 2 - k0, p - 2 - k1t), direction)
+            tops_before = K.gens_between(g0.source, (k0, p - 2 - k1), direction)
+            g0_after = K.gens_between((k0, p - 2 - k1), (p - 2 - k0, p - 2 - k1t), g0.kind)
+            if tops_after and tops_before and g0_after:
+                checks.append(_multiple_check(
+                    f"grid_{k0}_{k1}_t{k1t - k1:+d}_{g0.kind}_{direction}",
+                    tops_after[0].matrix @ g0.matrix,
+                    g0_after[0].matrix @ tops_before[0].matrix))
 
     # same-level-0 composites: net +-2 vanish; net 0 give Omega (x) theta, read in
     # span{Omega_k0 (x) id, Omega_k0 (x) Omega_k1} (no Omega_k1 at k1 = p - 1)
@@ -451,62 +443,40 @@ def verify_relations_level2(K: KernelTwoAlgebra) -> list[dict]:
             if k1 <= p - 2:
                 mats.append(fm.omega[k0].kron(fm.omega[k1]))
             theta_span[(k0, k1)] = Basis(vecs(ctx, mats[0].shape, mats))
-    for (k0, k1) in K.labels:
-        if k0 > p - 2:
-            continue
-        for t1 in (+1, -1):
-            if not 0 <= k1 + t1 <= p - 1:
+    for g1 in movers:
+        (k0, k1), (_, mid) = g1.source, g1.target
+        for g2 in (g for g in movers if g.source == g1.target):
+            end = g2.target[1]
+            M = g2.matrix @ g1.matrix
+            name = f"level0_pair_{k0}_{k1}_{mid - k1:+d}{end - mid:+d}_{g1.kind}_{g2.kind}"
+            if end != k1:
+                checks.append(check(name + "_vanish", M.is_zero()))
                 continue
-            for g1 in K.gens_between((k0, k1), (p - 2 - k0, k1 + t1)):
-                if g1.level != 0:
-                    continue
-                for t2 in (+1, -1):
-                    end = k1 + t1 + t2
-                    if not 0 <= end <= p - 1:
-                        continue
-                    for g2 in K.gens_between((p - 2 - k0, k1 + t1), (k0, end)):
-                        if g2.level != 0:
-                            continue
-                        M = g2.matrix @ g1.matrix
-                        name = f"level0_pair_{k0}_{k1}_{t1:+d}{t2:+d}_{g1.kind}_{g2.kind}"
-                        if end != k1:
-                            checks.append(check(name + "_vanish", M.is_zero()))
-                            continue
-                        X = theta_span[(k0, k1)].coordinates(vec(M))
-                        coeffs = None if X is None else \
-                            [X.entry(0, 0), X.entry(1, 0) if X.rows > 1 else ctx.zero()]
-                        through_st = (k1 + t1 == p - 1)
-                        if not through_st:
-                            ok = coeffs is not None and not coeffs[0].is_zero()
-                            checks.append(check(name + "_omega_theta", ok,
-                                                id_part=str(coeffs[0]) if coeffs else None,
-                                                omega_part=str(coeffs[1]) if coeffs else None))
-                        else:
-                            # through the Steinberg slot: the phi-kind decides
-                            # whether the theta part is invertible or radical
-                            ok = coeffs is not None
-                            via_min = any(k.endswith("phi_min")
-                                          for k in (g1.kind, g2.kind))
-                            if ok and via_min:
-                                ok = coeffs[0].is_zero() and not coeffs[1].is_zero()
-                            elif ok:
-                                ok = not coeffs[0].is_zero()
-                            checks.append(check(name + "_steinberg", ok,
-                                                id_part=str(coeffs[0]) if coeffs else None,
-                                                omega_part=str(coeffs[1]) if coeffs else None))
+            X = theta_span[(k0, k1)].coordinates(vec(M))
+            coeffs = None if X is None else \
+                [X.entry(0, 0), X.entry(1, 0) if X.rows > 1 else ctx.zero()]
+            # through the Steinberg slot the phi-kind decides whether the
+            # theta part is invertible or radical
+            via_min = mid == p - 1 and any(k.endswith("phi_min") for k in (g1.kind, g2.kind))
+            ok = coeffs is not None and (
+                coeffs[0].is_zero() and not coeffs[1].is_zero() if via_min
+                else not coeffs[0].is_zero())
+            checks.append(check(name + ("_steinberg" if mid == p - 1 else "_omega_theta"), ok,
+                                id_part=str(coeffs[0]) if coeffs else None,
+                                omega_part=str(coeffs[1]) if coeffs else None))
 
     # disjoint-slot commutation is exact; Omega annihilates same-slot movers
     for g in K.generators:
         if g.level == 1 and g.kind in ("top_up", "top_down"):
             k0, k1 = g.source
             if k0 <= p - 2:
-                om_src = K.gens_between(g.source, g.source, kinds=["omega0"])
-                om_tgt = K.gens_between(g.target, g.target, kinds=["omega0"])
+                om_src = K.gens_between(g.source, g.source, "omega0")
+                om_tgt = K.gens_between(g.target, g.target, "omega0")
                 if om_src and om_tgt:
                     ok = (g.matrix @ om_src[0].matrix) == (om_tgt[0].matrix @ g.matrix)
                     checks.append(check(f"disjoint_slots_{g.source}_{g.kind}", ok))
-            om1_src = K.gens_between(g.source, g.source, kinds=["omega1"])
-            om1_tgt = K.gens_between(g.target, g.target, kinds=["omega1"])
+            om1_src = K.gens_between(g.source, g.source, "omega1")
+            om1_tgt = K.gens_between(g.target, g.target, "omega1")
             if om1_src:
                 ok = (g.matrix @ om1_src[0].matrix).is_zero()
                 checks.append(check(f"omega_kills_top_pre_{g.source}_{g.kind}", ok))
@@ -517,21 +487,15 @@ def verify_relations_level2(K: KernelTwoAlgebra) -> list[dict]:
 
 
 def verify_relations(ctx: FieldCtx, r: int) -> dict:
-    fm_checks: list[dict]
+    K = KernelAlgebra(ctx, r)
+    fm = K.fm
+    checks = verify_relations_level1(fm)
     if r == 1:
-        fm = fixed_maps(ctx)
-        fm_checks = verify_relations_level1(fm)
-        fm_checks.append(check("hom_classification", fm.classify_ok,
-                               unexpected=fm.unexpected))
-        fm_checks.extend(check(f"omega_factors_P{r0}", ok)
-                         for r0, ok in fm.omega_factor_checks)
-    elif r == 2:
-        K = KernelTwoAlgebra(ctx)
-        fm_checks = verify_relations_level1(K.fm)
-        fm_checks.extend(verify_relations_level2(K))
+        checks.append(check("hom_classification", fm.classify_ok, unexpected=fm.unexpected))
+        checks.extend(check(f"omega_factors_P{r0}", ok) for r0, ok in fm.omega_factor_checks)
     else:
-        raise ValueError("relations are instantiated for r in {1, 2}")
-    return report("relations", {"p": ctx.p, "r": r}, fm_checks)
+        checks.extend(verify_relations_level2(K))
+    return report("relations", {"p": ctx.p, "r": r}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -593,25 +557,12 @@ def verify_generation(ctx: FieldCtx, r: int) -> dict:
     check accepts either orientation and itemizes which pairs needed the
     reversed one.
     """
-    p = ctx.p
+    K = KernelAlgebra(ctx, r)
+    mods = K.restricted
     checks = []
-    if r == 1:
-        fm = fixed_maps(ctx)
-        objects = list(range(p))
-        mods = {i: repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
-        by_level = {0: [EndGenerator(kind, 0, i, i if kind == "omega" else p - 2 - i, maps[i])
-                        for i in range(p - 1)
-                        for kind, maps in (("omega", fm.omega), ("up", fm.up), ("down", fm.down))]}
-    elif r == 2:
-        K = KernelTwoAlgebra(ctx)
-        objects = K.labels
-        mods = K.restricted
-        by_level = {level: [g for g in K.generators if g.level == level] for level in (0, 1)}
-    else:
-        raise ValueError("generation is instantiated for r in {1, 2}")
-
-    gradings = {o: mods[o].grading for o in objects}
-    max_level = max(by_level)
+    by_level = {level: [g for g in K.generators if g.level == level] for level in range(r)}
+    gradings = {o: M.grading for o, M in mods.items()}
+    max_level = r - 1
     span_hi = _span_closure(ctx, gradings, by_level, max_level)
     all_gens = {0: [g for gs in by_level.values() for g in gs]}
     span_free = _span_closure(ctx, gradings, all_gens, 0)
@@ -619,8 +570,8 @@ def verify_generation(ctx: FieldCtx, r: int) -> dict:
 
     total_gen, total_ord, total_full = 0, 0, 0
     reversed_pairs = []
-    for a in objects:
-        for b in objects:
+    for a in K.labels:
+        for b in K.labels:
             H = homology.hom_space(mods[a], mods[b])
             want = dict(Counter(H.degrees))
             got_free = span_free.get((a, b), {})
@@ -638,22 +589,23 @@ def verify_generation(ctx: FieldCtx, r: int) -> dict:
                     reversed_pairs.append((a, b))
             total_ord += H.dim if ok_ord else sum(got_hi.values())
             if H.dim or not (ok_gen and ok_ord):
-                checks.append(check(f"span_{a}_{b}", ok_gen and ok_ord,
+                # the first kernel names its objects by their one digit
+                name = f"span_{a[0]}_{b[0]}" if r == 1 else f"span_{a}_{b}"
+                checks.append(check(name, ok_gen and ok_ord,
                                     generated=got_free, ordered_ok=ok_ord, full=want))
     checks.append(check("generated_total", total_gen == total_full,
                         generated=total_gen, full=total_full))
     checks.append(check("ordered_total", total_ord == total_full,
                         ordered=total_ord, full=total_full,
                         pairs_needing_reversed_order=reversed_pairs))
-    return report("generation", {"p": p, "r": r}, checks)
+    return report("generation", {"p": ctx.p, "r": r}, checks)
 
 
 # ---------------------------------------------------------------------------
 # the center
 # ---------------------------------------------------------------------------
 
-def _predicted_center(ctx: FieldCtx, r: int, block: list[tuple],
-                      fm: FixedMaps, mods: dict) -> list[dict]:
+def _predicted_center(K: KernelAlgebra, block: list[tuple]) -> list[dict]:
     """The predicted spanning set: block idempotent plus Omega-string elements.
 
     An element is indexed by a level l, a digit string (k_0, ..., k_l) with
@@ -662,14 +614,14 @@ def _predicted_center(ctx: FieldCtx, r: int, block: list[tuple],
     Omega_{k_0} (x) ... (x) Omega_{k_l} (x) id on the matching projectives
     and by zero elsewhere.
     """
-    p = ctx.p
+    ctx, p, fm, mods = K.ctx, K.p, K.fm, K.restricted
     first_blocks = sorted({tuple(sorted({k, p - 2 - k})) for k in range(p - 1)})
     first_blocks = first_blocks + [(p - 1,)]
     out = [{lab: Matrix.identity(ctx, mods[lab].dim) for lab in block}]
-    for level in range(r):
+    for level in range(K.r):
         strings = sorted({lab[:level + 1] for lab in block
                           if all(k <= p - 2 for k in lab[:level + 1])})
-        selectors: list[tuple] = [()] if level + 1 >= r else list(first_blocks)
+        selectors: list[tuple] = [()] if level + 1 >= K.r else list(first_blocks)
         for s in strings:
             for sel in selectors:
                 elem = {}
@@ -700,20 +652,10 @@ def verify_center(ctx: FieldCtx, r: int, block_of: tuple | None = None) -> dict:
     compared against the matched lower-kernel block instead.
     """
     p = ctx.p
+    K = KernelAlgebra(ctx, r)
+    mods = K.restricted
     checks = []
-    if r == 1:
-        fm = fixed_maps(ctx)
-        mods = {(i,): repcore.restrict_levels(fm.ext[i], 1) for i in range(p)}
-        labels = [(i,) for i in range(p)]
-    elif r == 2:
-        K = KernelTwoAlgebra(ctx)
-        fm = K.fm
-        mods = K.restricted
-        labels = K.labels
-    else:
-        raise ValueError("center is instantiated for r in {1, 2}")
-
-    blks = homology.blocks({lab: mods[lab] for lab in labels})
+    blks = homology.blocks(mods)
     if block_of is not None:
         blks = [b for b in blks if block_of in b]
     tables = []
@@ -733,7 +675,7 @@ def verify_center(ctx: FieldCtx, r: int, block_of: tuple | None = None) -> dict:
                                 len(zbasis) == expected,
                                 computed=len(zbasis), expected=expected))
             continue
-        pred = _predicted_center(ctx, r, blk, fm, mods)
+        pred = _predicted_center(K, blk)
         for i, z in enumerate(pred):
             checks.append(check(f"{name}_predicted_{i}_central",
                                 E.element_is_central(z)))

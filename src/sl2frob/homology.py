@@ -41,7 +41,8 @@ covers of every level, the extended projectives, their canonical level-one
 Hom bases and the generic-seed certificate are each computed once per
 distinct input.  Every certificate that needs a level-r cover reads
 `projective_cover` or `projective_covers`, which build each one with
-`repcore.twisted_tensor`.  Modules compare by content, so a Hom space, and
+`repcore.twisted_tensor`; the End certificates read it at r = 1 and 2
+through `endpresent.KernelAlgebra`.  Modules compare by content, so a Hom space, and
 the word diagonals, ker E per degree and `is_simple` verdict of a module,
 are reused exactly for content-equal arguments: a digest collision is a
 miss, never a wrong value.

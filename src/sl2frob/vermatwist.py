@@ -229,8 +229,7 @@ def hom_iso_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
 
 
 def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
-                           W: repcore.ModuleRep, mu: int, mu_p: int, mu_pp: int,
-                           tag: str = "") -> dict:
+                           W: repcore.ModuleRep, mu: int, mu_p: int, mu_pp: int) -> dict:
     """Composing two transfers and projecting equals the twist applied to v (x) w."""
     checks = []
     wV = V.weight_indices()
@@ -238,7 +237,7 @@ def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
     nu1, nu2 = mu - mu_p, mu_p - mu_pp
     if nu1 not in wV or nu2 not in wW:
         return report("hom-iso-composition", {"mu": mu, "mu_p": mu_p, "mu_pp": mu_pp},
-                      [check(f"vacuous{tag}", True)])
+                      [check("vacuous", True)])
     A = twist_closed_form(ctx, d + ctx.el(mu_p % ctx.p)).coeffs
     stacks_V, stacks_W = _power_stacks(V), _power_stacks(W)
     (Ev, _), (_, Fw) = stacks_V, stacks_W
@@ -255,7 +254,7 @@ def composition_law_report(ctx: FieldCtx, d: FieldElement, V: repcore.ModuleRep,
             # sum_k A_k f^k w (x) e^k v, from the columns t of F_W^k and s of E_V^k
             expect = sum((Matrix(ctx, Fw[k][:, t:t + 1]).kron(Matrix(ctx, Ev[k][:, s:s + 1]))
                           .scale(A[k]) for k in range(ctx.p)), Matrix.zeros(ctx, W.dim * V.dim, 1))
-            checks.append(check(f"composition{tag}_{s}_{t}", got == expect))
+            checks.append(check(f"composition_{s}_{t}", got == expect))
     return report("hom-iso-composition",
                   {"mu": mu, "mu_p": mu_p, "mu_pp": mu_pp}, checks)
 

@@ -229,6 +229,16 @@ def test_out_file(tmp_path):
     assert rep["failures"] == 0
 
 
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["twist", "--p", "3", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.parent.exists()
+    record = _error_record(captured.err)
+    assert record["exit"] == 2 and record["kind"] == "FileNotFoundError"
+    assert str(path) in record["message"]
+
+
 @pytest.mark.parametrize("argv, command", [
     (["block-equivalence", "--p", "3"], "block-equivalence"),
     (["generation", "--p", "3", "--r", "1"], "generation"),

@@ -23,7 +23,7 @@ def fm3():
 
 @pytest.fixture(scope="module")
 def k2():
-    return EP.KernelTwoAlgebra(F3)
+    return EP.KernelAlgebra(F3, 2)
 
 
 def test_perm_matrix_roundtrip():
@@ -150,6 +150,28 @@ def test_generator_inventory(k2):
         for j in range(2):
             assert (g.matrix @ src.E[j] - tgt.E[j] @ g.matrix).is_zero(), (g.kind, j)
             assert (g.matrix @ src.F[j] - tgt.F[j] @ g.matrix).is_zero()
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_kernel_algebra_rejects_other_levels(r):
+    with pytest.raises(ValueError, match=re.escape(f"r in {{1, 2}}, not r = {r}")):
+        EP.KernelAlgebra(F3, r)
+
+
+def test_kernel_algebra_level_one(fm3):
+    # the objects are the level-one covers, equal by content to the extended
+    # projectives restricted to one level; Omega, up and down generate
+    K = EP.KernelAlgebra(F3, 1)
+    assert list(K.restricted) == K.labels == [(0,), (1,), (2,)]
+    for (i,), M in K.restricted.items():
+        assert M == repcore.restrict_levels(fm3.ext[i], 1)
+    assert [(g.kind, g.level, g.source, g.target) for g in K.generators] == [
+        ("omega", 0, (0,), (0,)), ("up", 0, (0,), (1,)), ("down", 0, (0,), (1,)),
+        ("omega", 0, (1,), (1,)), ("up", 0, (1,), (0,)), ("down", 0, (1,), (0,))]
+    for g in K.generators:
+        src, tgt = K.restricted[g.source], K.restricted[g.target]
+        assert (g.matrix @ src.E[0] - tgt.E[0] @ g.matrix).is_zero()
+        assert (g.matrix @ src.F[0] - tgt.F[0] @ g.matrix).is_zero()
 
 
 def test_generation_r1():
@@ -282,7 +304,7 @@ def test_center_shift_invariance(k2):
 def test_predicted_elements_commute_with_generators(k2):
     # the predicted central elements commute with every generator directly
     blk = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    pred = EP._predicted_center(F3, 2, blk, k2.fm, k2.restricted)
+    pred = EP._predicted_center(k2, blk)
     for z in pred:
         for g in k2.generators:
             if g.source in z and g.target in z:

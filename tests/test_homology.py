@@ -1022,7 +1022,7 @@ def test_projective_covers_are_built_once_per_scope(monkeypatch):
         assert homology.projective_covers(F3, 2) is P
         Q = homology.projective_covers(F3, 2, seed=1)
         assert list(Q) == list(P) and all(Q[lab] is P[lab] for lab in P)
-        K = endpresent.KernelTwoAlgebra(F3)
+        K = endpresent.KernelAlgebra(F3, 2)
         assert built == []
     assert list(K.restricted) == list(P) == K.labels
     for lab, M in K.restricted.items():

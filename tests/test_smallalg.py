@@ -1,5 +1,3 @@
-from math import comb
-
 import numpy as np
 import pytest
 
@@ -120,44 +118,3 @@ def test_regular_module_shape():
     assert not reg.E[0].is_zero() and not reg.F[0].is_zero()
     rep = repcore.validate(reg)
     assert all(rep.values())
-
-
-def test_divided_power_small_on_simple():
-    L2 = repcore.simple_restricted(F3, 2)
-    e2 = L2.divided_powers("e", 2)[2]
-    half = F3.el(2)  # 1/2 = 2 mod 3
-    assert e2 == (L2.E[0] @ L2.E[0]).scale(half)
-    # n = p on L_i vanishes: the operator raises the weight by 2p
-    L2c2 = repcore.simple_restricted(F3, 2, cap=2)
-    assert L2c2.divided_powers("e", 3)[3].is_zero()
-
-
-def test_divided_power_binomial_identity():
-    # e^(a) e^(b) = binom(a+b, a) e^(a+b) on a module with honest level-1 action
-    St = repcore.simple_restricted(F3, 2, cap=2)
-    M = repcore.tensor(St, St)
-    for a in range(4):
-        for b in range(4):
-            if a + b >= 9:
-                continue
-            powers = M.divided_powers("e", a + b)
-            lhs = powers[a] @ powers[b]
-            rhs = powers[a + b].scale(F3.el(comb(a + b, a) % 3))
-            assert lhs == rhs, (a, b)
-
-
-def test_coproduct_nilpotency_on_small_tensor():
-    # on L_1 (x) L_1 (weights <= 2) the induced e^(3) operator is zero at p=3
-    L1 = repcore.simple_restricted(F3, 1, cap=2)
-    M = repcore.tensor(L1, L1)
-    assert M.E[1].is_zero()
-
-
-def test_coproduct_coassociativity_via_tensor():
-    # building a triple tensor in either association gives identical operators
-    rng = np.random.default_rng(0)
-    mods = [repcore.simple_restricted(F3, i, cap=2) for i in (1, 2, 1)]
-    A = repcore.tensor(repcore.tensor(mods[0], mods[1]), mods[2])
-    B = repcore.tensor(mods[0], repcore.tensor(mods[1], mods[2]))
-    for j in range(2):
-        assert A.E[j] == B.E[j] and A.F[j] == B.F[j]
